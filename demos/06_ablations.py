@@ -9,7 +9,8 @@ held-out split.
 import tempfile
 from pathlib import Path
 
-from jm3d.cli import ABLATION_AXES, ablation_table, run_ablation
+from jm3d.cli import ABLATION_AXES, run_ablation
+from jm3d.evaluation import ablation_table
 from jm3d.synth import SynthConfig, synth_generate
 from jm3d.training import TrainConfig
 

@@ -101,7 +101,7 @@ class Tape:
         return t
 
     def watch(self, values) -> Tensor:
-        """Unnamed differentiable leaf (used by gradient checking)."""
+        """Unnamed differentiable leaf."""
         return self._new_node(values, requires_grad=True)
 
     def _record(self, out_values, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
@@ -474,40 +474,45 @@ def l2_normalize(x: Tensor) -> Tensor:
 # gradient checking
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> float:
-    """Max relative disagreement between analytic and central-difference
-    gradients of a scalar-valued function at ``x``.
+def grad_check(build: Callable[[dict[str, np.ndarray]], tuple[Tape, Tensor]],
+               values: dict[str, np.ndarray], eps: float = 1e-6) -> tuple[float, str]:
+    """(max relative error, name of the worst array) between analytic and
+    central-difference gradients of a scalar loss.
 
-    Relative error per coordinate is |analytic - numeric| over
+    ``build(values) -> (tape, loss)`` must register every array of
+    ``values`` on a fresh tape as the parameter of the same name, reading
+    the arrays when called: each coordinate is bumped in place by +-eps.
+    The caller's arrays are copied first and never modified.  Relative
+    error per coordinate is |analytic - numeric| over
     max(|analytic|, |numeric|, 1e-8).
     """
     if eps <= 0:
         raise ContractError("eps must be positive")
-    tape = Tape()
-    leaf = tape.watch(x.values)
-    loss = f(leaf)
+    values = {name: np.array(arr, dtype=np.float64) for name, arr in values.items()}
+    tape, loss = build(values)
     if loss.values.size != 1:
-        raise ContractError("grad_check needs a scalar-valued function")
-    if not np.isfinite(loss.values).all():
-        raise NumericError("function value is not finite")
-    tape.backward(loss)
-    analytic = tape._grads.get(leaf.node_id)
-    if analytic is None:
-        analytic = np.zeros_like(x.values)
-
-    base = x.values
-    numeric = np.zeros_like(base)
-    flat_n = numeric.reshape(-1)
-    for i in range(base.size):
-        bumped = base.copy().reshape(-1)
-        bumped[i] += eps
-        hi = f(constant(bumped.reshape(base.shape))).item()
-        bumped[i] -= 2 * eps
-        lo = f(constant(bumped.reshape(base.shape))).item()
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError("function value is not finite near x")
-        flat_n[i] = (hi - lo) / (2 * eps)
-
-    diff = np.abs(analytic - numeric)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((diff / denom).max()) if base.size else 0.0
+        raise ContractError("grad_check needs a scalar loss")
+    analytic = tape.backward(loss)
+    missing = sorted(set(values) - set(analytic))
+    if missing:
+        raise ContractError(f"build did not register parameters {missing}")
+    worst, worst_name = 0.0, ""
+    for name, arr in values.items():
+        flat = arr.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            hi = build(values)[1].item()
+            flat[i] = keep - eps
+            lo = build(values)[1].item()
+            flat[i] = keep
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise NumericError(f"loss is not finite near {name!r}")
+            numeric[i] = (hi - lo) / (2 * eps)
+        g = analytic[name].reshape(-1)
+        denom = np.maximum(np.maximum(np.abs(g), np.abs(numeric)), 1e-8)
+        rel = float((np.abs(g - numeric) / denom).max()) if flat.size else 0.0
+        if rel > worst:
+            worst, worst_name = rel, name
+    return worst, worst_name

@@ -24,19 +24,24 @@ from . import autodiff as ad
 from . import alignment as al
 from .data import (LoadedDataset, PointCloud, load_manifest, resolve_label,
                    stratified_split, write_feature_file)
-from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, embed_view,
-                       encode_image_frozen, encode_point_cloud,
-                       init_point_encoder, point_encoder_from_values)
+# encode_point_cloud is not called here, but bench/workloads.py traces it
+# under this module's name
+from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, embed_view,  # noqa: F401
+                       encode_image_frozen, encode_point_cloud, init_point_encoder)
 from .errors import (ConfigError, ContractError, InputError, Jm3dError, LabelError,
                      ManifestError, NumericError, SamplingError, ShapeError)
-from .evaluation import (PromptTemplate, accuracy_topk, build_label_features,
-                         format_records, format_table, metric_record,
-                         modelnet_eval_sets, retrieve_by_image, zero_shot_topk)
+from .evaluation import (PromptTemplate, ablation_table, accuracy_topk,
+                         build_label_features, format_records, format_table,
+                         metric_record, modelnet_eval_sets, retrieve_by_image,
+                         zero_shot_topk)
 from .synth import SynthConfig, synth_generate
-from .training import (Checkpoint, TrainConfig, load_checkpoint, point_features,
-                       train)
+from .training import (Checkpoint, TrainConfig, batch_loss, load_checkpoint,
+                       point_features, train)
 
 GRADCHECK_TOLERANCE = 1e-4
+# the TrainConfig switches that change the loss itself; `gradcheck` checks
+# the full config and each of these switched off
+GRADCHECK_SWITCHES = ("jma_on", "htt_on", "normalize_before_nce", "symmetric_nce")
 
 ABLATION_AXES = {
     "cis": "cis_on",
@@ -141,88 +146,43 @@ def run_ablation(dataset: LoadedDataset, base_config: TrainConfig, axes,
     return rows, records
 
 
-def ablation_table(rows, topk: int) -> str:
-    header = ("config", "top1", f"top{topk}", "n")
-    body = [(label, f"{t1:.4f}", f"{tk:.4f}", str(n)) for label, t1, tk, n in rows]
-    all_rows = [header] + body
-    widths = [max(len(r[i]) for r in all_rows) for i in range(4)]
-    lines = []
-    for j, row in enumerate(all_rows):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if j == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
 def model_gradient_check(seed: int = 0, n_samples: int = 4, dim: int = 16,
                          v_views: int = 2, points: int = 32, hidden: int = 8,
                          head_hidden: int = 8, n_parents: int = 2,
-                         eps: float = 1e-6) -> dict:
-    """Central-difference check of the full training loss.
+                         eps: float = 1e-6, config: TrainConfig = TrainConfig()) -> dict:
+    """Central-difference check of the training loss under ``config``'s
+    loss switches.
 
-    Builds a tiny random batch, fixes the frozen-side features, and bumps
-    every coordinate of every trainable parameter.  Returns the worst
-    relative disagreement and the loss value.
+    Builds a tiny random batch of clouds, embedded view rows and unit text
+    rows, then checks ``training.batch_loss`` (the loss ``train`` optimizes)
+    over every coordinate of every trainable parameter.  Returns the worst
+    relative disagreement, the array it occurred in, and the loss value.
     """
     rng = np.random.default_rng(seed)
     clouds = [PointCloud.from_raw(rng.normal(size=(points, 3)))
               for _ in range(n_samples)]
     tables = ViewEmbeddingTables.build(dim)
-    fused_rows, text_rows = [], []
+    view_rows, text_rows = [], []
     for _ in range(n_samples):
         raw = rng.normal(size=(v_views, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         angles = rng.choice(30, size=v_views, replace=False) * 12
-        views = np.concatenate([embed_view(raw[i], int(angles[i]), tables).values
-                                for i in range(v_views)])
+        view_rows.append(np.concatenate([embed_view(raw[i], int(angles[i]), tables).values
+                                         for i in range(v_views)]))
         text = rng.normal(size=(1, dim))
-        text /= np.linalg.norm(text)
-        fused_rows.append(al.jma_fuse(ad.constant(views), ad.constant(text)).values)
-        text_rows.append(text)
-    h_joint = np.concatenate(fused_rows)
-    h_joint /= np.linalg.norm(h_joint, axis=1, keepdims=True)
-    h_text = np.concatenate(text_rows)
+        text_rows.append(text / np.linalg.norm(text))
     parent_idx = rng.integers(n_parents, size=n_samples).tolist()
-    weights = al.LossWeights(1.0, 1.0, 1.0)
 
     init_tape = ad.Tape()
     init_point_encoder(init_tape, hidden, dim, rng)
     al.init_alignment_heads(init_tape, dim, n_parents, head_hidden, rng)
-    values = {name: t.values.copy() for name, t in init_tape.parameters.items()}
+    values = {name: t.values for name, t in init_tape.parameters.items()}
 
     def build(vals):
-        tape = ad.Tape()
-        enc = point_encoder_from_values(tape, vals)
-        heads = al.heads_from_values(tape, vals)
-        h_point = ad.concat_rows([encode_point_cloud(c, enc) for c in clouds])
-        loss = al.total_loss(h_point, ad.constant(h_joint), ad.constant(h_text),
-                             parent_idx, heads, weights, htt_on=True)
-        return tape, loss
+        return batch_loss(vals, clouds, view_rows, text_rows, parent_idx, config)
 
-    tape, loss = build(values)
-    analytic = tape.backward(loss)
-    worst = 0.0
-    worst_param = ""
-    for name in values:
-        arr = values[name]
-        grad = analytic[name]
-        flat = arr.reshape(-1)
-        num = np.zeros_like(flat)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = build(values)[1].item()
-            flat[i] = keep - eps
-            lo = build(values)[1].item()
-            flat[i] = keep
-            num[i] = (hi - lo) / (2.0 * eps)
-        g = grad.reshape(-1)
-        denom = np.maximum(np.maximum(np.abs(g), np.abs(num)), 1e-8)
-        rel = float((np.abs(g - num) / denom).max())
-        if rel > worst:
-            worst = rel
-            worst_param = name
-    return {"max_rel": worst, "worst_param": worst_param, "loss": loss.item(),
+    worst, worst_param = ad.grad_check(build, values, eps)
+    return {"max_rel": worst, "worst_param": worst_param, "loss": build(values)[1].item(),
             "n_coordinates": int(sum(v.size for v in values.values()))}
 
 
@@ -397,11 +357,19 @@ def _cmd_retrieve(ns) -> int:
 def _cmd_gradcheck(ns) -> int:
     payload = {"seed": ns.seed, "eps": 1e-6, "tolerance": GRADCHECK_TOLERANCE}
     print(report_header(payload, ns.seed))
-    result = model_gradient_check(seed=ns.seed)
-    print(f"max relative error {result['max_rel']:.3e} over "
-          f"{result['n_coordinates']} coordinates (worst: {result['worst_param']})")
-    if result["max_rel"] >= GRADCHECK_TOLERANCE:
-        print(f"FAIL: exceeds tolerance {GRADCHECK_TOLERANCE:.0e}", file=sys.stderr)
+    configs = [("full", TrainConfig())]
+    configs += [(f"{switch}=False", TrainConfig(**{switch: False}))
+                for switch in GRADCHECK_SWITCHES]
+    failed = []
+    for label, cfg in configs:
+        result = model_gradient_check(seed=ns.seed, config=cfg)
+        print(f"{label}: max relative error {result['max_rel']:.3e} over "
+              f"{result['n_coordinates']} coordinates (worst: {result['worst_param']})")
+        if result["max_rel"] >= GRADCHECK_TOLERANCE:
+            failed.append(label)
+    if failed:
+        print(f"FAIL: {', '.join(failed)} exceed tolerance {GRADCHECK_TOLERANCE:.0e}",
+              file=sys.stderr)
         return 3
     print(f"OK: within tolerance {GRADCHECK_TOLERANCE:.0e}")
     return 0

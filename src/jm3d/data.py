@@ -563,16 +563,6 @@ def write_manifest(path, dim: int, records: list[dict]) -> None:
 # misc dataset operations
 
 
-def downsample_points(cloud: PointCloud, n: int, rng) -> PointCloud:
-    """Uniform random n-subset of the points, re-normalized."""
-    if n < 1:
-        raise ContractError(f"n must be >= 1, got {n}")
-    if cloud.count < n:
-        raise ShapeError(f"cannot downsample {cloud.count} points to {n}")
-    idx = rng.choice(cloud.count, size=n, replace=False)
-    return PointCloud.from_raw(cloud.points[np.asarray(idx, dtype=np.intp)])
-
-
 def stratified_split(samples, tree: CategoryTree, held_fraction: float, rng):
     """Per-leaf split into (train, held); every leaf with >= 2 samples
     contributes at least one held sample when held_fraction > 0."""

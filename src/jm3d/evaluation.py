@@ -168,15 +168,28 @@ def format_records(records) -> str:
     return "\n".join(lines)
 
 
-def format_table(records) -> str:
-    """Plain aligned table of the same records for standard output."""
-    rows = [("set", "k", "accuracy", "n")]
-    rows += [(str(r["set"]), str(r["k"]), f"{r['accuracy']:.4f}", str(r["n_samples"]))
-             for r in records]
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
+def aligned_table(header, rows) -> str:
+    """Left-aligned columns two spaces apart, a dash rule under the header,
+    trailing blanks trimmed from every line."""
+    rows = [tuple(header)] + [tuple(row) for row in rows]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     out = []
     for j, row in enumerate(rows):
         out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         if j == 0:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out)
+
+
+def format_table(records) -> str:
+    """Plain aligned table of the same records for standard output."""
+    return aligned_table(("set", "k", "accuracy", "n"),
+                         [(str(r["set"]), str(r["k"]), f"{r['accuracy']:.4f}",
+                           str(r["n_samples"])) for r in records])
+
+
+def ablation_table(rows, topk: int) -> str:
+    """Aligned comparison table of (label, top1, topk_acc, n) ablation rows."""
+    return aligned_table(("config", "top1", f"top{topk}", "n"),
+                         [(label, f"{t1:.4f}", f"{tk:.4f}", str(n))
+                          for label, t1, tk, n in rows])

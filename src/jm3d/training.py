@@ -22,7 +22,7 @@ import numpy as np
 from . import alignment as al
 from . import autodiff as ad
 from .data import CategoryTree, LoadedDataset, TripletSample, resolve_label, sample_within_window
-from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, embed_view,
+from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, _unit_rows, embed_view,
                        encode_image_frozen, encode_point_cloud, encode_text_frozen,
                        init_point_encoder, point_encoder_from_values)
 from .errors import ConfigError, ContractError, InputError, ShapeError
@@ -137,11 +137,6 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 # frozen-side preparation (computed once, reused every epoch)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.maximum(norms, 1e-12)
-
-
 @dataclass(frozen=True, eq=False)
 class _Prepped:
     sample: TripletSample
@@ -192,23 +187,48 @@ def _select_rows(p: _Prepped, config: TrainConfig, rng) -> list[int]:
     return [p.row_of[id(vw)] for vw in picked]
 
 
-def _fused_row(rows: np.ndarray, text_row: np.ndarray, jma_on: bool) -> np.ndarray:
-    if jma_on:
-        return al.jma_fuse(ad.constant(rows), ad.constant(text_row)).values
-    return rows.mean(axis=0, keepdims=True)
+def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
+               parent_idx, config: TrainConfig) -> tuple[ad.Tape, ad.Tensor]:
+    """The training objective of one batch, on a fresh tape.
+
+    ``params`` are registered as the tape's parameters (read, not copied);
+    ``view_rows[i]`` holds sample i's selected view rows (V_i x D) and
+    ``text_rows[i]`` its 1 x D text feature.  This is the one place the
+    loss is assembled, so training and the gradient check see the same
+    jma_on, htt_on, normalize_before_nce, symmetric_nce and lambdas.
+    """
+    tape = ad.Tape()
+    enc = point_encoder_from_values(tape, params)
+    heads = al.heads_from_values(tape, params)
+    h_point = ad.concat_rows([encode_point_cloud(c, enc) for c in clouds])
+    if config.jma_on:
+        fused = [al.jma_fuse(ad.constant(rows), ad.constant(text)).values
+                 for rows, text in zip(view_rows, text_rows)]
+    else:
+        fused = [rows.mean(axis=0, keepdims=True) for rows in view_rows]
+    h_joint = np.concatenate(fused)
+    h_text = np.concatenate(text_rows)
+    if config.normalize_before_nce:
+        h_joint = _unit_rows(h_joint)
+        h_text = _unit_rows(h_text)
+    loss = al.total_loss(h_point, ad.constant(h_joint), ad.constant(h_text),
+                         parent_idx, heads, config.loss_weights(),
+                         htt_on=config.htt_on, symmetric=config.symmetric_nce)
+    return tape, loss
 
 
 # ---------------------------------------------------------------------------
 # checkpoint
 
 CHECKPOINT_MAGIC = b"JM3DCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or evaluate: config echo, label tree,
-    parameters, optimizer moments, step counter, loss history."""
+    """A trained model for evaluation: config echo, label tree, trained
+    parameters, step counter, loss history.  Optimizer moments are not
+    kept, so a checkpoint cannot resume training."""
 
     config: dict
     tree_pairs: list
@@ -216,8 +236,6 @@ class Checkpoint:
     step: int
     losses: list
     params: dict
-    opt_m: dict
-    opt_v: dict
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self.config)
@@ -235,9 +253,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "losses": [float(x) for x in ckpt.losses],
     }
     blob = json.dumps(meta, sort_keys=True).encode()
-    arrays = [(name, arr) for name, arr in ckpt.params.items()]
-    arrays += [(f"opt_m.{name}", arr) for name, arr in ckpt.opt_m.items()]
-    arrays += [(f"opt_v.{name}", arr) for name, arr in ckpt.opt_v.items()]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
@@ -245,8 +260,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        f.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays:
+        f.write(struct.pack("<I", len(ckpt.params)))
+        for name, arr in ckpt.params.items():
             arr = np.asarray(arr, dtype=np.float64)
             nb = name.encode()
             f.write(struct.pack("<I", len(nb)))
@@ -276,8 +291,6 @@ def load_checkpoint(path) -> Checkpoint:
     (count,) = struct.unpack_from("<I", raw, off)
     off += 4
     params: dict = {}
-    opt_m: dict = {}
-    opt_v: dict = {}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", raw, off)
         off += 4
@@ -293,19 +306,14 @@ def load_checkpoint(path) -> Checkpoint:
             raise InputError(f"{path}: truncated checkpoint at array {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=n_items, offset=off).reshape(shape).copy()
         off += n_bytes
-        if name.startswith("opt_m."):
-            opt_m[name[len("opt_m."):]] = arr
-        elif name.startswith("opt_v."):
-            opt_v[name[len("opt_v."):]] = arr
-        else:
-            params[name] = arr
+        params[name] = arr
     return Checkpoint(
         config=meta["config"],
         tree_pairs=[(p, s) for p, s in meta["tree"]],
         dim=int(meta["dim"]),
         step=int(meta["step"]),
         losses=[float(x) for x in meta["losses"]],
-        params=params, opt_m=opt_m, opt_v=opt_v,
+        params=params,
     )
 
 
@@ -332,7 +340,6 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
         raise ConfigError("dataset is empty")
     if config.batch_size > n:
         raise ConfigError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-    weights = config.loss_weights()
     dim = dataset.dim
     spec = FrozenEncoderSpec(seed=config.frozen_seed, dim=dim)
     tables = ViewEmbeddingTables.build(dim)
@@ -355,26 +362,10 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
         step_losses = []
         for a, b in bounds:
             batch = [prepped[i] for i in order[a:b]]
-            tape = ad.Tape()
-            enc = point_encoder_from_values(tape, params)
-            heads = al.heads_from_values(tape, params)
-            h_point = ad.concat_rows([encode_point_cloud(p.sample.cloud, enc) for p in batch])
-            fused_rows = []
-            text_rows = []
-            parent_idx = []
-            for p in batch:
-                rows = p.view_rows[_select_rows(p, config, rng)]
-                fused_rows.append(_fused_row(rows, p.text_row, config.jma_on))
-                text_rows.append(p.text_row)
-                parent_idx.append(p.parent_idx)
-            h_joint = np.concatenate(fused_rows)
-            h_text = np.concatenate(text_rows)
-            if config.normalize_before_nce:
-                h_joint = _unit_rows(h_joint)
-                h_text = _unit_rows(h_text)
-            loss = al.total_loss(h_point, ad.constant(h_joint), ad.constant(h_text),
-                                 parent_idx, heads, weights,
-                                 htt_on=config.htt_on, symmetric=config.symmetric_nce)
+            view_rows = [p.view_rows[_select_rows(p, config, rng)] for p in batch]
+            tape, loss = batch_loss(params, [p.sample.cloud for p in batch], view_rows,
+                                    [p.text_row for p in batch],
+                                    [p.parent_idx for p in batch], config)
             grads = tape.backward(loss)
             lr = cosine_lr(opt.step, total_steps, config.base_lr)
             adamw_step(params, grads, opt, lr, config.beta1, config.beta2,
@@ -389,8 +380,6 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
         step=opt.step,
         losses=epoch_losses,
         params=params,
-        opt_m=opt.m,
-        opt_v=opt.v,
     )
     if out_dir is not None:
         out_dir = Path(out_dir)

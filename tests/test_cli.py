@@ -240,9 +240,13 @@ def test_export_features_round_trip(run_dir, dataset_dir, workdir, capsys):
 
 
 def test_gradcheck_command_passes(capsys):
+    # the full config plus each loss switch turned off, one line each
     assert cli.run(["gradcheck", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "OK" in out and "max relative error" in out
+    lines = capsys.readouterr().out.splitlines()
+    labels = [ln.split(":")[0] for ln in lines if "max relative error" in ln]
+    assert labels == ["full", "jma_on=False", "htt_on=False",
+                      "normalize_before_nce=False", "symmetric_nce=False"]
+    assert lines[-1].startswith("OK")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from jm3d.errors import (
     LabelError,
     ManifestError,
     SamplingError,
-    ShapeError,
 )
 
 
@@ -265,30 +264,6 @@ def test_normalize_points_invariants():
 def test_normalize_points_degenerate():
     out = data.normalize_points(np.full((4, 3), 2.7))
     np.testing.assert_array_equal(out, np.zeros((4, 3)))
-
-
-def test_downsample_is_normalized_subset():
-    rng = np.random.default_rng(11)
-    cloud = data.PointCloud.from_raw(rng.normal(size=(64, 3)))
-    out = data.downsample_points(cloud, 16, np.random.default_rng(4))
-    # replay the draw: selection must be exactly the renormalized subset
-    idx = np.random.default_rng(4).choice(64, size=16, replace=False)
-    np.testing.assert_array_equal(out.points, data.normalize_points(cloud.points[np.asarray(idx, dtype=np.intp)]))
-
-
-def test_downsample_full_size_is_permutation():
-    rng = np.random.default_rng(12)
-    cloud = data.PointCloud.from_raw(rng.normal(size=(10, 3)))
-    out = data.downsample_points(cloud, 10, np.random.default_rng(0))
-    a = np.sort(out.points.round(12), axis=0)
-    b = np.sort(cloud.points.round(12), axis=0)
-    np.testing.assert_allclose(a, b, atol=1e-9)
-
-
-def test_downsample_too_small_rejected():
-    cloud = data.PointCloud.from_raw([[1.0, 0, 0], [0, 1.0, 0]])
-    with pytest.raises(ShapeError):
-        data.downsample_points(cloud, 3, np.random.default_rng(0))
 
 
 def test_stratified_split_partition():
