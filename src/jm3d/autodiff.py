@@ -2,9 +2,9 @@
 
 The engine is deliberately small: it implements exactly the kernels the
 alignment losses and encoders need (matrix product, softmax family, row
-normalizations, pooling, gather/concat plumbing) and nothing else.  All
-values are 64-bit floats so finite-difference checks can run at tight
-tolerances.
+normalizations, pooling, the point encoder's fused MLP and max pool,
+gather/concat plumbing) and nothing else.  All values are 64-bit floats
+so finite-difference checks can run at tight tolerances.
 
 A :class:`Tape` records every differentiable operation in execution order.
 Tensors that do not require gradients (constants) are never recorded, so
@@ -330,6 +330,62 @@ def max_pool_rows(x: Tensor) -> Tensor:
         return (gx,)
 
     return _apply(out, (x,), backward)
+
+
+def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor) -> Tensor:
+    """Shared two-layer tanh MLP on each cloud's rows, then a column-wise
+    max over each cloud: B clouds of N_i x 3 -> B x h.
+
+    Bitwise the same forward as ``max_pool_rows(tanh(tanh(pts @ w1 + b1)
+    @ w2 + b2))`` per cloud, fused into one record.  Only the pooled rows
+    and each cloud's argmax rows are kept.  The gradient reaches at most h
+    rows per cloud (the first maximal row of each column, as in
+    ``max_pool_rows``), so backward recomputes layer 1 on those rows only.
+    """
+    wv1, bv1, wv2, bv2 = w1.values, b1.values, w2.values, b2.values
+    h = wv1.shape[1]
+    if wv1.shape[0] != 3 or wv2.shape != (h, h) or bv1.shape != (1, h) or bv2.shape != (1, h):
+        raise ShapeError(f"mlp_max_pool weights do not chain: w1 {wv1.shape}, b1 {bv1.shape}, "
+                         f"w2 {wv2.shape}, b2 {bv2.shape}")
+    if not clouds:
+        raise ShapeError("mlp_max_pool needs at least one cloud")
+    cols = np.arange(h)
+    out = np.empty((len(clouds), h))
+    winners = []
+    for i, pts in enumerate(clouds):
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+            raise ShapeError(f"cloud {i} must be N x 3 with N >= 1, got {pts.shape}")
+        a = pts @ wv1
+        a += bv1
+        np.tanh(a, out=a)
+        z = a @ wv2
+        z += bv2
+        np.tanh(z, out=z)
+        idx = np.argmax(z, axis=0)
+        out[i] = z[idx, cols]
+        winners.append(idx)
+
+    def backward(g):
+        g2 = g * (1.0 - out * out)
+        gw1, gb1 = np.zeros_like(wv1), np.zeros_like(bv1)
+        gw2, gb2 = np.zeros_like(wv2), np.zeros_like(bv2)
+        for i, idx in enumerate(winners):
+            # per cloud, so no GEMM reduces over more than h rows: longer
+            # reductions can round differently at another BLAS thread count
+            uniq, slot = np.unique(idx, return_inverse=True)
+            d2 = np.zeros((uniq.size, h))
+            d2[slot, cols] = g2[i]
+            pts = clouds[i][uniq]
+            a = np.tanh(pts @ wv1 + bv1)
+            d1 = (d2 @ wv2.T) * (1.0 - a * a)
+            gw1 += pts.T @ d1
+            gb1 += d1.sum(axis=0)
+            gw2 += a.T @ d2
+            gb2 += d2.sum(axis=0)
+        return gw1, gb1, gw2, gb2
+
+    return _apply(out, (w1, b1, w2, b2), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,13 @@ def sample_within_window(views, v: int, omega_deg: float, rng) -> list[ViewRecor
     implies a common arc there); above 180 the bound is vacuous.
     """
     views = list(views)
+    return [views[i] for i in window_indices(views, v, omega_deg, rng)]
+
+
+def window_indices(views, v: int, omega_deg: float, rng) -> list[int]:
+    """Ascending positions in ``views`` of the views `sample_within_window`
+    draws with the same rng state."""
+    views = list(views)
     if v < 1:
         raise ContractError(f"v must be >= 1, got {v}")
     if not views:
@@ -279,12 +286,11 @@ def sample_within_window(views, v: int, omega_deg: float, rng) -> list[ViewRecor
     if v > n:
         raise SamplingError(f"cannot pick {v} views from {n} candidates")
     if v == 1:
-        return [views[int(rng.integers(n))]]
+        return [int(rng.integers(n))]
 
     omega = float(omega_deg)
     if omega > 180.0:  # circular distance never exceeds 180
-        idx = sorted(int(i) for i in rng.choice(n, size=v, replace=False))
-        return [views[i] for i in idx]
+        return sorted(int(i) for i in rng.choice(n, size=v, replace=False))
 
     angles = tuple(int(vw.angle_deg) for vw in views)
     if omega <= 120.0:
@@ -293,8 +299,7 @@ def sample_within_window(views, v: int, omega_deg: float, rng) -> list[ViewRecor
             raise SamplingError(f"no {v}-view window of width < {omega_deg} degrees exists")
         anchor = _draw_weighted([(a, a["count"]) for a in plan["anchors"]], rng)
         k = _draw_weighted(anchor["k_weights"], rng)
-        idx = sorted(_choose(rng, anchor["at"], k) + _choose(rng, anchor["rest"], v - k))
-        return [views[i] for i in idx]
+        return sorted(_choose(rng, anchor["at"], k) + _choose(rng, anchor["rest"], v - k))
 
     # 120 < omega <= 180: enumerate (desk-scale candidate sets only)
     if math.comb(n, v) > 600_000:
@@ -309,7 +314,7 @@ def sample_within_window(views, v: int, omega_deg: float, rng) -> list[ViewRecor
         _window_cache[key] = feasible
     if not feasible:
         raise SamplingError(f"no {v}-view window of width < {omega_deg} degrees exists")
-    return [views[i] for i in feasible[int(rng.integers(len(feasible)))]]
+    return list(feasible[int(rng.integers(len(feasible)))])
 
 
 # ---------------------------------------------------------------------------

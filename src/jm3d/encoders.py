@@ -208,18 +208,22 @@ def point_encoder_from_values(tape: ad.Tape, values: dict[str, np.ndarray],
     })
 
 
-def encode_point_cloud(cloud: PointCloud, params: PointEncoderParams) -> ad.Tensor:
-    """Unit-norm 1 x D feature; exactly invariant to point order.
+def encode_point_cloud(clouds, params: PointEncoderParams) -> ad.Tensor:
+    """Unit-norm B x D features for a sequence of clouds (or 1 x D for a
+    single ``PointCloud``); each row is exactly invariant to its cloud's
+    point order.
 
     Every per-point operation is row-local and the pooling is a coordinate
-    max, so permuting input rows cannot change a single output bit.
+    max, so permuting a cloud's rows cannot change a single output bit.
+    Clouds may differ in size.  The projection head runs once on the
+    stacked pooled rows, so a row's last bit can depend on which batch it
+    was encoded in.
     """
-    pts = cloud.points
-    if pts.shape[0] < 1:
+    if isinstance(clouds, PointCloud):
+        clouds = [clouds]
+    pts = [np.asarray(c.points, dtype=np.float64) for c in clouds]
+    if any(p.shape[0] < 1 for p in pts):
         raise InputError("empty point cloud")
-    x = ad.constant(pts)
-    h1 = ad.tanh(ad.add(ad.matmul(x, params.w1), params.b1))
-    h2 = ad.tanh(ad.add(ad.matmul(h1, params.w2), params.b2))
-    pooled = ad.max_pool_rows(h2)
+    pooled = ad.mlp_max_pool(pts, params.w1, params.b1, params.w2, params.b2)
     projected = ad.add(ad.matmul(pooled, params.wp), params.bp)
     return ad.l2_normalize(projected)

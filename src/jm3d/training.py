@@ -21,7 +21,10 @@ import numpy as np
 
 from . import alignment as al
 from . import autodiff as ad
-from .data import CategoryTree, LoadedDataset, TripletSample, resolve_label, sample_within_window
+# sample_within_window is not called here, but bench/workloads.py traces it
+# under this module's name
+from .data import (CategoryTree, LoadedDataset, TripletSample, resolve_label,  # noqa: F401
+                   sample_within_window, window_indices)
 from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, _unit_rows, embed_view,
                        encode_image_frozen, encode_point_cloud, encode_text_frozen,
                        init_point_encoder, point_encoder_from_values)
@@ -142,7 +145,6 @@ class _Prepped:
     sample: TripletSample
     parent_idx: int
     view_rows: np.ndarray  # V x D, already embedded or plainly normalized
-    row_of: dict[int, int]  # id(ViewRecord) -> row
     text_row: np.ndarray  # 1 x D unit
 
 
@@ -168,9 +170,7 @@ def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
         else:
             rows = ad.layer_norm(ad.constant(raw)).values
         prepped.append(_Prepped(
-            sample=sample, parent_idx=p_idx, view_rows=rows,
-            row_of={id(vw): i for i, vw in enumerate(sample.views)},
-            text_row=text,
+            sample=sample, parent_idx=p_idx, view_rows=rows, text_row=text,
         ))
     return prepped
 
@@ -183,8 +183,7 @@ def _select_rows(p: _Prepped, config: TrainConfig, rng) -> list[int]:
     v = min(config.v_views, n)
     if not config.within_view_on:
         return sorted(int(i) for i in rng.choice(n, size=v, replace=False))
-    picked = sample_within_window(p.sample.views, v, config.omega_deg, rng)
-    return [p.row_of[id(vw)] for vw in picked]
+    return window_indices(p.sample.views, v, config.omega_deg, rng)
 
 
 def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
@@ -200,7 +199,7 @@ def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
     tape = ad.Tape()
     enc = point_encoder_from_values(tape, params)
     heads = al.heads_from_values(tape, params)
-    h_point = ad.concat_rows([encode_point_cloud(c, enc) for c in clouds])
+    h_point = encode_point_cloud(clouds, enc)
     if config.jma_on:
         fused = [al.jma_fuse(ad.constant(rows), ad.constant(text)).values
                  for rows, text in zip(view_rows, text_rows)]
@@ -281,32 +280,36 @@ def load_checkpoint(path) -> Checkpoint:
     (version,) = struct.unpack_from("<I", raw, 8)
     if version != CHECKPOINT_VERSION:
         raise InputError(f"{path}: unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<I", raw, 12)
-    off = 16
+    off = 12
+
+    def take(n_bytes: int, what: str) -> bytes:
+        nonlocal off
+        if off + n_bytes > len(raw):
+            raise InputError(f"{path}: truncated checkpoint at {what}")
+        off += n_bytes
+        return raw[off - n_bytes:off]
+
+    def u32s(count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count, what))
+
+    (blob_len,) = u32s(1, "metadata length")
     try:
-        meta = json.loads(raw[off:off + blob_len].decode())
+        meta = json.loads(take(blob_len, "metadata").decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: corrupt checkpoint metadata: {exc}") from None
-    off += blob_len
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (count,) = u32s(1, "array count")
     params: dict = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off:off + name_len].decode()
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        n_items = int(np.prod(shape, dtype=np.int64))
-        n_bytes = 8 * n_items
-        if off + n_bytes > len(raw):
-            raise InputError(f"{path}: truncated checkpoint at array {name!r}")
-        arr = np.frombuffer(raw, dtype="<f8", count=n_items, offset=off).reshape(shape).copy()
-        off += n_bytes
-        params[name] = arr
+    for i in range(count):
+        (name_len,) = u32s(1, f"array {i} name length")
+        try:
+            name = take(name_len, f"array {i} name").decode()
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: array {i} name is not UTF-8") from None
+        (ndim,) = u32s(1, f"array {name!r} rank")
+        shape = u32s(ndim, f"array {name!r} shape")
+        n_items = math.prod(shape)
+        data = take(8 * n_items, f"array {name!r}")
+        params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return Checkpoint(
         config=meta["config"],
         tree_pairs=[(p, s) for p, s in meta["tree"]],
@@ -396,4 +399,4 @@ def point_features(samples, params: dict) -> np.ndarray:
     path: a throwaway tape per call, no gradients kept)."""
     tape = ad.Tape()
     enc = point_encoder_from_values(tape, params)
-    return np.concatenate([encode_point_cloud(s.cloud, enc).values for s in samples])
+    return encode_point_cloud([s.cloud for s in samples], enc).values

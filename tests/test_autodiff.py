@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdtools import analytic_grad, fd_grad, max_rel
+from fdtools import analytic_grad, fd_grad, max_rel, max_rel_vs_fd
 from jm3d import autodiff as ad
 from jm3d.errors import ContractError, NumericError, ShapeError
 
@@ -147,6 +147,82 @@ def test_max_pool_grad_matches_fd_off_ties():
     assert (top2[1] - top2[0] > 1e-3).all()
     f = lambda t: ad.mean(ad.max_pool_rows(t))
     assert max_rel(analytic_grad(f, x), fd_grad(f, x)) < 1e-5
+
+
+def mlp_pool_values(seed, hidden):
+    rng = np.random.default_rng(seed)
+    return {"w1": rng.normal(size=(3, hidden)) / math.sqrt(3.0),
+            "b1": rng.normal(size=(1, hidden)) * 0.1,
+            "w2": rng.normal(size=(hidden, hidden)) / math.sqrt(hidden),
+            "b2": rng.normal(size=(1, hidden)) * 0.1}
+
+
+def mlp_pool_chain(clouds, w1, b1, w2, b2):
+    """Reference for ``mlp_max_pool``: the per-cloud chain of single ops
+    it fuses."""
+    rows = []
+    for pts in clouds:
+        h1 = ad.tanh(ad.add(ad.matmul(ad.constant(pts), w1), b1))
+        h2 = ad.tanh(ad.add(ad.matmul(h1, w2), b2))
+        rows.append(ad.max_pool_rows(h2))
+    return ad.concat_rows(rows)
+
+
+def mlp_pool_build(pool, clouds):
+    def build(vals):
+        tape = ad.Tape()
+        params = [tape.parameter(name, vals[name]) for name in ("w1", "b1", "w2", "b2")]
+        out = pool(clouds, *params)
+        weights = np.linspace(0.5, 1.5, out.values.size).reshape(out.shape)
+        return tape, ad.mean(ad.mul(out, ad.constant(weights)))
+    return build
+
+
+def ragged_clouds(seed):
+    rng = np.random.default_rng(seed)
+    clouds = [rng.uniform(-1.0, 1.0, size=(n, 3)) for n in (5, 17, 32)]
+    # duplicated points tie exactly in every column they win
+    clouds.append(np.repeat(rng.uniform(-1.0, 1.0, size=(4, 3)), 3, axis=0))
+    return clouds
+
+
+def test_mlp_max_pool_grad_matches_fd_on_ragged_batch_with_ties():
+    clouds = ragged_clouds(3)
+    values = mlp_pool_values(4, hidden=6)
+    # finite differences need a clear argmax margin between distinct rows
+    for pts in clouds:
+        distinct = np.unique(pts, axis=0)
+        z = np.tanh(np.tanh(distinct @ values["w1"] + values["b1"]) @ values["w2"] + values["b2"])
+        top2 = np.sort(z, axis=0)[-2:]
+        assert (top2[1] - top2[0] > 1e-4).all()
+    assert max_rel_vs_fd(mlp_pool_build(ad.mlp_max_pool, clouds), values, eps=1e-6) < 1e-5
+
+
+def test_mlp_max_pool_matches_op_chain():
+    clouds = ragged_clouds(5) + [np.random.default_rng(6).normal(size=(256, 3))]
+    values = mlp_pool_values(7, hidden=64)
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    fused_pool = ad.mlp_max_pool(clouds, *consts)
+    assert fused_pool.values.tobytes() == mlp_pool_chain(clouds, *consts).values.tobytes()
+    fused_tape, fused_loss = mlp_pool_build(ad.mlp_max_pool, clouds)(values)
+    chain_tape, chain_loss = mlp_pool_build(mlp_pool_chain, clouds)(values)
+    assert len(fused_tape._records) == 3  # the pool op, the weighting, the mean
+    fused, chain = fused_tape.backward(fused_loss), chain_tape.backward(chain_loss)
+    for name in values:
+        assert max_rel(fused[name], chain[name]) < 1e-12, name
+
+
+def test_mlp_max_pool_rejects_bad_shapes():
+    values = mlp_pool_values(0, hidden=4)
+    w1, b1, w2, b2 = (ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2"))
+    with pytest.raises(ShapeError):
+        ad.mlp_max_pool([], w1, b1, w2, b2)
+    with pytest.raises(ShapeError):
+        ad.mlp_max_pool([np.zeros((0, 3))], w1, b1, w2, b2)
+    with pytest.raises(ShapeError):
+        ad.mlp_max_pool([np.zeros((4, 2))], w1, b1, w2, b2)
+    with pytest.raises(ShapeError):
+        ad.mlp_max_pool([np.zeros((4, 3))], w1, b1, w1, b2)
 
 
 def composite(x):

@@ -171,6 +171,17 @@ def test_point_permutation_bit_identical():
         assert encoders.encode_point_cloud(shuffled, params).values.tobytes() == base.tobytes()
 
 
+def test_batch_permutation_bit_identical():
+    tape, params = fresh_encoder()
+    clouds = [random_cloud(s, n) for s, n in ((4, 40), (5, 7), (6, 23))]
+    base = encoders.encode_point_cloud(clouds, params).values
+    assert base.shape == (3, 6)
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        shuffled = [PointCloud(c.points[rng.permutation(c.count)]) for c in clouds]
+        assert encoders.encode_point_cloud(shuffled, params).values.tobytes() == base.tobytes()
+
+
 def test_point_repeated_point_equals_single():
     tape, params = fresh_encoder()
     single = PointCloud(np.array([[0.3, -0.2, 0.9]]))
@@ -194,7 +205,7 @@ def test_point_encoder_grads_match_fd():
     def build(vals):
         tape = ad.Tape()
         params = encoders.point_encoder_from_values(tape, vals)
-        feats = ad.concat_rows([encoders.encode_point_cloud(c, params) for c in clouds])
+        feats = encoders.encode_point_cloud(clouds, params)
         return tape, ad.mean(ad.mul(feats, ad.constant(weights)))
 
     assert max_rel_vs_fd(build, values, eps=1e-6) < 1e-4

@@ -2,10 +2,16 @@
 
 import dataclasses
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jm3d
 from jm3d import alignment as al
 from jm3d import autodiff as ad
 from jm3d import cli
@@ -277,6 +283,58 @@ def test_checkpoint_rejects_truncation(tiny_dataset, tmp_path):
     cut.write_bytes(raw[:len(raw) - 64])
     with pytest.raises(InputError):
         tr.load_checkpoint(cut)
+
+
+def array_header_offsets(raw: bytes) -> list[int]:
+    """Byte offsets of the array count and of every array's name length,
+    name, rank and shape fields in a checkpoint."""
+    (blob_len,) = struct.unpack_from("<I", raw, 12)
+    off = 16 + blob_len
+    (count,) = struct.unpack_from("<I", raw, off)
+    offsets = list(range(off, off + 4))
+    off += 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, off)
+        (ndim,) = struct.unpack_from("<I", raw, off + 4 + name_len)
+        header = 4 + name_len + 4 + 4 * ndim
+        shape = struct.unpack_from(f"<{ndim}I", raw, off + header - 4 * ndim)
+        offsets += range(off, off + header)
+        off += header + 8 * math.prod(shape)
+    assert off == len(raw)
+    return offsets
+
+
+def test_checkpoint_cut_inside_array_headers_exits_2(tiny_dir, tiny_dataset, tmp_path, capsys):
+    tr.train(tiny_dataset, quick_config(epochs=1), out_dir=tmp_path)
+    raw = (tmp_path / "checkpoint.bin").read_bytes()
+    cut = tmp_path / "cut.bin"
+    for end in array_header_offsets(raw):
+        cut.write_bytes(raw[:end])
+        code = cli.run(["eval-zeroshot", "--checkpoint", str(cut),
+                        "--data", str(tiny_dir / "manifest.jsonl")])
+        assert code == 2, end
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_bytes_identical_at_1_and_2_blas_threads(tmp_path):
+    # bench-sized clouds and the default hidden width, so the encoder's
+    # GEMMs are large enough for OpenBLAS to split them over threads
+    data_dir = tmp_path / "data"
+    synth_generate(SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=8,
+                               points=256, dim=16, n_angles=10), data_dir, seed=2)
+    src = str(Path(jm3d.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "jm3d", "pretrain",
+                               "--data", str(data_dir / "manifest.jsonl"), "--out", str(out),
+                               "--epochs", "2", "--batch", "16", "--seed", "0"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append((out / "checkpoint.bin").read_bytes())
+    assert digests[0] == digests[1]
 
 
 def test_checkpoint_version_gate(tiny_dir, tiny_dataset, tmp_path, capsys):
