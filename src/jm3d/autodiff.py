@@ -84,11 +84,9 @@ class Tape:
         self._next_id = 0
         self._grads: dict[int, np.ndarray] = {}
         self.parameters: dict[str, Tensor] = {}
-        self._shapes: dict[int, tuple[int, ...]] = {}
 
     def _new_node(self, values, requires_grad: bool) -> Tensor:
         t = Tensor(values, requires_grad=requires_grad, tape=self, node_id=self._next_id)
-        self._shapes[self._next_id] = t.values.shape
         self._next_id += 1
         return t
 

@@ -28,8 +28,7 @@ from .data import (LoadedDataset, PointCloud, load_manifest, resolve_label,
 # under this module's name
 from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, embed_view,  # noqa: F401
                        encode_image_frozen, encode_point_cloud, init_point_encoder)
-from .errors import (ConfigError, ContractError, InputError, Jm3dError, LabelError,
-                     ManifestError, NumericError, SamplingError, ShapeError)
+from .errors import ConfigError, InputError, Jm3dError, LabelError, NumericError
 from .evaluation import (PromptTemplate, ablation_table, accuracy_topk,
                          build_label_features, format_records, format_table,
                          metric_record, modelnet_eval_sets, retrieve_by_image,
@@ -499,10 +498,6 @@ def run(argv) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ManifestError, ConfigError, InputError, LabelError, SamplingError,
-            ShapeError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Jm3dError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

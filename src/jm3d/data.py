@@ -9,6 +9,7 @@ the read/write helpers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -198,47 +199,6 @@ def resolve_label(sample: TripletSample, tree: CategoryTree) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # view-window sampling
 
-# window geometry per (record angles, v, omega); rebuilt lazily, reused across epochs
-_window_cache: dict[tuple, dict] = {}
-_WINDOW_CACHE_MAX = 8192
-
-
-def _window_plan(angles: tuple[int, ...], v: int, omega: float) -> dict:
-    """Counting tables for uniform sampling of v records with pairwise
-    circular angle distance < omega.
-
-    A feasible record set always spans an arc narrower than omega when
-    omega <= 120 (two records more than half the residual circle apart
-    would violate the pairwise bound), so each feasible set has a unique
-    leftmost angle.  Counting sets per leftmost angle gives exact uniform
-    weights; see sample_within_window for the wider-omega fallbacks.
-    """
-    key = (angles, v, omega)
-    plan = _window_cache.get(key)
-    if plan is not None:
-        return plan
-    n = len(angles)
-    distinct = sorted(set(angles))
-    anchors = []
-    total = 0
-    for a in distinct:
-        window = [i for i in range(n) if (angles[i] - a) % 360 < omega]
-        at_anchor = [i for i in window if angles[i] == a]
-        rest = [i for i in window if angles[i] != a]
-        count = math.comb(len(window), v) - math.comb(len(rest), v)
-        if count > 0:
-            # per-anchor split over how many records sit exactly at the anchor
-            k_weights = [(k, math.comb(len(at_anchor), k) * math.comb(len(rest), v - k))
-                         for k in range(1, min(len(at_anchor), v) + 1)]
-            k_weights = [(k, w) for k, w in k_weights if w > 0]
-            anchors.append({"at": at_anchor, "rest": rest, "count": count, "k_weights": k_weights})
-            total += count
-    plan = {"anchors": anchors, "total": total}
-    if len(_window_cache) >= _WINDOW_CACHE_MAX:
-        _window_cache.clear()
-    _window_cache[key] = plan
-    return plan
-
 
 def _draw_weighted(pairs, rng) -> object:
     """Pick item from (item, integer weight) pairs, exactly proportional."""
@@ -262,59 +222,86 @@ def _choose(rng, pool: list[int], k: int) -> list[int]:
     return [pool[int(i)] for i in picked]
 
 
+class WindowSampler:
+    """Uniform draws of v distinct records whose angles are pairwise closer
+    than omega_deg on the circle, as ascending record positions.
+
+    The constructor validates and precomputes; `draw` only consumes the rng.
+    v == 1 or omega_deg > 180 is unbounded (circular distance never exceeds
+    180).  omega_deg <= 120 counts feasible sets per leftmost angle: two
+    records more than half the residual circle apart would violate the
+    pairwise bound, so every feasible set spans an arc narrower than omega
+    and has a unique leftmost angle, which gives exact uniform weights.
+    120 < omega_deg <= 180 enumerates the feasible sets (the pairwise bound
+    no longer implies a common arc there; desk-scale candidate sets only).
+    """
+
+    def __init__(self, angles: tuple[int, ...], v: int, omega_deg: float):
+        if v < 1:
+            raise ContractError(f"v must be >= 1, got {v}")
+        n = len(angles)
+        if n == 0:
+            raise SamplingError("empty candidate set")
+        if v > n:
+            raise SamplingError(f"cannot pick {v} views from {n} candidates")
+        omega = float(omega_deg)
+        self.n, self.v = n, v
+        self.anchors = self.feasible = None
+        if v == 1 or omega > 180.0:
+            return
+        if omega <= 120.0:
+            # (anchor, count) pairs; an anchor splits its count over how many
+            # records sit exactly at the anchor angle
+            self.anchors = []
+            for a in sorted(set(angles)):
+                window = [i for i in range(n) if (angles[i] - a) % 360 < omega]
+                at = [i for i in window if angles[i] == a]
+                rest = [i for i in window if angles[i] != a]
+                count = math.comb(len(window), v) - math.comb(len(rest), v)
+                if count > 0:
+                    k_weights = [(k, w) for k in range(1, min(len(at), v) + 1)
+                                 if (w := math.comb(len(at), k) * math.comb(len(rest), v - k)) > 0]
+                    self.anchors.append(((at, rest, k_weights), count))
+        else:
+            if math.comb(n, v) > 600_000:
+                raise SamplingError(
+                    f"window sampling with omega in (120, 180] needs enumeration; C({n},{v}) is too large")
+            self.feasible = [c for c in combinations(range(n), v)
+                             if all(circular_distance(angles[i], angles[j]) < omega
+                                    for i, j in combinations(c, 2))]
+        if self.count == 0:
+            raise SamplingError(f"no {v}-view window of width < {omega_deg} degrees exists")
+
+    @property
+    def count(self) -> int:
+        """Number of feasible record sets."""
+        if self.anchors is not None:
+            return sum(c for _, c in self.anchors)
+        if self.feasible is not None:
+            return len(self.feasible)
+        return math.comb(self.n, self.v)
+
+    def draw(self, rng) -> list[int]:
+        if self.anchors is not None:
+            at, rest, k_weights = _draw_weighted(self.anchors, rng)
+            k = _draw_weighted(k_weights, rng)
+            return sorted(_choose(rng, at, k) + _choose(rng, rest, self.v - k))
+        if self.feasible is not None:
+            return list(self.feasible[int(rng.integers(len(self.feasible)))])
+        return sorted(int(i) for i in rng.choice(self.n, size=self.v, replace=False))
+
+
+# the one sampler per (angles, v, omega_deg); callers share it, so none may mutate it
+window_sampler = functools.lru_cache(maxsize=8192)(WindowSampler)
+
+
 def sample_within_window(views, v: int, omega_deg: float, rng) -> list[ViewRecord]:
     """Draw v distinct views whose angles are pairwise closer than omega_deg
-    on the circle, uniformly over all feasible view subsets.
-
-    omega_deg <= 120 uses exact leftmost-angle counting; 120 < omega_deg
-    <= 180 falls back to enumerating subsets (the pairwise bound no longer
-    implies a common arc there); above 180 the bound is vacuous.
-    """
+    on the circle, uniformly over all feasible view subsets (see
+    `WindowSampler`)."""
     views = list(views)
-    return [views[i] for i in window_indices(views, v, omega_deg, rng)]
-
-
-def window_indices(views, v: int, omega_deg: float, rng) -> list[int]:
-    """Ascending positions in ``views`` of the views `sample_within_window`
-    draws with the same rng state."""
-    views = list(views)
-    if v < 1:
-        raise ContractError(f"v must be >= 1, got {v}")
-    if not views:
-        raise SamplingError("empty candidate set")
-    n = len(views)
-    if v > n:
-        raise SamplingError(f"cannot pick {v} views from {n} candidates")
-    if v == 1:
-        return [int(rng.integers(n))]
-
-    omega = float(omega_deg)
-    if omega > 180.0:  # circular distance never exceeds 180
-        return sorted(int(i) for i in rng.choice(n, size=v, replace=False))
-
-    angles = tuple(int(vw.angle_deg) for vw in views)
-    if omega <= 120.0:
-        plan = _window_plan(angles, v, omega)
-        if plan["total"] == 0:
-            raise SamplingError(f"no {v}-view window of width < {omega_deg} degrees exists")
-        anchor = _draw_weighted([(a, a["count"]) for a in plan["anchors"]], rng)
-        k = _draw_weighted(anchor["k_weights"], rng)
-        return sorted(_choose(rng, anchor["at"], k) + _choose(rng, anchor["rest"], v - k))
-
-    # 120 < omega <= 180: enumerate (desk-scale candidate sets only)
-    if math.comb(n, v) > 600_000:
-        raise SamplingError(f"window sampling with omega in (120, 180] needs enumeration; C({n},{v}) is too large")
-    key = (angles, v, omega, "enum")
-    feasible = _window_cache.get(key)
-    if feasible is None:
-        feasible = [c for c in combinations(range(n), v)
-                    if all(circular_distance(angles[i], angles[j]) < omega for i, j in combinations(c, 2))]
-        if len(_window_cache) >= _WINDOW_CACHE_MAX:
-            _window_cache.clear()
-        _window_cache[key] = feasible
-    if not feasible:
-        raise SamplingError(f"no {v}-view window of width < {omega_deg} degrees exists")
-    return list(feasible[int(rng.integers(len(feasible)))])
+    sampler = window_sampler(tuple(vw.angle_deg for vw in views), v, omega_deg)
+    return [views[i] for i in sampler.draw(rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +479,8 @@ def load_manifest(path) -> LoadedDataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ManifestError([f"line 1: header is not valid JSON ({e.msg})"]) from None
+    if not isinstance(header, dict):
+        raise ManifestError(["line 1: header is not a JSON object"])
     version = header.get("version")
     dim = header.get("dim")
     if version != MANIFEST_VERSION:

@@ -23,12 +23,12 @@ from . import alignment as al
 from . import autodiff as ad
 # sample_within_window is not called here, but bench/workloads.py traces it
 # under this module's name
-from .data import (CategoryTree, LoadedDataset, TripletSample, resolve_label,  # noqa: F401
-                   sample_within_window, window_indices)
+from .data import (CategoryTree, LoadedDataset, TripletSample, WindowSampler,  # noqa: F401
+                   resolve_label, sample_within_window, window_sampler)
 from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, _unit_rows, embed_view,
                        encode_image_frozen, encode_point_cloud, encode_text_frozen,
                        init_point_encoder, point_encoder_from_values)
-from .errors import ConfigError, ContractError, InputError, ShapeError
+from .errors import ConfigError, ContractError, InputError, NumericError, ShapeError
 from .evaluation import PromptTemplate
 
 
@@ -146,12 +146,14 @@ class _Prepped:
     parent_idx: int
     view_rows: np.ndarray  # V x D, already embedded or plainly normalized
     text_row: np.ndarray  # 1 x D unit
+    sampler: WindowSampler  # draws this sample's view rows for one step
 
 
 def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
                     spec: FrozenEncoderSpec, tables: ViewEmbeddingTables) -> list[_Prepped]:
     template = PromptTemplate(config.prompt)
     apply_embeddings = config.cis_on and config.embeddings_on
+    omega = config.omega_deg if config.within_view_on else math.inf
     text_cache: dict[str, np.ndarray] = {}
     prepped = []
     for sample in dataset.samples:
@@ -169,21 +171,14 @@ def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
                                    for i, vw in enumerate(sample.views)])
         else:
             rows = ad.layer_norm(ad.constant(raw)).values
+        # without CIS a step sees one view; without the window any v views
+        v = min(config.v_views, len(sample.views)) if config.cis_on else 1
+        angles = tuple(vw.angle_deg for vw in sample.views)
         prepped.append(_Prepped(
             sample=sample, parent_idx=p_idx, view_rows=rows, text_row=text,
+            sampler=window_sampler(angles, v, omega),
         ))
     return prepped
-
-
-def _select_rows(p: _Prepped, config: TrainConfig, rng) -> list[int]:
-    """Row indices of this step's views, consuming rng in a fixed order."""
-    n = len(p.sample.views)
-    if not config.cis_on:
-        return [int(rng.integers(n))]
-    v = min(config.v_views, n)
-    if not config.within_view_on:
-        return sorted(int(i) for i in rng.choice(n, size=v, replace=False))
-    return window_indices(p.sample.views, v, config.omega_deg, rng)
 
 
 def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
@@ -271,6 +266,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read and validate a checkpoint.
+
+    Malformed metadata, a config key `TrainConfig` does not know, or a
+    parameter set other than the one `init_point_encoder` and
+    `init_alignment_heads` register for the stored config, dim and tree
+    raise `InputError`; a non-finite parameter raises `NumericError`.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"checkpoint not found: {path}")
@@ -310,14 +312,32 @@ def load_checkpoint(path) -> Checkpoint:
         n_items = math.prod(shape)
         data = take(8 * n_items, f"array {name!r}")
         params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-    return Checkpoint(
-        config=meta["config"],
-        tree_pairs=[(p, s) for p, s in meta["tree"]],
-        dim=int(meta["dim"]),
-        step=int(meta["step"]),
-        losses=[float(x) for x in meta["losses"]],
-        params=params,
-    )
+    try:
+        ckpt = Checkpoint(
+            config=meta["config"],
+            tree_pairs=[(p, s) for p, s in meta["tree"]],
+            dim=int(meta["dim"]),
+            step=int(meta["step"]),
+            losses=[float(x) for x in meta["losses"]],
+            params=params,
+        )
+        config, tree = ckpt.train_config(), ckpt.tree()
+    except (TypeError, KeyError, ValueError) as exc:
+        raise InputError(f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})") from None
+    reference = ad.Tape()
+    rng = np.random.default_rng(0)
+    init_point_encoder(reference, config.point_hidden, ckpt.dim, rng)
+    al.init_alignment_heads(reference, ckpt.dim, tree.n_parents, config.head_hidden, rng,
+                            config.tau_init)
+    expected = {name: t.shape for name, t in reference.parameters.items()}
+    found = {name: arr.shape for name, arr in params.items()}
+    if found != expected:
+        odd = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
+        raise InputError(f"{path}: parameters {odd} are missing, unexpected or misshapen for its config")
+    non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
+    if non_finite:
+        raise NumericError(f"{path}: non-finite values in parameters {non_finite}")
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +385,7 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
         step_losses = []
         for a, b in bounds:
             batch = [prepped[i] for i in order[a:b]]
-            view_rows = [p.view_rows[_select_rows(p, config, rng)] for p in batch]
+            view_rows = [p.view_rows[p.sampler.draw(rng)] for p in batch]
             tape, loss = batch_loss(params, [p.sample.cloud for p in batch], view_rows,
                                     [p.text_row for p in batch],
                                     [p.parent_idx for p in batch], config)

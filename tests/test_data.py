@@ -194,19 +194,32 @@ def test_window_counts_match_brute_force(data_strategy):
     omega = data_strategy.draw(st.sampled_from([12.0, 36.0, 60.0, 90.0, 120.0]))
     views = [feature_view(a, "rgb" if i % 2 == 0 else "depth") for i, a in enumerate(angles)]
     feasible = brute_feasible(angles, v, omega)
-    plan = data._window_plan(tuple(angles), v, omega)
-    assert plan["total"] == len(feasible)
     rng = np.random.default_rng(7)
     if not feasible:
         with pytest.raises(SamplingError):
+            data.WindowSampler(tuple(angles), v, omega)
+        with pytest.raises(SamplingError):
             data.sample_within_window(views, v, omega, rng)
         return
+    assert data.WindowSampler(tuple(angles), v, omega).count == len(feasible)
     allowed = {frozenset(c) for c in feasible}
     for _ in range(20):
         got = data.sample_within_window(views, v, omega, rng)
         assert len(got) == v
         idx = picked_indices(views, got)
         assert idx in allowed
+
+
+def test_sample_within_window_builds_each_sampler_once():
+    angles = (0, 12, 24, 96)
+    views = [feature_view(a) for a in angles]
+    data.window_sampler.cache_clear()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        data.sample_within_window(views, 2, 60.0, rng)
+    info = data.window_sampler.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert data.window_sampler(angles, 2, 60.0) is data.window_sampler(angles, 2, 60.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +365,17 @@ def test_load_manifest_rejects_wrong_version(tmp_path):
     with pytest.raises(ManifestError) as err:
         data.load_manifest(path)
     assert any("version" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("header", ["[1]", "3", '"x"', "null"])
+def test_load_manifest_rejects_non_object_header(tmp_path, header):
+    path = write_dataset(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[0] = header
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path)
+    assert err.value.violations == ["line 1: header is not a JSON object"]
 
 
 def test_load_manifest_dim_mismatch(tmp_path):

@@ -1,6 +1,7 @@
 """Optimizer, schedule, training-loop, and checkpoint tests."""
 
 import dataclasses
+import json
 import math
 import os
 import struct
@@ -17,7 +18,7 @@ from jm3d import autodiff as ad
 from jm3d import cli
 from jm3d import training as tr
 from jm3d.data import PointCloud, load_manifest
-from jm3d.encoders import init_point_encoder
+from jm3d.encoders import FrozenEncoderSpec, ViewEmbeddingTables, init_point_encoder
 from jm3d.errors import ConfigError, ContractError, InputError, ShapeError
 from jm3d.synth import SynthConfig, synth_generate
 
@@ -211,6 +212,28 @@ def test_ablation_switches_run(tiny_dataset, flags):
     assert math.isfinite(ckpt.losses[0])
 
 
+def unwindowed_draw(n: int, config: tr.TrainConfig, rng) -> list[int]:
+    """The training step's view draw, as written before the window sampler,
+    for a config with `cis_on` or `within_view_on` off."""
+    if not config.cis_on:
+        return [int(rng.integers(n))]
+    return sorted(int(i) for i in rng.choice(n, size=min(config.v_views, n), replace=False))
+
+
+@pytest.mark.parametrize("v", [1, 2])
+@pytest.mark.parametrize("switch", ["cis_on", "within_view_on"])
+def test_sampler_draws_match_the_unwindowed_branches(tiny_dataset, switch, v):
+    # the byte identity of such runs rests on numpy drawing
+    # choice(n, size=1, replace=False) exactly like integers(n)
+    config = quick_config(v_views=v, **{switch: False})
+    dim = tiny_dataset.dim
+    prepped = tr._prepare_frozen(tiny_dataset, config, FrozenEncoderSpec(seed=config.frozen_seed, dim=dim),
+                                 ViewEmbeddingTables.build(dim))
+    new, old = np.random.default_rng(3), np.random.default_rng(3)
+    for p in prepped * 10:
+        assert p.sampler.draw(new) == unwindowed_draw(len(p.sample.views), config, old)
+
+
 def test_registry_contains_only_trainable_parameters(tiny_dataset):
     ckpt = tr.train(tiny_dataset, quick_config(epochs=1))
     expected = {"point.w1", "point.b1", "point.w2", "point.b2", "point.wp", "point.bp",
@@ -335,6 +358,42 @@ def test_checkpoint_bytes_identical_at_1_and_2_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append((out / "checkpoint.bin").read_bytes())
     assert digests[0] == digests[1]
+
+
+def with_metadata(raw: bytes, meta) -> bytes:
+    """A checkpoint's bytes with its metadata blob replaced."""
+    (blob_len,) = struct.unpack_from("<I", raw, 12)
+    blob = json.dumps(meta).encode()
+    return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + blob_len:]
+
+
+def test_malformed_checkpoint_exits_2_and_non_finite_exits_3(tiny_dir, tiny_dataset, tmp_path, capsys):
+    ckpt = tr.train(tiny_dataset, quick_config(epochs=1), out_dir=tmp_path)
+    raw = (tmp_path / "checkpoint.bin").read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 12)
+    meta = json.loads(raw[16:16 + blob_len])
+
+    def with_params(**changes):
+        params = {**ckpt.params, **changes}
+        tr.save_checkpoint(dataclasses.replace(ckpt, params={k: a for k, a in params.items() if a is not None}),
+                           tmp_path / "edited.bin")
+        return (tmp_path / "edited.bin").read_bytes()
+
+    nan_w2 = ckpt.params["point.w2"].copy()
+    nan_w2[0, 0] = np.nan
+    cases = [
+        (with_metadata(raw, [meta]), 2, "malformed checkpoint metadata"),
+        (with_metadata(raw, {**meta, "config": {**meta["config"], "bogus": 1}}), 2, "bogus"),
+        (with_params(**{"point.w1": None}), 2, "'point.w1'"),
+        (with_params(**{"head.cb2": np.zeros((1, 7))}), 2, "'head.cb2'"),
+        (with_params(**{"point.w2": nan_w2}), 3, "non-finite values in parameters ['point.w2']"),
+    ]
+    bad = tmp_path / "bad.bin"
+    for blob, code, message in cases:
+        bad.write_bytes(blob)
+        assert cli.run(["eval-zeroshot", "--checkpoint", str(bad),
+                        "--data", str(tiny_dir / "manifest.jsonl")]) == code, message
+        assert message in capsys.readouterr().err
 
 
 def test_checkpoint_version_gate(tiny_dir, tiny_dataset, tmp_path, capsys):
