@@ -71,18 +71,25 @@ class AlignmentHeads:
 HEAD_PARAM_NAMES = ("log_tau", "cw1", "cb1", "cw2", "cb2")
 
 
-def init_alignment_heads(tape: ad.Tape, dim: int, n_parents: int, hidden: int, rng,
-                         tau_init: float = 0.07, prefix: str = "head") -> AlignmentHeads:
+def alignment_head_shapes(dim: int, n_parents: int, hidden: int) -> dict[str, tuple[int, int]]:
+    """Shape of each head weight, keyed as in HEAD_PARAM_NAMES."""
     if dim < 1 or n_parents < 1 or hidden < 1:
         raise ConfigError(f"dim, n_parents, hidden must be >= 1, got {dim}, {n_parents}, {hidden}")
+    return {"log_tau": (1, N_CONTRASTIVE_TERMS), "cw1": (dim, hidden), "cb1": (1, hidden),
+            "cw2": (hidden, n_parents), "cb2": (1, n_parents)}
+
+
+def init_alignment_heads(tape: ad.Tape, dim: int, n_parents: int, hidden: int, rng,
+                         tau_init: float = 0.07, prefix: str = "head") -> AlignmentHeads:
+    shapes = alignment_head_shapes(dim, n_parents, hidden)
     if tau_init <= 0:
         raise ConfigError(f"tau_init must be positive, got {tau_init}")
     return AlignmentHeads(
-        log_tau=tape.parameter(f"{prefix}.log_tau", [[math.log(tau_init)] * N_CONTRASTIVE_TERMS]),
-        cw1=tape.parameter(f"{prefix}.cw1", rng.normal(size=(dim, hidden)) / math.sqrt(dim)),
-        cb1=tape.parameter(f"{prefix}.cb1", np.zeros((1, hidden))),
-        cw2=tape.parameter(f"{prefix}.cw2", rng.normal(size=(hidden, n_parents)) / math.sqrt(hidden)),
-        cb2=tape.parameter(f"{prefix}.cb2", np.zeros((1, n_parents))),
+        log_tau=tape.parameter(f"{prefix}.log_tau", np.full(shapes["log_tau"], math.log(tau_init))),
+        cw1=tape.parameter(f"{prefix}.cw1", rng.normal(size=shapes["cw1"]) / math.sqrt(dim)),
+        cb1=tape.parameter(f"{prefix}.cb1", np.zeros(shapes["cb1"])),
+        cw2=tape.parameter(f"{prefix}.cw2", rng.normal(size=shapes["cw2"]) / math.sqrt(hidden)),
+        cb2=tape.parameter(f"{prefix}.cb2", np.zeros(shapes["cb2"])),
     )
 
 

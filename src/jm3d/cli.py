@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from . import alignment as al
-from .data import (LoadedDataset, PointCloud, load_manifest, resolve_label,
-                   stratified_split, write_feature_file)
+from .data import (LoadedDataset, PointCloud, load_manifest, replace_file,
+                   resolve_label, stratified_split, write_feature_file)
 # encode_point_cloud is not called here, but bench/workloads.py traces it
 # under this module's name
 from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, embed_view,  # noqa: F401
@@ -245,7 +245,7 @@ def _write_report(out_dir, name: str, text: str) -> None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text + "\n")
+    replace_file(out / name, (text + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,9 @@ def _cmd_export_features(ns) -> int:
     feats = point_features(dataset.samples, ckpt.params)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_feature_file(out / "features.bin", feats)
+    write_feature_file(out / "features.bin", feats, atomic=True)
     ids = "\n".join(s.sample_id for s in dataset.samples)
-    (out / "ids.txt").write_text(ids + "\n")
+    replace_file(out / "ids.txt", (ids + "\n").encode())
     print(f"wrote {feats.shape[0]} x {feats.shape[1]} features to {out / 'features.bin'}")
     return 0
 

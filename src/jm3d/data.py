@@ -9,9 +9,12 @@ the read/write helpers.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
+import struct
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -313,61 +316,106 @@ def sample_within_window(views, v: int, omega_deg: float, rng) -> list[ViewRecor
 #   raster file:  u32 height | u32 width | u32 channels | that many u8
 
 
+_CLOUD_HEADER = struct.Struct("<I")
+_FEATURE_HEADER = struct.Struct("<2I")
+_RASTER_HEADER = struct.Struct("<3I")
+_READ_CHUNK = 1 << 14
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
+
+def read_file(path) -> bytes:
+    """Every byte of a file, read unbuffered until end of file."""
+    fd = os.open(path, os.O_RDONLY | _O_BINARY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        # os.read names no file (a directory fails here, not at open)
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def write_file(path, blob: bytes) -> None:
+    """Create or truncate path and write blob with unbuffered writes."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
+    try:
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def replace_file(path, blob: bytes) -> None:
+    """Write blob to a temp file beside path, then rename it over path, so
+    path holds its old bytes or all the new ones, never a part."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        write_file(tmp, blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_cloud_file(path, points: np.ndarray) -> None:
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64), dtype="<f4")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeError(f"cloud payload must be N x 3, got {pts.shape}")
-    with open(path, "wb") as fh:
-        fh.write(np.uint32(pts.shape[0]).astype("<u4").tobytes())
-        fh.write(pts.tobytes())
+    write_file(path, _CLOUD_HEADER.pack(pts.shape[0]) + pts.tobytes())
 
 
 def read_cloud_file(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 4:
         raise InputError(f"cloud file {path} is truncated")
-    count = int(np.frombuffer(raw[:4], dtype="<u4")[0])
+    (count,) = _CLOUD_HEADER.unpack_from(raw)
     if len(raw) - 4 != count * 12:
         raise InputError(f"cloud file {path} declares {count} points but holds {len(raw) - 4} payload bytes")
-    return np.frombuffer(raw[4:], dtype="<f4").reshape(count, 3).astype(np.float64)
+    return np.frombuffer(raw, "<f4", offset=4).reshape(count, 3).astype(np.float64)
 
 
-def write_feature_file(path, rows: np.ndarray) -> None:
+def write_feature_file(path, rows: np.ndarray, atomic: bool = False) -> None:
+    """`atomic` writes through `replace_file`: for output files, not for
+    dataset payloads, where a rename per file would double the write cost."""
     mat = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     arr = np.ascontiguousarray(mat, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(np.asarray(arr.shape, dtype="<u4").tobytes())
-        fh.write(arr.tobytes())
+    if arr.ndim != 2:
+        raise ShapeError(f"feature payload must be count x dim, got {arr.shape}")
+    blob = _FEATURE_HEADER.pack(*arr.shape) + arr.tobytes()
+    (replace_file if atomic else write_file)(path, blob)
 
 
 def read_feature_file(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 8:
         raise InputError(f"feature file {path} is truncated")
-    count, dim = (int(x) for x in np.frombuffer(raw[:8], dtype="<u4"))
+    count, dim = _FEATURE_HEADER.unpack_from(raw)
     if len(raw) - 8 != count * dim * 4:
         raise InputError(f"feature file {path} declares {count}x{dim} but holds {len(raw) - 8} payload bytes")
-    return np.frombuffer(raw[8:], dtype="<f4").reshape(count, dim).astype(np.float64)
+    return np.frombuffer(raw, "<f4", offset=8).reshape(count, dim).astype(np.float64)
 
 
 def write_raster_file(path, raster: np.ndarray) -> None:
     img = np.ascontiguousarray(np.asarray(raster, dtype=np.uint8))
     if img.ndim != 3:
         raise ShapeError(f"raster payload must be H x W x C, got {img.shape}")
-    with open(path, "wb") as fh:
-        fh.write(np.asarray(img.shape, dtype="<u4").tobytes())
-        fh.write(img.tobytes())
+    write_file(path, _RASTER_HEADER.pack(*img.shape) + img.tobytes())
 
 
 def read_raster_file(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 12:
         raise InputError(f"raster file {path} is truncated")
-    h, w, c = (int(x) for x in np.frombuffer(raw[:12], dtype="<u4"))
-    body = np.frombuffer(raw[12:], dtype=np.uint8)
-    if body.size != h * w * c:
-        raise InputError(f"raster file {path} declares {h}x{w}x{c} but holds {body.size} bytes")
-    return body.reshape(h, w, c).copy()
+    h, w, c = _RASTER_HEADER.unpack_from(raw)
+    if len(raw) - 12 != h * w * c:
+        raise InputError(f"raster file {path} declares {h}x{w}x{c} but holds {len(raw) - 12} bytes")
+    return np.frombuffer(raw, np.uint8, offset=12).reshape(h, w, c).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +517,16 @@ def load_manifest(path) -> LoadedDataset:
     if not path.is_file():
         raise ManifestError([f"manifest {path} does not exist"])
     base = path.parent
+    prefix = "" if str(base) == "." else os.path.join(base, "")
+
+    def payload_path(name: str) -> str:
+        # str(base / name); Path drops empty and "." parts and restarts at an
+        # absolute name, so only other names skip building a Path
+        parts = name.split("/")
+        if "" in parts or "." in parts:
+            return str(base / name)
+        return prefix + name
+
     problems: list[str] = []
     lines = path.read_text(encoding="utf-8").splitlines()
     lines = [ln for ln in lines if ln.strip()]
@@ -516,7 +574,7 @@ def load_manifest(path) -> LoadedDataset:
     for desc in descriptors:
         where = f"sample {desc.sample_id!r}"
         try:
-            cloud_pts = read_cloud_file(base / desc.cloud_file)
+            cloud_pts = read_cloud_file(payload_path(desc.cloud_file))
             if cloud_pts.shape[0] < 1:
                 raise InputError("empty cloud")
             if not np.isfinite(cloud_pts).all():
@@ -524,13 +582,13 @@ def load_manifest(path) -> LoadedDataset:
             views = []
             for vd in desc.views:
                 if vd.feature_file is not None:
-                    feat = read_feature_file(base / vd.feature_file)
+                    feat = read_feature_file(payload_path(vd.feature_file))
                     if feat.shape[0] != 1 or (dim is not None and feat.shape[1] != dim):
                         raise InputError(
                             f"view feature {vd.feature_file} is {feat.shape[0]}x{feat.shape[1]}, expected 1x{dim}")
                     views.append(ViewRecord(vd.angle_deg, vd.kind, feature=feat[0]))
                 else:
-                    raster = read_raster_file(base / vd.image_file)
+                    raster = read_raster_file(payload_path(vd.image_file))
                     views.append(ViewRecord(vd.angle_deg, vd.kind, raster=raster))
             samples.append(TripletSample(desc.sample_id, PointCloud.from_raw(cloud_pts), tuple(views),
                                          desc.parent, desc.sub))

@@ -178,25 +178,29 @@ class PointEncoderParams:
         return self.wp.values.shape[1]
 
 
-def init_point_encoder(tape: ad.Tape, hidden: int, dim: int, rng, prefix: str = "point") -> PointEncoderParams:
-    """Register freshly initialized encoder weights on a tape."""
+POINT_PARAM_NAMES = ("w1", "b1", "w2", "b2", "wp", "bp")
+
+
+def point_encoder_shapes(hidden: int, dim: int) -> dict[str, tuple[int, int]]:
+    """Shape of each encoder weight, keyed as in POINT_PARAM_NAMES."""
     if hidden < 1 or dim < 1:
         raise ConfigError(f"hidden and dim must be >= 1, got {hidden}, {dim}")
-
-    def make(name, shape, fan_in):
-        return tape.parameter(f"{prefix}.{name}", rng.normal(size=shape) / math.sqrt(fan_in))
-
-    return PointEncoderParams(
-        w1=make("w1", (3, hidden), 3),
-        b1=tape.parameter(f"{prefix}.b1", np.zeros((1, hidden))),
-        w2=make("w2", (hidden, hidden), hidden),
-        b2=tape.parameter(f"{prefix}.b2", np.zeros((1, hidden))),
-        wp=make("wp", (hidden, dim), hidden),
-        bp=tape.parameter(f"{prefix}.bp", np.zeros((1, dim))),
-    )
+    return {"w1": (3, hidden), "b1": (1, hidden), "w2": (hidden, hidden),
+            "b2": (1, hidden), "wp": (hidden, dim), "bp": (1, dim)}
 
 
-POINT_PARAM_NAMES = ("w1", "b1", "w2", "b2", "wp", "bp")
+def init_point_encoder(tape: ad.Tape, hidden: int, dim: int, rng, prefix: str = "point") -> PointEncoderParams:
+    """Register freshly initialized encoder weights on a tape."""
+    shapes = point_encoder_shapes(hidden, dim)
+
+    def make(name, fan_in):
+        return tape.parameter(f"{prefix}.{name}", rng.normal(size=shapes[name]) / math.sqrt(fan_in))
+
+    def zeros(name):
+        return tape.parameter(f"{prefix}.{name}", np.zeros(shapes[name]))
+
+    return PointEncoderParams(w1=make("w1", 3), b1=zeros("b1"), w2=make("w2", hidden),
+                              b2=zeros("b2"), wp=make("wp", hidden), bp=zeros("bp"))
 
 
 def point_encoder_from_values(tape: ad.Tape, values: dict[str, np.ndarray],

@@ -19,6 +19,7 @@ PRNG: numpy PCG64 seeded with the user seed, consumed in this exact order:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,8 +119,8 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     the caller sees.
     """
     out = Path(out_dir)
-    payload = out / "payload"
-    payload.mkdir(parents=True, exist_ok=True)
+    (out / "payload").mkdir(parents=True, exist_ok=True)
+    prefix = os.path.join(out, "")  # payload paths as strings: no Path per file
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     P, S, M, K, D = (config.parents, config.subs_per_parent, config.samples_per_sub,
                      config.latent, config.dim)
@@ -146,7 +147,7 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 pts = superquadric_surface(eta, om, jexps, jaxes)
                 pts = pts + config.cloud_noise * rng.normal(size=pts.shape)
                 cloud_file = f"payload/cloud_{sid}.bin"
-                write_cloud_file(out / cloud_file, normalize_points(pts))
+                write_cloud_file(prefix + cloud_file, normalize_points(pts))
 
                 views = []
                 for angle in angles:
@@ -158,7 +159,7 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                         ])
                         feat = base @ w_feat + config.feature_noise * rng.normal(size=D)
                         feat_file = f"payload/feat_{sid}_{angle:03d}_{kind}.bin"
-                        write_feature_file(out / feat_file, feat[None, :])
+                        write_feature_file(prefix + feat_file, feat[None, :])
                         views.append({"angle": angle, "kind": kind, "feature_file": feat_file})
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,
                                 "cloud_file": cloud_file, "views": views})

@@ -24,10 +24,10 @@ from . import autodiff as ad
 # sample_within_window is not called here, but bench/workloads.py traces it
 # under this module's name
 from .data import (CategoryTree, LoadedDataset, TripletSample, WindowSampler,  # noqa: F401
-                   resolve_label, sample_within_window, window_sampler)
+                   replace_file, resolve_label, sample_within_window, window_sampler)
 from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, _unit_rows, embed_view,
                        encode_image_frozen, encode_point_cloud, encode_text_frozen,
-                       init_point_encoder, point_encoder_from_values)
+                       init_point_encoder, point_encoder_from_values, point_encoder_shapes)
 from .errors import ConfigError, ContractError, InputError, NumericError, ShapeError
 from .evaluation import PromptTemplate
 
@@ -247,31 +247,26 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "losses": [float(x) for x in ckpt.losses],
     }
     blob = json.dumps(meta, sort_keys=True).encode()
+    parts = [CHECKPOINT_MAGIC, struct.pack("<2I", CHECKPOINT_VERSION, len(blob)), blob,
+             struct.pack("<I", len(ckpt.params))]
+    for name, arr in ckpt.params.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        nb = name.encode()
+        parts += [struct.pack("<I", len(nb)), nb, struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
+                  np.ascontiguousarray(arr, dtype="<f8").tobytes()]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(ckpt.params)))
-        for name, arr in ckpt.params.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            nb = name.encode()
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    replace_file(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint.
 
     Malformed metadata, a config key `TrainConfig` does not know, or a
-    parameter set other than the one `init_point_encoder` and
-    `init_alignment_heads` register for the stored config, dim and tree
-    raise `InputError`; a non-finite parameter raises `NumericError`.
+    parameter set whose names or shapes differ from `point_encoder_shapes`
+    and `alignment_head_shapes` for the stored config, dim and tree raise
+    `InputError`; a non-finite parameter raises `NumericError`.  No
+    reference weights are built, so declared widths cost no memory.
     """
     path = Path(path)
     if not path.is_file():
@@ -324,12 +319,10 @@ def load_checkpoint(path) -> Checkpoint:
         config, tree = ckpt.train_config(), ckpt.tree()
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError(f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})") from None
-    reference = ad.Tape()
-    rng = np.random.default_rng(0)
-    init_point_encoder(reference, config.point_hidden, ckpt.dim, rng)
-    al.init_alignment_heads(reference, ckpt.dim, tree.n_parents, config.head_hidden, rng,
-                            config.tau_init)
-    expected = {name: t.shape for name, t in reference.parameters.items()}
+    expected = {f"point.{name}": shape
+                for name, shape in point_encoder_shapes(config.point_hidden, ckpt.dim).items()}
+    expected.update({f"head.{name}": shape for name, shape in al.alignment_head_shapes(
+        ckpt.dim, tree.n_parents, config.head_hidden).items()})
     found = {name: arr.shape for name, arr in params.items()}
     if found != expected:
         odd = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
@@ -408,9 +401,8 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(ckpt, out_dir / "checkpoint.bin")
-        with open(out_dir / "losses.jsonl", "w") as f:
-            for i, x in enumerate(epoch_losses):
-                f.write(json.dumps({"epoch": i, "loss": x}) + "\n")
+        lines = "".join(json.dumps({"epoch": i, "loss": x}) + "\n" for i, x in enumerate(epoch_losses))
+        replace_file(out_dir / "losses.jsonl", lines.encode())
     return ckpt
 
 

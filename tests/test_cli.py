@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, config resolution, and the pipeline
 round trip from data generation through feature export."""
 
+import contextlib
+import errno
+import os
 import re
 import shutil
 import subprocess
@@ -237,6 +240,28 @@ def test_export_features_round_trip(run_dir, dataset_dir, workdir, capsys):
     # payload is float32, so unit norms survive only to single precision
     norms = np.linalg.norm(feats, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-6)
+
+
+def test_output_files_are_replaced_whole(run_dir, dataset_dir, workdir, monkeypatch):
+    out = workdir / "replaced"
+    common = ["--checkpoint", str(run_dir / "checkpoint.bin"),
+              "--data", str(dataset_dir / "manifest.jsonl"), "--out", str(out)]
+    assert cli.run(["export-features", *common]) == 0
+    assert cli.run(["eval-zeroshot", *common]) == 0
+    files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert sorted(files) == ["features.bin", "ids.txt", "zeroshot.txt"]
+    real_write = os.write
+
+    def write_half_then_fail(fd, blob):
+        real_write(fd, blob[:len(blob) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", write_half_then_fail)
+    for command in ("export-features", "eval-zeroshot"):
+        with contextlib.suppress(OSError):
+            cli.run([command, *common])
+    monkeypatch.undo()
+    assert {name: (out / name).read_bytes() for name in sorted(os.listdir(out))} == files
 
 
 def test_gradcheck_command_passes(capsys):

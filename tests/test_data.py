@@ -2,7 +2,10 @@
 enumeration, payload round-trips, and manifest validation."""
 
 import json
+import struct
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from jm3d.errors import (
     ManifestError,
     SamplingError,
 )
+from jm3d.synth import SynthConfig, synth_generate
 
 
 def feature_view(angle, kind="rgb", dim=4, fill=0.5):
@@ -261,6 +265,91 @@ def test_truncated_payloads_rejected(tmp_path):
         data.read_raster_file(path)
 
 
+# The pathlib readers the loader used before it read payloads with os.read,
+# kept as the reference the current readers must match bit for bit, in
+# their arrays and in their error messages.
+
+
+def ref_read_cloud_file(path):
+    raw = Path(path).read_bytes()
+    if len(raw) < 4:
+        raise InputError(f"cloud file {path} is truncated")
+    count = int(np.frombuffer(raw[:4], dtype="<u4")[0])
+    if len(raw) - 4 != count * 12:
+        raise InputError(f"cloud file {path} declares {count} points but holds {len(raw) - 4} payload bytes")
+    return np.frombuffer(raw[4:], dtype="<f4").reshape(count, 3).astype(np.float64)
+
+
+def ref_read_feature_file(path):
+    raw = Path(path).read_bytes()
+    if len(raw) < 8:
+        raise InputError(f"feature file {path} is truncated")
+    count, dim = (int(x) for x in np.frombuffer(raw[:8], dtype="<u4"))
+    if len(raw) - 8 != count * dim * 4:
+        raise InputError(f"feature file {path} declares {count}x{dim} but holds {len(raw) - 8} payload bytes")
+    return np.frombuffer(raw[8:], dtype="<f4").reshape(count, dim).astype(np.float64)
+
+
+def ref_read_raster_file(path):
+    raw = Path(path).read_bytes()
+    if len(raw) < 12:
+        raise InputError(f"raster file {path} is truncated")
+    h, w, c = (int(x) for x in np.frombuffer(raw[:12], dtype="<u4"))
+    body = np.frombuffer(raw[12:], dtype=np.uint8)
+    if body.size != h * w * c:
+        raise InputError(f"raster file {path} declares {h}x{w}x{c} but holds {body.size} bytes")
+    return body.reshape(h, w, c).copy()
+
+
+READERS = {"read_cloud_file": ref_read_cloud_file,
+           "read_feature_file": ref_read_feature_file,
+           "read_raster_file": ref_read_raster_file}
+
+
+def test_raster_over_64_kib_reads_in_full(tmp_path):
+    img = np.random.default_rng(3).integers(0, 256, size=(200, 150, 3), dtype=np.uint8)
+    path = tmp_path / "big.bin"
+    data.write_raster_file(path, img)
+    assert path.stat().st_size == 12 + img.size > 64 * 1024
+    back = data.read_raster_file(str(path))
+    np.testing.assert_array_equal(back, img)
+    assert back.flags.writeable and back.flags.owndata
+
+
+@pytest.mark.parametrize("reader, blob, message", [
+    ("read_cloud_file", b"\x05\x00\x00", "cloud file {} is truncated"),
+    ("read_cloud_file", struct.pack("<I", 5) + bytes(4),
+     "cloud file {} declares 5 points but holds 4 payload bytes"),
+    ("read_feature_file", bytes(7), "feature file {} is truncated"),
+    ("read_feature_file", struct.pack("<2I", 2, 3) + bytes(8),
+     "feature file {} declares 2x3 but holds 8 payload bytes"),
+    ("read_raster_file", bytes(11), "raster file {} is truncated"),
+    ("read_raster_file", struct.pack("<3I", 2, 2, 1) + bytes(3),
+     "raster file {} declares 2x2x1 but holds 3 bytes"),
+])
+def test_bad_payload_messages_match_the_pathlib_reader(tmp_path, reader, blob, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    for arg in (path, str(path)):
+        with pytest.raises(InputError) as new:
+            getattr(data, reader)(arg)
+        with pytest.raises(InputError) as ref:
+            READERS[reader](arg)
+        assert str(new.value) == str(ref.value) == message.format(path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_unreadable_payload_errors_match_the_pathlib_reader(tmp_path, reader):
+    for path in (tmp_path / "missing.bin", tmp_path):  # absent, and a directory
+        for arg in (path, str(path)):
+            with pytest.raises(OSError) as new:
+                getattr(data, reader)(arg)
+            with pytest.raises(OSError) as ref:
+                    READERS[reader](arg)
+            assert type(new.value) is type(ref.value)
+            assert str(new.value) == str(ref.value)
+
+
 # ---------------------------------------------------------------------------
 # normalization, downsampling, split
 
@@ -397,6 +486,103 @@ def test_load_manifest_raster_view(tmp_path):
     }])
     loaded = data.load_manifest(tmp_path / "m.jsonl")
     assert loaded.samples[0].views[0].raster.shape == (8, 8, 1)
+
+
+def mixed_dataset(root):
+    """A synthetic dataset plus one sample whose views are a 120,000-byte
+    raster and a feature; returns the manifest path."""
+    synth_generate(SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=2, points=24,
+                               dim=8, latent=4, n_angles=4), root, seed=5)
+    rng = np.random.default_rng(6)
+    data.write_cloud_file(root / "payload" / "rc.bin", rng.normal(size=(30, 3)))
+    data.write_raster_file(root / "payload" / "r.bin",
+                           rng.integers(0, 256, size=(200, 200, 3), dtype=np.uint8))
+    data.write_feature_file(root / "payload" / "rf.bin", rng.normal(size=(1, 8)))
+    path = root / "manifest.jsonl"
+    with open(path, "a") as fh:
+        fh.write(json.dumps({"id": "r0", "parent": "cat00", "sub": None, "cloud_file": "payload/rc.bin",
+                             "views": [{"angle": 0, "kind": "rgb", "image_file": "payload/r.bin"},
+                                       {"angle": 12, "kind": "depth", "feature_file": "payload/rf.bin"}]}) + "\n")
+    return path
+
+
+def array_signature(a):
+    return (a.dtype.str, a.shape, a.flags.writeable, a.tobytes())
+
+
+def dataset_signature(ds):
+    return [(s.sample_id, s.parent, s.sub, array_signature(s.cloud.points),
+             [(v.angle_deg, v.kind, array_signature(v.feature if v.raster is None else v.raster))
+              for v in s.views])
+            for s in ds.samples]
+
+
+def test_load_manifest_matches_the_pathlib_readers_bit_for_bit(tmp_path, monkeypatch):
+    path = mixed_dataset(tmp_path)
+    loaded = data.load_manifest(path)
+    for name, ref in READERS.items():
+        monkeypatch.setattr(data, name, ref)
+    reference = data.load_manifest(path)
+    assert dataset_signature(loaded) == dataset_signature(reference)
+    assert loaded.samples[-1].views[0].raster.shape == (200, 200, 3)
+    assert loaded.manifest == reference.manifest
+    assert loaded.tree == reference.tree
+
+
+def test_load_manifest_calls_each_module_reader_once_per_payload(tmp_path, monkeypatch):
+    path = mixed_dataset(tmp_path)
+    calls = Counter()
+    for name in READERS:
+        def counted(p, _read=getattr(data, name), _name=name):
+            calls[_name, p] += 1
+            return _read(p)
+        monkeypatch.setattr(data, name, counted)
+    loaded = data.load_manifest(path)
+    expected = Counter()
+    for desc in loaded.manifest.records:
+        expected["read_cloud_file", str(tmp_path / desc.cloud_file)] += 1
+        for vd in desc.views:
+            if vd.feature_file is not None:
+                expected["read_feature_file", str(tmp_path / vd.feature_file)] += 1
+            else:
+                expected["read_raster_file", str(tmp_path / vd.image_file)] += 1
+    assert calls == expected
+    assert sum(calls.values()) == 8 * 9 + 3
+
+
+@pytest.mark.parametrize("name", [
+    "payload/{}", "./payload/{}", "payload//{}", "payload/./{}", "payload/{}/", "payload/../payload/{}",
+    "ABSOLUTE/payload/{}",
+])
+@pytest.mark.parametrize("from_cwd", [False, True])
+def test_payload_names_resolve_as_pathlib_joins_them(tmp_path, monkeypatch, name, from_cwd):
+    root = tmp_path / "ds"
+    (root / "payload").mkdir(parents=True)
+    name = name.replace("ABSOLUTE", str(root))
+    pts = np.random.default_rng(0).normal(size=(6, 3))
+    data.write_cloud_file(root / "payload" / "c.bin", pts)
+    data.write_feature_file(root / "payload" / "f.bin", np.arange(4.0)[None, :])
+    manifest = root / "m.jsonl"
+    if from_cwd:  # the manifest's directory is then "."
+        monkeypatch.chdir(root)
+        manifest = Path("m.jsonl")
+
+    def write(cloud):
+        data.write_manifest(root / "m.jsonl", 4, [{
+            "id": "s0", "parent": "chair", "sub": None, "cloud_file": name.format(cloud),
+            "views": [{"angle": 0, "kind": "rgb", "feature_file": name.format("f.bin")}]}])
+
+    write("c.bin")
+    loaded = data.load_manifest(manifest)
+    assert loaded.samples[0].cloud.points.tobytes() == \
+        data.PointCloud.from_raw(ref_read_cloud_file(root / "payload" / "c.bin")).points.tobytes()
+    assert loaded.samples[0].views[0].feature.tolist() == [0.0, 1.0, 2.0, 3.0]
+    # a missing payload is named the way `base / name` spells it
+    write("gone.bin")
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(manifest)
+    gone = manifest.parent / name.format("gone.bin")
+    assert err.value.violations == [f"sample 's0': [Errno 2] No such file or directory: '{gone}'"]
 
 
 def test_view_record_validation():

@@ -1,9 +1,11 @@
 """Optimizer, schedule, training-loop, and checkpoint tests."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -394,6 +396,59 @@ def test_malformed_checkpoint_exits_2_and_non_finite_exits_3(tiny_dir, tiny_data
         assert cli.run(["eval-zeroshot", "--checkpoint", str(bad),
                         "--data", str(tiny_dir / "manifest.jsonl")]) == code, message
         assert message in capsys.readouterr().err
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tiny_dataset, tmp_path, monkeypatch):
+    ckpt = tr.train(tiny_dataset, quick_config(epochs=1), out_dir=tmp_path)
+    path = tmp_path / "checkpoint.bin"
+    before = path.read_bytes()
+    listing = sorted(os.listdir(tmp_path))
+    real_write = os.write
+
+    def write_half_then_fail(fd, blob):
+        real_write(fd, blob[:len(blob) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", write_half_then_fail)
+    with pytest.raises(OSError):
+        tr.save_checkpoint(dataclasses.replace(ckpt, step=ckpt.step + 1), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="measures a forked child")
+def test_checkpoint_declaring_huge_widths_exits_2_without_allocating(tiny_dataset, tmp_path):
+    tr.train(tiny_dataset, quick_config(epochs=1), out_dir=tmp_path)
+    raw = (tmp_path / "checkpoint.bin").read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 12)
+    meta = json.loads(raw[16:16 + blob_len])
+    wide = tmp_path / "wide.bin"
+    wide.write_bytes(with_metadata(raw, {**meta, "config": {**meta["config"], "point_hidden": 3000}}))
+    # ru_maxrss is a peak: this process's own may already exceed anything the
+    # load could add, but a forked child starts its peak at its current size
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            try:
+                tr.load_checkpoint(wide)
+                message = "loaded"
+            except InputError as exc:
+                message = str(exc)
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            os.write(write_end, json.dumps([grown, message]).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        report = fh.read()
+    os.waitpid(pid, 0)
+    grown, message = json.loads(report)
+    assert "misshapen for its config" in message
+    # ru_maxrss counts KiB on Linux; building the 3000-wide weights took 68 MiB
+    assert grown < 4 * 1024
 
 
 def test_checkpoint_version_gate(tiny_dir, tiny_dataset, tmp_path, capsys):
