@@ -1,7 +1,7 @@
 """Batch entry points: data generation, pretraining, zero-shot evaluation,
 retrieval, gradient checking, ablations, and feature export.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
+Exit codes: 0 success, 1 usage error, 2 data, validation or file-system error,
 3 numeric failure (non-finite values or a gradient check over tolerance).
 Every run prints a header with the package version, a hash of the resolved
 configuration, and the seed, so reports are traceable to their inputs.
@@ -318,7 +318,7 @@ def _cmd_eval_zeroshot(ns) -> int:
     ckpt = load_checkpoint(ns.checkpoint)
     cfg = ckpt.train_config()
     print(report_header(ckpt.config, cfg.seed))
-    dataset = load_manifest(ns.data)
+    dataset = load_manifest(ns.data, read_views=False)
     set_name, classes = _eval_classes(ns, dataset)
     records = zero_shot_records(ckpt, dataset.samples, dataset.tree, classes,
                                 set_name, ns.topk, str(ns.checkpoint))
@@ -331,7 +331,7 @@ def _cmd_retrieve(ns) -> int:
     ckpt = load_checkpoint(ns.checkpoint)
     cfg = ckpt.train_config()
     print(report_header(ckpt.config, cfg.seed))
-    dataset = load_manifest(ns.data)
+    dataset = load_manifest(ns.data, read_views=False)
     by_id = {s.sample_id: s for s in dataset.samples}
     if ns.query not in by_id:
         raise InputError(f"unknown sample id {ns.query!r}")
@@ -392,7 +392,7 @@ def _cmd_export_features(ns) -> int:
     ckpt = load_checkpoint(ns.checkpoint)
     cfg = ckpt.train_config()
     print(report_header(ckpt.config, cfg.seed))
-    dataset = load_manifest(ns.data)
+    dataset = load_manifest(ns.data, read_views=False)
     feats = point_features(dataset.samples, ckpt.params)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -498,7 +498,7 @@ def run(argv) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except Jm3dError as exc:
+    except (Jm3dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,25 +71,59 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+# a lazy record's payload slot before the payload is read
+_UNREAD = object()
+
+
 class ViewRecord:
     """One rendered view: a grid angle, a render kind, and its payload.
 
     Exactly one of ``feature`` (D floats) or ``raster`` (H x W x C uint8)
-    is set.  Records compare by identity.
+    is set.  Records are read-only and compare by identity.  A record that
+    ``load_manifest(..., read_views=False)`` builds reads its payload file
+    the first time ``feature`` or ``raster`` is used.
     """
 
-    angle_deg: int
-    kind: str
-    feature: np.ndarray | None = None
-    raster: np.ndarray | None = None
+    __slots__ = ("_angle", "_kind", "_feature", "_raster", "_read")
 
-    def __post_init__(self):
-        angle_bucket(self.angle_deg)
-        if self.kind not in VIEW_KINDS:
-            raise InputError(f"view kind must be one of {VIEW_KINDS}, got {self.kind!r}")
-        if (self.feature is None) == (self.raster is None):
+    def __init__(self, angle_deg: int, kind: str, feature: np.ndarray | None = None,
+                 raster: np.ndarray | None = None):
+        angle_bucket(angle_deg)
+        if kind not in VIEW_KINDS:
+            raise InputError(f"view kind must be one of {VIEW_KINDS}, got {kind!r}")
+        if (feature is None) == (raster is None):
             raise InputError("view needs exactly one of feature or raster")
+        self._angle, self._kind, self._feature, self._raster, self._read = angle_deg, kind, feature, raster, None
+
+    @classmethod
+    def _unchecked(cls, angle_deg: int, kind: str, feature, raster, read=None) -> "ViewRecord":
+        """A record whose angle and kind a manifest check has passed.  With
+        `read`, the payload set to `_UNREAD` is `read()`'s on first use."""
+        rec = cls.__new__(cls)
+        rec._angle, rec._kind, rec._feature, rec._raster, rec._read = angle_deg, kind, feature, raster, read
+        return rec
+
+    angle_deg = property(lambda self: self._angle)
+    kind = property(lambda self: self._kind)
+
+    @property
+    def feature(self) -> np.ndarray | None:
+        if self._feature is _UNREAD:
+            self._load()
+        return self._feature
+
+    @property
+    def raster(self) -> np.ndarray | None:
+        if self._raster is _UNREAD:
+            self._load()
+        return self._raster
+
+    def _load(self) -> None:
+        self._feature, self._raster = self._read()
+        self._read = None
+
+    def __repr__(self) -> str:
+        return f"ViewRecord(angle_deg={self._angle!r}, kind={self._kind!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +380,9 @@ def write_file(path, blob: bytes) -> None:
         view = memoryview(blob)
         while view:
             view = view[os.write(fd, view):]
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # os.write names no file
+        raise
     finally:
         os.close(fd)
 
@@ -429,6 +466,10 @@ class ViewDescriptor:
     feature_file: str | None
     image_file: str | None
 
+    @property
+    def payload_file(self) -> str:
+        return self.feature_file if self.feature_file is not None else self.image_file
+
 
 @dataclass(frozen=True)
 class SampleDescriptor:
@@ -457,6 +498,15 @@ class LoadedDataset:
         return self.manifest.dim
 
 
+def _name_problem(name) -> str | None:
+    """Why a payload name cannot be opened, or None."""
+    if not isinstance(name, str):
+        return "must be a string"
+    if "\0" in name:
+        return f"{name!r} holds a NUL byte"
+    return None
+
+
 def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDescriptor | None:
     ok = True
 
@@ -476,8 +526,8 @@ def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDe
         bad("parent must be a nonempty string")
     if obj["sub"] is not None and (not isinstance(obj["sub"], str) or not obj["sub"]):
         bad("sub must be null or a nonempty string")
-    if not isinstance(obj["cloud_file"], str):
-        bad("cloud_file must be a string")
+    if problem := _name_problem(obj["cloud_file"]):
+        bad(f"cloud_file {problem}")
     views = obj["views"]
     if not isinstance(views, list) or not views:
         bad("views must be a nonempty list")
@@ -490,7 +540,7 @@ def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDe
         angle = vw.get("angle")
         try:
             angle_bucket(angle)
-        except (ContractError, TypeError):
+        except (ContractError, TypeError, ValueError, OverflowError):
             bad(f"view {i} angle {angle!r} is not a multiple of {ANGLE_STEP_DEG} in [0, 348]")
             continue
         kind = vw.get("kind")
@@ -501,17 +551,34 @@ def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDe
         if (feat is None) == (img is None):
             bad(f"view {i} needs exactly one of feature_file or image_file")
             continue
+        if problem := _name_problem(img if feat is None else feat):
+            bad(f"view {i} {'image_file' if feat is None else 'feature_file'} {problem}")
+            continue
         parsed_views.append(ViewDescriptor(int(angle), kind, feat, img))
     if not ok:
         return None
     return SampleDescriptor(obj["id"], obj["parent"], obj["sub"], obj["cloud_file"], tuple(parsed_views))
 
 
-def load_manifest(path) -> LoadedDataset:
+def _read_view(path: str, vd: ViewDescriptor, dim: int | None) -> tuple:
+    """(feature, raster) of one view's payload file; a feature is 1 x dim."""
+    if vd.feature_file is None:
+        return None, read_raster_file(path)
+    feat = read_feature_file(path)
+    if feat.shape[0] != 1 or (dim is not None and feat.shape[1] != dim):
+        raise InputError(f"view feature {vd.feature_file} is {feat.shape[0]}x{feat.shape[1]}, expected 1x{dim}")
+    return feat[0], None
+
+
+def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     """Parse, validate, and materialize a dataset.
 
     Validation runs to the end and reports every violation at once; payload
-    clouds are re-normalized in float64 after their f32 round-trip.
+    clouds are re-normalized in float64 after their f32 round-trip.  With
+    ``read_views=False`` the manifest and every cloud are still read and
+    checked, but each view reads and checks its payload file the first time
+    its ``feature`` or ``raster`` is used, and a bad file then raises
+    ``ManifestError`` naming the sample, as the full load would.
     """
     path = Path(path)
     if not path.is_file():
@@ -527,8 +594,22 @@ def load_manifest(path) -> LoadedDataset:
             return str(base / name)
         return prefix + name
 
+    def lazy_view(vd: ViewDescriptor, where: str) -> ViewRecord:
+        def read():
+            try:
+                return _read_view(payload_path(vd.payload_file), vd, dim)
+            except (OSError, InputError, ShapeError) as e:
+                raise ManifestError([f"{where}: {e}"]) from None
+
+        if vd.feature_file is not None:
+            return ViewRecord._unchecked(vd.angle_deg, vd.kind, _UNREAD, None, read)
+        return ViewRecord._unchecked(vd.angle_deg, vd.kind, None, _UNREAD, read)
+
     problems: list[str] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ManifestError([f"manifest {path} is not UTF-8 text (byte {e.start}: {e.reason})"]) from None
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ManifestError([f"manifest {path} is empty"])
@@ -537,6 +618,8 @@ def load_manifest(path) -> LoadedDataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ManifestError([f"line 1: header is not valid JSON ({e.msg})"]) from None
+    except RecursionError:
+        raise ManifestError(["line 1: header is not valid JSON (nested too deeply)"]) from None
     if not isinstance(header, dict):
         raise ManifestError(["line 1: header is not a JSON object"])
     version = header.get("version")
@@ -555,6 +638,9 @@ def load_manifest(path) -> LoadedDataset:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             problems.append(f"{where}: not valid JSON ({e.msg})")
+            continue
+        except RecursionError:
+            problems.append(f"{where}: not valid JSON (nested too deeply)")
             continue
         if not isinstance(obj, dict):
             problems.append(f"{where}: record is not an object")
@@ -579,18 +665,13 @@ def load_manifest(path) -> LoadedDataset:
                 raise InputError("empty cloud")
             if not np.isfinite(cloud_pts).all():
                 raise InputError("non-finite cloud coordinates")
-            views = []
-            for vd in desc.views:
-                if vd.feature_file is not None:
-                    feat = read_feature_file(payload_path(vd.feature_file))
-                    if feat.shape[0] != 1 or (dim is not None and feat.shape[1] != dim):
-                        raise InputError(
-                            f"view feature {vd.feature_file} is {feat.shape[0]}x{feat.shape[1]}, expected 1x{dim}")
-                    views.append(ViewRecord(vd.angle_deg, vd.kind, feature=feat[0]))
-                else:
-                    raster = read_raster_file(payload_path(vd.image_file))
-                    views.append(ViewRecord(vd.angle_deg, vd.kind, raster=raster))
-            samples.append(TripletSample(desc.sample_id, PointCloud.from_raw(cloud_pts), tuple(views),
+            if read_views:
+                views = tuple(ViewRecord._unchecked(vd.angle_deg, vd.kind,
+                                                    *_read_view(payload_path(vd.payload_file), vd, dim))
+                              for vd in desc.views)
+            else:
+                views = tuple(lazy_view(vd, where) for vd in desc.views)
+            samples.append(TripletSample(desc.sample_id, PointCloud.from_raw(cloud_pts), views,
                                          desc.parent, desc.sub))
         except (OSError, InputError, ShapeError) as e:
             problems.append(f"{where}: {e}")

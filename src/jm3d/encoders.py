@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import N_ANGLE_BUCKETS, PointCloud, ViewRecord, angle_bucket
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, NumericError, ShapeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _RASTER_SIDE = 16  # frozen image path reduces rasters to 16 x 16 grayscale
@@ -95,6 +95,8 @@ def encode_image_frozen(view: ViewRecord, spec: FrozenEncoderSpec) -> np.ndarray
         feat = np.asarray(view.feature, dtype=np.float64).reshape(-1)
         if feat.shape[0] != spec.dim:
             raise ShapeError(f"view feature has dim {feat.shape[0]}, spec expects {spec.dim}")
+        if not np.isfinite(feat).all():
+            raise NumericError("encode_image_frozen: view feature holds non-finite values")
         return _unit_rows(feat)
     if view.raster is None:
         raise InputError("view has no payload")

@@ -3,16 +3,23 @@ round trip from data generation through feature export."""
 
 import contextlib
 import errno
+import io
+import json
+import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jm3d import cli
+from jm3d import cli, data
 from jm3d.data import load_manifest, read_feature_file
 from jm3d.errors import ConfigError, LabelError
 
@@ -264,6 +271,127 @@ def test_output_files_are_replaced_whole(run_dir, dataset_dir, workdir, monkeypa
     assert {name: (out / name).read_bytes() for name in sorted(os.listdir(out))} == files
 
 
+def run_captured(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def serve_args(run_dir, manifest):
+    return ["--checkpoint", str(run_dir / "checkpoint.bin"), "--data", str(manifest)]
+
+
+def test_serve_commands_read_only_the_payloads_they_use(run_dir, dataset_dir, workdir, monkeypatch):
+    manifest = dataset_dir / "manifest.jsonl"
+    records = load_manifest(manifest).manifest.records
+    calls = Counter()
+    for name in ("read_cloud_file", "read_feature_file", "read_raster_file"):
+        def counted(p, _read=getattr(data, name), _name=name):
+            calls[_name, p] += 1
+            return _read(p)
+        monkeypatch.setattr(data, name, counted)
+    clouds = Counter(("read_cloud_file", str(dataset_dir / rec.cloud_file)) for rec in records)
+    query_view = ("read_feature_file", str(dataset_dir / records[3].views[5].feature_file))
+    common = serve_args(run_dir, manifest)
+    for argv, expected in (
+            (["eval-zeroshot", *common], clouds),
+            (["export-features", *common, "--out", str(workdir / "lazy_feats")], clouds),
+            (["retrieve", *common, "--query", records[3].sample_id, "--view", "5"],
+             clouds + Counter([query_view]))):
+        calls.clear()
+        assert run_captured(argv)[0] == 0
+        assert calls == expected
+
+
+def copy_dataset(dataset_dir, root):
+    shutil.copytree(dataset_dir, root)
+    return root / "manifest.jsonl", load_manifest(root / "manifest.jsonl").manifest.records
+
+
+def test_corrupt_view_fails_only_the_commands_that_read_it(run_dir, dataset_dir, tmp_path):
+    intact = run_captured(["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl")])
+    assert intact[0] == 0
+    manifest, records = copy_dataset(dataset_dir, tmp_path / "data")
+    bad = [tmp_path / "data" / records[i].views[5].feature_file for i in (2, 7)]
+    for path in bad:
+        path.write_bytes(path.read_bytes()[:6])
+    violations = [f"sample {records[i].sample_id!r}: feature file {path} is truncated"
+                  for i, path in zip((2, 7), bad)]
+    common = serve_args(run_dir, manifest)
+    assert run_captured(["eval-zeroshot", *common]) == intact
+    assert run_captured(["retrieve", *common, "--query", records[2].sample_id, "--view", "4"])[0] == 0
+    code, _, err = run_captured(["retrieve", *common, "--query", records[2].sample_id, "--view", "5"])
+    assert code == 2
+    assert err == f"error: manifest validation failed with 1 problem(s)\n  - {violations[0]}\n"
+    code, _, err = run_captured(["pretrain", "--data", str(manifest), "--epochs", "1", "--batch", "4"])
+    assert code == 2
+    assert err == "error: manifest validation failed with 2 problem(s)\n" + "".join(
+        f"  - {v}\n" for v in violations)
+
+
+def test_non_finite_view_feature_exits_3_where_it_is_read(run_dir, dataset_dir, tmp_path):
+    manifest, records = copy_dataset(dataset_dir, tmp_path / "data")
+    path = tmp_path / "data" / records[1].views[0].feature_file
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, 8 + 4 * 3, math.nan)
+    path.write_bytes(bytes(blob))
+    common = serve_args(run_dir, manifest)
+    assert run_captured(["eval-zeroshot", *common])[0] == 0
+    code, _, err = run_captured(["retrieve", *common, "--query", records[1].sample_id, "--view", "0"])
+    assert code == 3
+    assert err == "numeric failure: encode_image_frozen: view feature holds non-finite values\n"
+    assert run_captured(["pretrain", "--data", str(manifest), "--epochs", "1", "--batch", "4"])[0] == 3
+
+
+def test_payload_name_with_nul_exits_2_naming_line_and_field(run_dir, dataset_dir, tmp_path):
+    manifest, _ = copy_dataset(dataset_dir, tmp_path / "data")
+    lines = manifest.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["views"][0]["feature_file"] = "payload/a\0b.bin"
+    lines[2] = json.dumps(rec)
+    manifest.write_text("\n".join(lines) + "\n")
+    code, _, err = run_captured(["eval-zeroshot", *serve_args(run_dir, manifest)])
+    assert code == 2
+    assert err == ("error: manifest validation failed with 1 problem(s)\n"
+                   "  - line 3: view 0 feature_file 'payload/a\\x00b.bin' holds a NUL byte\n")
+
+
+def output_command(command, run_dir, dataset_dir, out):
+    if command == "pretrain":
+        return ["pretrain", "--data", str(dataset_dir / "manifest.jsonl"), "--epochs", "1",
+                "--batch", "4", "--out", str(out)]
+    return [command, *serve_args(run_dir, dataset_dir / "manifest.jsonl"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["export-features", "eval-zeroshot", "pretrain"])
+def test_output_below_a_regular_file_exits_2_naming_it(run_dir, dataset_dir, tmp_path, command):
+    (tmp_path / "afile").write_text("not a directory\n")
+    out = tmp_path / "afile" / "sub"
+    code, _, err = run_captured(output_command(command, run_dir, dataset_dir, out))
+    assert code == 2
+    assert err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'\n"
+
+
+@pytest.mark.parametrize("command, first_file", [("export-features", "features.bin"),
+                                                 ("eval-zeroshot", "zeroshot.txt"),
+                                                 ("pretrain", "checkpoint.bin")])
+def test_full_disk_exits_2_naming_the_output(run_dir, dataset_dir, tmp_path, monkeypatch,
+                                             command, first_file):
+    def no_space(fd, blob):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    argv = output_command(command, run_dir, dataset_dir, tmp_path / "out")
+    monkeypatch.setattr(os, "write", no_space)
+    code, _, err = run_captured(argv)
+    monkeypatch.undo()
+    assert code == 2
+    assert err.startswith(f"error: [Errno {errno.ENOSPC}] No space left on device: "
+                          f"'{tmp_path / 'out' / first_file}.")
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_gradcheck_command_passes(capsys):
     # the full config plus each loss switch turned off, one line each
     assert cli.run(["gradcheck", "--seed", "0"]) == 0
@@ -328,6 +456,125 @@ def test_gold_indices_reject_disjoint_classes(dataset_dir):
     ds = load_manifest(dataset_dir / "manifest.jsonl")
     with pytest.raises(LabelError):
         cli.gold_indices(ds.samples, ds.tree, ["nothing matches this"])
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs
+#
+# Every mutation below makes some input invalid.  A command may exit 0 only
+# when the mutation broke nothing but view payloads the command does not
+# read, and its output must then equal the output on the intact data.
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A 4-sample dataset of 4 views each and a checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert cli.run(["gen-data", "--out", str(root / "data"), "--parents", "2", "--subs", "1",
+                    "--per-sub", "2", "--points", "8", "--dim", "4", "--angles", "2",
+                    "--seed", "0"]) == 0
+    assert cli.run(["pretrain", "--data", str(root / "data" / "manifest.jsonl"),
+                    "--out", str(root / "run"), "--epochs", "1", "--batch", "4"]) == 0
+    records = load_manifest(root / "data" / "manifest.jsonl").manifest.records
+    return root, records
+
+
+FIELD_FAULTS = [  # (field, bad value); "view." fields change views[view]
+    ("id", 5), ("id", ""), ("parent", None), ("sub", 3), ("views", []),
+    ("cloud_file", "payload/a\0b.bin"), ("cloud_file", 7), ("cloud_file", "payload/gone.bin"),
+    ("view.angle", 13), ("view.angle", "abc"), ("view.angle", math.nan), ("view.angle", math.inf),
+    ("view.kind", "sketch"), ("view.feature_file", "payload/a\0b.bin"), ("view.feature_file", 5),
+    ("view.feature_file", "payload/gone.bin"), ("header.version", "jm3d-0"), ("header.dim", 0),
+    ("header.dim", "4"), ("header.dim", 5),
+]
+PAYLOAD_FAULTS = ("truncate", "flip header byte", "nan in body")
+
+mutations = st.one_of(
+    st.tuples(st.sampled_from(PAYLOAD_FAULTS), st.integers(0, 19), st.integers(0, 99)),
+    st.tuples(st.sampled_from(["cut line", "repeat line"]), st.integers(0, 4), st.integers(0, 99)),
+    st.tuples(st.just("field"), st.integers(0, 4), st.integers(0, 3), st.sampled_from(FIELD_FAULTS)),
+)
+
+
+def apply_mutation(root, records, mutation):
+    """Break the dataset under root; return the (sample id, view index) pairs
+    whose payloads alone the mutation made unusable, or None when it broke
+    the manifest or a cloud, which every command reads."""
+    manifest = root / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    kind, i, j = mutation[:3]
+    if kind in PAYLOAD_FAULTS:
+        rec, view = records[i // 5], i % 5 - 1  # view -1 is the cloud
+        path = root / (rec.cloud_file if view < 0 else rec.views[view].feature_file)
+        blob = bytearray(path.read_bytes())
+        header = 4 if view < 0 else 8
+        if kind == "truncate":
+            del blob[j * len(blob) // 100:]
+        elif kind == "flip header byte":
+            blob[j % header] ^= 1 + j % 255
+        else:
+            struct.pack_into("<f", blob, header + 4 * (j % ((len(blob) - header) // 4)), math.nan)
+        path.write_bytes(bytes(blob))
+        return None if view < 0 else {(rec.sample_id, view)}
+    if kind == "cut line":
+        lines[i] = lines[i][:1 + j * (len(lines[i]) - 1) // 100]
+    elif kind == "repeat line":
+        lines.insert(i, lines[i])
+    else:
+        field, value = mutation[3]
+        scope = None
+        if field.startswith("header."):
+            obj = json.loads(lines[0])
+            obj[field[len("header."):]] = value
+            lines[0] = json.dumps(obj)
+            if field == "header.dim" and value == 5:  # every view now has the wrong width
+                scope = {(rec.sample_id, v) for rec in records for v in range(len(rec.views))}
+        else:
+            obj = json.loads(lines[1 + i % 4])
+            if field.startswith("view."):
+                obj["views"][j][field[len("view."):]] = value
+                if value == "payload/gone.bin":
+                    scope = {(obj["id"], j)}
+            else:
+                obj[field] = value
+            lines[1 + i % 4] = json.dumps(obj)
+        manifest.write_text("\n".join(lines) + "\n")
+        return scope
+    manifest.write_text("\n".join(lines) + "\n")
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mutation=mutations, query=st.integers(0, 15))
+@example(mutation=("field", 0, 0, ("cloud_file", "payload/a\0b.bin")), query=0)
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/a\0b.bin")), query=1)
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=1)
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=2)
+@example(mutation=("field", 0, 0, ("header.dim", 5)), query=6)
+@example(mutation=("truncate", 1, 50), query=0)
+@example(mutation=("truncate", 1, 50), query=1)
+def test_fuzzed_inputs_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_factory, mutation, query):
+    base, records = fuzz_base
+    root = tmp_path_factory.mktemp("mutant") / "data"
+    shutil.copytree(base / "data", root)
+    broken = apply_mutation(root, records, mutation)
+    query_id, query_view = records[query // 4].sample_id, query % 4
+    commands = {
+        "eval-zeroshot": (["eval-zeroshot", "--set", "data"], set()),
+        "retrieve": (["retrieve", "--query", query_id, "--view", str(query_view)],
+                     {(query_id, query_view)}),
+        "pretrain": (["pretrain", "--epochs", "1", "--batch", "4"],
+                     {(rec.sample_id, v) for rec in records for v in range(len(rec.views))}),
+    }
+    for name, (argv, reads) in commands.items():
+        if name != "pretrain":
+            argv = argv + ["--checkpoint", str(base / "run" / "checkpoint.bin")]
+        code, out, _ = run_captured(argv + ["--data", str(root / "manifest.jsonl")])
+        if broken is not None and not broken & reads:
+            intact = run_captured(argv + ["--data", str(base / "data" / "manifest.jsonl")])
+            assert (code, out) == intact[:2], (name, mutation)
+        else:
+            assert code in (2, 3), (name, mutation)
 
 
 # ---------------------------------------------------------------------------

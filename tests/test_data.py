@@ -585,6 +585,130 @@ def test_payload_names_resolve_as_pathlib_joins_them(tmp_path, monkeypatch, name
     assert err.value.violations == [f"sample 's0': [Errno 2] No such file or directory: '{gone}'"]
 
 
+def count_reads(monkeypatch) -> Counter:
+    """Count (reader name, path) calls of the module-level payload readers."""
+    calls = Counter()
+    for name in READERS:
+        def counted(p, _read=getattr(data, name), _name=name):
+            calls[_name, p] += 1
+            return _read(p)
+        monkeypatch.setattr(data, name, counted)
+    return calls
+
+
+def test_lazy_load_matches_the_full_load_bit_for_bit(tmp_path):
+    path = mixed_dataset(tmp_path)
+    lazy = data.load_manifest(path, read_views=False)
+    full = data.load_manifest(path)
+    assert lazy.manifest == full.manifest
+    assert lazy.tree == full.tree
+    assert dataset_signature(lazy) == dataset_signature(full)
+
+
+def test_lazy_load_reads_each_view_once_on_first_use(tmp_path, monkeypatch):
+    path = mixed_dataset(tmp_path)
+    calls = count_reads(monkeypatch)
+    loaded = data.load_manifest(path, read_views=False)
+    assert {name for name, _ in calls} == {"read_cloud_file"}
+    assert sum(calls.values()) == len(loaded.samples) == 9
+    raster_view, feature_view = loaded.samples[-1].views
+    assert (raster_view.angle_deg, raster_view.kind, feature_view.angle_deg) == (0, "rgb", 12)
+    assert raster_view.feature is None and sum(calls.values()) == 9
+    for _ in range(2):
+        assert raster_view.raster.shape == (200, 200, 3)
+        assert feature_view.feature.shape == (8,)
+        assert feature_view.raster is None
+    assert calls["read_raster_file", str(tmp_path / "payload" / "r.bin")] == 1
+    assert calls["read_feature_file", str(tmp_path / "payload" / "rf.bin")] == 1
+    assert sum(calls.values()) == 11
+    with pytest.raises(AttributeError):
+        feature_view.angle_deg = 24
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_load_manifest_checks_each_angle_once(tmp_path, monkeypatch, read_views):
+    path = mixed_dataset(tmp_path)
+    checked = Counter()
+    real = data.angle_bucket
+    monkeypatch.setattr(data, "angle_bucket", lambda a: checked.update([a]) or real(a))
+    loaded = data.load_manifest(path, read_views=read_views)
+    assert sum(checked.values()) == sum(len(s.views) for s in loaded.samples) == 8 * 8 + 2
+
+
+@pytest.mark.parametrize("fault", ["truncated", "missing", "wrong dim"])
+def test_lazy_view_raises_the_full_loads_violation(tmp_path, fault):
+    path = write_dataset(tmp_path)
+    if fault == "truncated":
+        (tmp_path / "feat_1.bin").write_bytes(b"\x01\x00\x00")
+        expected = [f"sample 's1': feature file {tmp_path / 'feat_1.bin'} is truncated"]
+    elif fault == "missing":
+        (tmp_path / "feat_1.bin").unlink()
+        expected = [f"sample 's1': [Errno 2] No such file or directory: '{tmp_path / 'feat_1.bin'}'"]
+    else:
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({"version": data.MANIFEST_VERSION, "dim": 5})
+        path.write_text("\n".join(lines) + "\n")
+        expected = [f"sample 's{i}': view feature feat_{i}.bin is 1x4, expected 1x5" for i in range(3)]
+    with pytest.raises(ManifestError) as full:
+        data.load_manifest(path)
+    assert full.value.violations == expected
+    lazy = data.load_manifest(path, read_views=False)
+    # the violation comes with the first use of the view, and again with the next
+    for _ in range(2):
+        with pytest.raises(ManifestError) as err:
+            lazy.samples[1].views[1].feature
+        assert err.value.violations == [expected[-2 if fault == "wrong dim" else 0]]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("field, value, message", [
+    ("cloud_file", "payload/a\0b.bin", "line 2: cloud_file 'payload/a\\x00b.bin' holds a NUL byte"),
+    ("feature_file", "payload/a\0b.bin", "line 2: view 1 feature_file 'payload/a\\x00b.bin' holds a NUL byte"),
+    ("image_file", "\0", "line 2: view 1 image_file '\\x00' holds a NUL byte"),
+    ("feature_file", 5, "line 2: view 1 feature_file must be a string"),
+    ("angle", "abc", "line 2: view 1 angle 'abc' is not a multiple of 12 in [0, 348]"),
+    ("angle", float("nan"), "line 2: view 1 angle nan is not a multiple of 12 in [0, 348]"),
+    ("angle", float("inf"), "line 2: view 1 angle inf is not a multiple of 12 in [0, 348]"),
+])
+def test_load_manifest_rejects_unopenable_names_and_non_numeric_angles(tmp_path, read_views,
+                                                                        field, value, message):
+    path = write_dataset(tmp_path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    if field == "cloud_file":
+        rec[field] = value
+    else:
+        view = rec["views"][1]
+        if field == "image_file":
+            del view["feature_file"]
+        view[field] = value
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("line, message", [(0, "line 1: header is not valid JSON (nested too deeply)"),
+                                           (2, "line 3: not valid JSON (nested too deeply)")])
+def test_load_manifest_rejects_json_nested_too_deeply(tmp_path, line, message):
+    path = write_dataset(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[line] = "[" * 100_000
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path)
+    assert err.value.violations == [message]
+
+
+def test_load_manifest_rejects_text_that_is_not_utf8(tmp_path):
+    path = write_dataset(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"chair", b"ch\xffir", 1))
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path)
+    assert err.value.violations[0].startswith(f"manifest {path} is not UTF-8 text (byte ")
+
+
 def test_view_record_validation():
     with pytest.raises(InputError):
         data.ViewRecord(0, "rgb")  # no payload
