@@ -33,6 +33,9 @@ class LossWeights:
 
 # one temperature per pairwise term: point-view, point-text, text-view
 N_CONTRASTIVE_TERMS = 3
+# names of the contrastive terms in loss parts, in (lambda1, lambda2,
+# lambda3) order; the parent-category loss is the part "parent"
+TERM_NAMES = ("point_view", "point_text", "text_view")
 
 
 @dataclass(frozen=True)
@@ -138,11 +141,32 @@ def jma_fuse(view_feats: ad.Tensor, text_feat: ad.Tensor, return_weights: bool =
     return fused
 
 
+def fuse_views(view_rows, text_rows) -> np.ndarray:
+    """``jma_fuse`` of a batch in plain numpy: row i fuses sample i's
+    V_i x D views keyed by its 1 x D text row, and V may differ between
+    samples.  The canonical order, matmuls and softmax are the ones
+    ``jma_fuse`` runs, so each row equals its ``jma_fuse`` bit for bit,
+    but no Tensor is built.
+    """
+    fused = np.empty((len(view_rows), text_rows[0].shape[1]))
+    for i, (vv, tv) in enumerate(zip(view_rows, text_rows)):
+        raw_scores = vv @ tv[0]
+        if not np.isfinite(raw_scores).all():
+            raise NumericError("non-finite fusion scores")
+        ordered = vv[_canonical_view_order(vv, raw_scores)]
+        # contiguous transposes, as ``ad.transpose`` makes them in jma_fuse
+        scores = ordered @ tv.T.copy()  # V x 1
+        e = np.exp(scores - scores.max(axis=0, keepdims=True))
+        fused[i] = (e / e.sum(axis=0, keepdims=True)).T.copy() @ ordered
+    return fused
+
+
 # ---------------------------------------------------------------------------
 # losses
 
 
-def _as_inv_tau(tau, inv_tau):
+def _as_inv_tau(tau, inv_tau) -> ad.Tensor:
+    """1/tau as a 1x1 tensor; a float tau or inv_tau becomes a constant."""
     if (tau is None) == (inv_tau is None):
         raise ContractError("provide exactly one of tau or inv_tau")
     if tau is not None:
@@ -150,23 +174,13 @@ def _as_inv_tau(tau, inv_tau):
             raise ContractError("trainable temperature must come in as inv_tau (see AlignmentHeads.inv_tau)")
         if tau <= 0:
             raise ContractError(f"tau must be positive, got {tau}")
-        return 1.0 / float(tau)
-    return inv_tau
-
-
-def _nce_direction(a: ad.Tensor, b: ad.Tensor, inv_tau) -> ad.Tensor:
-    logits = ad.matmul(a, ad.transpose(b))
-    if isinstance(inv_tau, ad.Tensor):
-        logits = ad.mul(logits, inv_tau)
-    else:
-        logits = ad.scale(logits, inv_tau)
-    n = a.values.shape[0]
-    diag = ad.select_columns(ad.log_softmax(logits, axis=-1), np.arange(n))
-    return ad.scale(ad.mean(diag), -1.0)
+        return ad.constant([[1.0 / float(tau)]])
+    return inv_tau if isinstance(inv_tau, ad.Tensor) else ad.constant([[float(inv_tau)]])
 
 
 def info_nce(a: ad.Tensor, b: ad.Tensor, tau=None, inv_tau=None, symmetric: bool = True) -> ad.Tensor:
-    """Contrastive loss over matched rows of a and b.
+    """Contrastive loss over matched rows of a and b, as one
+    ``autodiff.info_nce`` record.
 
     The symmetric form averages the row-wise and column-wise directions;
     swapping a and b then gives the identical value bit for bit, because
@@ -176,45 +190,43 @@ def info_nce(a: ad.Tensor, b: ad.Tensor, tau=None, inv_tau=None, symmetric: bool
         raise ShapeError(f"feature shapes disagree: {a.values.shape} vs {b.values.shape}")
     if a.values.shape[0] < 2:
         raise ContractError("contrastive loss needs at least 2 rows (no negatives otherwise)")
-    it = _as_inv_tau(tau, inv_tau)
-    forward = _nce_direction(a, b, it)
-    if not symmetric:
-        return forward
-    return ad.scale(ad.add(forward, _nce_direction(b, a, it)), 0.5)
+    return ad.info_nce(a, b, _as_inv_tau(tau, inv_tau), symmetric)
 
 
 def contrastive_total(h_point: ad.Tensor, h_joint: ad.Tensor | None, h_text: ad.Tensor,
                       weights: LossWeights, tau=None, inv_tau=None,
-                      symmetric: bool = True) -> ad.Tensor:
+                      symmetric: bool = True, return_parts: bool = False):
     """Weighted sum of the three pairwise terms; zero-weight terms are
     skipped entirely (their features may legitimately be absent).
 
     inv_tau may be a single value shared by all terms or a sequence of
-    three, one per term in (lambda1, lambda2, lambda3) order.
+    three, one per term in (lambda1, lambda2, lambda3) order; the entry
+    of a zero-weight term is not read.  With ``return_parts`` the result
+    is ``(total, parts)``: each computed term's unweighted value as a
+    float, keyed by its name in ``TERM_NAMES``.
     """
     if isinstance(inv_tau, (tuple, list)):
         if tau is not None:
             raise ContractError("provide exactly one of tau or inv_tau")
         if len(inv_tau) != N_CONTRASTIVE_TERMS:
             raise ContractError(f"need {N_CONTRASTIVE_TERMS} per-term temperatures, got {len(inv_tau)}")
-        it1, it2, it3 = inv_tau
+        its = inv_tau
     else:
-        it1 = it2 = it3 = _as_inv_tau(tau, inv_tau)
-    terms = []
-    if weights.lambda1 > 0:
-        if h_joint is None:
-            raise ContractError("lambda1 > 0 needs fused view features")
-        terms.append(ad.scale(info_nce(h_point, h_joint, inv_tau=it1, symmetric=symmetric), weights.lambda1))
-    if weights.lambda2 > 0:
-        terms.append(ad.scale(info_nce(h_point, h_text, inv_tau=it2, symmetric=symmetric), weights.lambda2))
-    if weights.lambda3 > 0:
-        if h_joint is None:
-            raise ContractError("lambda3 > 0 needs fused view features")
-        terms.append(ad.scale(info_nce(h_text, h_joint, inv_tau=it3, symmetric=symmetric), weights.lambda3))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+        its = [_as_inv_tau(tau, inv_tau)] * N_CONTRASTIVE_TERMS
+    pairs = ((h_point, h_joint), (h_point, h_text), (h_text, h_joint))
+    lambdas = (weights.lambda1, weights.lambda2, weights.lambda3)
+    total, parts = None, {}
+    for k, (name, lam, it, (x, y)) in enumerate(zip(TERM_NAMES, lambdas, its, pairs), start=1):
+        if not lam > 0:
+            continue
+        if y is None:
+            raise ContractError(f"lambda{k} > 0 needs fused view features")
+        term = info_nce(x, y, inv_tau=it, symmetric=symmetric)
+        parts[name] = term.item()
+        if lam != 1.0:  # x * 1.0 is x: no record for a unit weight
+            term = ad.scale(term, lam)
+        total = term if total is None else ad.add(total, term)
+    return (total, parts) if return_parts else total
 
 
 def classifier_logits(h_point: ad.Tensor, heads: AlignmentHeads) -> ad.Tensor:
@@ -223,24 +235,26 @@ def classifier_logits(h_point: ad.Tensor, heads: AlignmentHeads) -> ad.Tensor:
 
 
 def parent_class_loss(h_point: ad.Tensor, parent_idx, heads: AlignmentHeads) -> ad.Tensor:
-    """Mean negative log-likelihood of the true parent class."""
-    idx = np.asarray(parent_idx, dtype=np.intp)
-    if idx.ndim != 1 or idx.shape[0] != h_point.values.shape[0]:
-        raise ShapeError(f"parent indices {idx.shape} do not match batch {h_point.values.shape[0]}")
-    if idx.size and (idx.min() < 0 or idx.max() >= heads.n_parents):
-        raise ContractError(f"parent index out of range for {heads.n_parents} classes")
-    log_probs = ad.log_softmax(classifier_logits(h_point, heads), axis=-1)
-    return ad.scale(ad.mean(ad.select_columns(log_probs, idx)), -1.0)
+    """Mean negative log-likelihood of the true parent class, as one
+    ``autodiff.cross_entropy`` record on the classifier logits."""
+    return ad.cross_entropy(classifier_logits(h_point, heads), parent_idx)
 
 
 def total_loss(h_point: ad.Tensor, h_joint: ad.Tensor | None, h_text: ad.Tensor,
                parent_idx, heads: AlignmentHeads, weights: LossWeights,
-               htt_on: bool = True, symmetric: bool = True) -> ad.Tensor:
+               htt_on: bool = True, symmetric: bool = True, return_parts: bool = False):
     """Contrastive terms plus (when the tree branch is on) the parent
-    classification loss."""
-    loss = contrastive_total(h_point, h_joint, h_text, weights,
-                             inv_tau=[heads.inv_tau(i) for i in range(N_CONTRASTIVE_TERMS)],
-                             symmetric=symmetric)
+    classification loss.  The three 1/tau come from one exp of
+    ``heads.log_tau``.  With ``return_parts`` the result is
+    ``(loss, parts)``, as in ``contrastive_total``, plus the parent loss
+    under "parent" when it is on."""
+    inv = ad.exp(ad.scale(heads.log_tau, -1.0))
+    its = [ad.select_columns(inv, np.array([k])) if lam > 0 else None
+           for k, lam in enumerate((weights.lambda1, weights.lambda2, weights.lambda3))]
+    loss, parts = contrastive_total(h_point, h_joint, h_text, weights, inv_tau=its,
+                                    symmetric=symmetric, return_parts=True)
     if htt_on:
-        loss = ad.add(loss, parent_class_loss(h_point, parent_idx, heads))
-    return loss
+        parent = parent_class_loss(h_point, parent_idx, heads)
+        parts["parent"] = parent.item()
+        loss = ad.add(loss, parent)
+    return (loss, parts) if return_parts else loss

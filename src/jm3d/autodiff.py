@@ -2,8 +2,9 @@
 
 The engine is deliberately small: it implements exactly the kernels the
 alignment losses and encoders need (matrix product, softmax family, row
-normalizations, pooling, the point encoder's fused MLP and max pool,
-gather/concat plumbing) and nothing else.  All values are 64-bit floats
+normalizations, pooling, the point encoder's fused MLP and max pool, the
+contrastive and cross-entropy losses as one record each, gather/concat
+plumbing) and nothing else.  All values are 64-bit floats
 so finite-difference checks can run at tight tolerances.
 
 A :class:`Tape` records every differentiable operation in execution order.
@@ -336,10 +337,15 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
     max over each cloud: B clouds of N_i x 3 -> B x h.
 
     Bitwise the same forward as ``max_pool_rows(tanh(tanh(pts @ w1 + b1)
-    @ w2 + b2))`` per cloud, fused into one record.  Only the pooled rows
-    and each cloud's argmax rows are kept.  The gradient reaches at most h
-    rows per cloud (the first maximal row of each column, as in
-    ``max_pool_rows``), so backward recomputes layer 1 on those rows only.
+    @ w2 + b2))`` per cloud, fused into one record.  Since tanh is
+    monotone, the max is taken on the layer-2 pre-activation and tanh runs
+    on the B x h pooled values only.  Tie rule: a column's winner is the
+    first row of maximal pre-activation.  That differs from
+    ``max_pool_rows``' first maximal row after tanh only where two
+    pre-activations round to one tanh value, and then the pooled value is
+    the same.  Only the pooled rows and each cloud's winner rows are
+    kept.  The gradient reaches at most h rows per cloud, so backward
+    recomputes layer 1 on those rows only.
     """
     wv1, bv1, wv2, bv2 = w1.values, b1.values, w2.values, b2.values
     h = wv1.shape[1]
@@ -357,12 +363,15 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         a = pts @ wv1
         a += bv1
         np.tanh(a, out=a)
+        # keep this GEMM's layout: the transposed product wv2.T @ a.T rounds
+        # some points differently from others (on OpenBLAS, clouds of 255 or
+        # 300 points), and then the pooled bits would depend on point order
         z = a @ wv2
         z += bv2
-        np.tanh(z, out=z)
         idx = np.argmax(z, axis=0)
         out[i] = z[idx, cols]
         winners.append(idx)
+    np.tanh(out, out=out)
 
     def backward(g):
         g2 = g * (1.0 - out * out)
@@ -469,12 +478,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _apply(out, (x,), backward)
 
 
+def _log_softmax(xv: np.ndarray, ax: int) -> np.ndarray:
+    shifted = xv - xv.max(axis=ax, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     xv = x.values
     ax = _check_axis(xv, axis)
-    shifted = xv - xv.max(axis=ax, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
-    out = shifted - lse
+    out = _log_softmax(xv, ax)
     soft = np.exp(out)
 
     def backward(g):
@@ -522,6 +534,79 @@ def l2_normalize(x: Tensor) -> Tensor:
         return (np.where(live, (g - xv * proj) / denom, g / denom),)
 
     return _apply(out, (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# losses (one record each, closed-form backward)
+
+
+def info_nce(a: Tensor, b: Tensor, inv_tau: Tensor, symmetric: bool = True) -> Tensor:
+    """Contrastive loss over matched rows of a and b, as one 1x1 record.
+
+    The a -> b direction is the mean over rows i of
+    -log_softmax(a @ b.T * inv_tau)[i, i]; the symmetric form averages it
+    with the b -> a direction, built from ``b @ a.T``, so swapping a and b
+    gives the same value bit for bit.  Backward is the closed form: per
+    direction, (softmax - one-hot) / n times ``inv_tau`` into a and b, and
+    the sum of that times the similarities into ``inv_tau`` (1x1).
+    """
+    av, bv, itv = a.values, b.values, inv_tau.values
+    if av.ndim != 2 or av.shape != bv.shape:
+        raise ShapeError(f"info_nce needs two 2-D tensors of one shape, got {av.shape} and {bv.shape}")
+    if itv.shape != (1, 1):
+        raise ShapeError(f"inv_tau must be 1 x 1, got {itv.shape}")
+    n = av.shape[0]
+    it = itv[0, 0]
+    diag = np.arange(n)
+    # contiguous transposes, as ``transpose`` makes them: the forward then
+    # rounds exactly as the matmul -> mul -> log_softmax chain does
+    sims = [av @ bv.T.copy(), bv @ av.T.copy()] if symmetric else [av @ bv.T.copy()]
+    logs = [_log_softmax(s * it, 1) for s in sims]
+    terms = [-log_p[diag, diag].mean() for log_p in logs]
+    loss = (terms[0] + terms[1]) * 0.5 if symmetric else terms[0]
+    # flags, not the tensors: the record must not hold a tensor of its tape
+    need_a, need_b, need_it = a.requires_grad, b.requires_grad, inv_tau.requires_grad
+
+    def backward(g):
+        d_logits = []
+        for log_p in logs:
+            d = np.exp(log_p)
+            d[diag, diag] -= 1.0
+            d *= g[0, 0] / (n * len(logs))
+            d_logits.append(d)
+        g_sim = d_logits[0] * it
+        if symmetric:
+            g_sim += d_logits[1].T * it
+        ga = g_sim @ bv if need_a else None
+        gb = g_sim.T @ av if need_b else None
+        g_it = None
+        if need_it:
+            g_it = np.array([[sum(float((d * s).sum()) for d, s in zip(d_logits, sims))]])
+        return ga, gb, g_it
+
+    return _apply(np.array([[loss]]), (a, b, inv_tau), backward)
+
+
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of -log_softmax(logits)[i, targets[i]], as one 1x1
+    record; backward is (softmax - one-hot) / n."""
+    xv = logits.values
+    if xv.ndim != 2:
+        raise ShapeError(f"cross_entropy needs 2-D logits, got {xv.shape}")
+    idx = np.asarray(targets, dtype=np.intp)
+    if idx.shape != (xv.shape[0],):
+        raise ShapeError(f"target vector {idx.shape} does not match {xv.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= xv.shape[1]):
+        raise ContractError(f"target index out of range for width {xv.shape[1]}")
+    rows = np.arange(xv.shape[0])
+    log_p = _log_softmax(xv, 1)
+
+    def backward(g):
+        d = np.exp(log_p)
+        d[rows, idx] -= 1.0
+        return (d * (g[0, 0] / xv.shape[0]),)
+
+    return _apply(np.array([[-log_p[rows, idx].mean()]]), (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from .evaluation import (PromptTemplate, ablation_table, accuracy_topk,
                          metric_record, modelnet_eval_sets, retrieve_by_image,
                          zero_shot_topk)
 from .synth import SynthConfig, synth_generate
-from .training import (Checkpoint, TrainConfig, batch_loss, load_checkpoint,
-                       point_features, train)
+from .training import (CONFIG_FIELD_TYPES, Checkpoint, TrainConfig, batch_loss,
+                       load_checkpoint, point_features, train)
 
 GRADCHECK_TOLERANCE = 1e-4
 # the TrainConfig switches that change the loss itself; `gradcheck` checks
@@ -178,7 +178,7 @@ def model_gradient_check(seed: int = 0, n_samples: int = 4, dim: int = 16,
     values = {name: t.values for name, t in init_tape.parameters.items()}
 
     def build(vals):
-        return batch_loss(vals, clouds, view_rows, text_rows, parent_idx, config)
+        return batch_loss(vals, clouds, view_rows, text_rows, parent_idx, config)[:2]
 
     worst, worst_param = ad.grad_check(build, values, eps)
     return {"max_rel": worst, "worst_param": worst_param, "loss": build(values)[1].item(),
@@ -189,11 +189,8 @@ def model_gradient_check(seed: int = 0, n_samples: int = 4, dim: int = 16,
 # config files and headers
 
 
-_CONFIG_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-
 def _coerce_config_value(key: str, raw: str):
-    kind = _CONFIG_FIELD_TYPES[key]
+    kind = CONFIG_FIELD_TYPES[key]
     if kind == "bool":
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
@@ -225,7 +222,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_FIELD_TYPES:
+        if key not in CONFIG_FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = _coerce_config_value(key, raw.strip())
     return out

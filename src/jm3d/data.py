@@ -142,10 +142,16 @@ class TripletSample:
 
 
 def angle_bucket(angle_deg) -> int:
-    """Index of a grid angle: 0 -> 0, 12 -> 1, ..., 348 -> 29."""
-    a = int(angle_deg)
-    if a != angle_deg or a % ANGLE_STEP_DEG != 0 or not 0 <= a <= 348:
-        raise ContractError(f"angle must be a multiple of {ANGLE_STEP_DEG} in [0, 348], got {angle_deg}")
+    """Index of a grid angle: 0 -> 0, 12 -> 1, ..., 348 -> 29.  Anything
+    else, a bool, NaN, Inf or a non-number included, raises ContractError."""
+    try:
+        a = int(angle_deg)
+        on_grid = (a == angle_deg and not isinstance(angle_deg, bool)
+                   and a % ANGLE_STEP_DEG == 0 and 0 <= a <= 348)
+    except (TypeError, ValueError, OverflowError):
+        on_grid = False
+    if not on_grid:
+        raise ContractError(f"angle must be a multiple of {ANGLE_STEP_DEG} in [0, 348], got {angle_deg!r}")
     return a // ANGLE_STEP_DEG
 
 
@@ -540,7 +546,7 @@ def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDe
         angle = vw.get("angle")
         try:
             angle_bucket(angle)
-        except (ContractError, TypeError, ValueError, OverflowError):
+        except ContractError:
             bad(f"view {i} angle {angle!r} is not a multiple of {ANGLE_STEP_DEG} in [0, 348]")
             continue
         kind = vw.get("kind")
@@ -626,7 +632,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     dim = header.get("dim")
     if version != MANIFEST_VERSION:
         problems.append(f"line 1: version {version!r} is not {MANIFEST_VERSION!r}")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         problems.append(f"line 1: dim must be a positive integer, got {dim!r}")
         dim = None
 

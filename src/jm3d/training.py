@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.point_hidden < 1 or self.head_hidden < 1:
             raise ConfigError("hidden widths must be >= 1")
+        if self.seed < 0 or self.frozen_seed < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {self.seed}, {self.frozen_seed}")
         PromptTemplate(self.prompt)
         self.loss_weights()
 
@@ -182,33 +184,35 @@ def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
 
 
 def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
-               parent_idx, config: TrainConfig) -> tuple[ad.Tape, ad.Tensor]:
-    """The training objective of one batch, on a fresh tape.
+               parent_idx, config: TrainConfig) -> tuple[ad.Tape, ad.Tensor, dict[str, float]]:
+    """The training objective of one batch, on a fresh tape, and its parts.
 
     ``params`` are registered as the tape's parameters (read, not copied);
     ``view_rows[i]`` holds sample i's selected view rows (V_i x D) and
     ``text_rows[i]`` its 1 x D text feature.  This is the one place the
     loss is assembled, so training and the gradient check see the same
     jma_on, htt_on, normalize_before_nce, symmetric_nce and lambdas.
+    Views are fused in plain numpy (``alignment.fuse_views``), off the
+    tape.  ``parts`` maps each computed term (``alignment.TERM_NAMES``,
+    unweighted, and "parent") to its value, read from the forward pass.
     """
     tape = ad.Tape()
     enc = point_encoder_from_values(tape, params)
     heads = al.heads_from_values(tape, params)
     h_point = encode_point_cloud(clouds, enc)
     if config.jma_on:
-        fused = [al.jma_fuse(ad.constant(rows), ad.constant(text)).values
-                 for rows, text in zip(view_rows, text_rows)]
+        h_joint = al.fuse_views(view_rows, text_rows)
     else:
-        fused = [rows.mean(axis=0, keepdims=True) for rows in view_rows]
-    h_joint = np.concatenate(fused)
+        h_joint = np.concatenate([rows.mean(axis=0, keepdims=True) for rows in view_rows])
     h_text = np.concatenate(text_rows)
     if config.normalize_before_nce:
         h_joint = _unit_rows(h_joint)
         h_text = _unit_rows(h_text)
-    loss = al.total_loss(h_point, ad.constant(h_joint), ad.constant(h_text),
-                         parent_idx, heads, config.loss_weights(),
-                         htt_on=config.htt_on, symmetric=config.symmetric_nce)
-    return tape, loss
+    loss, parts = al.total_loss(h_point, ad.constant(h_joint), ad.constant(h_text),
+                                parent_idx, heads, config.loss_weights(),
+                                htt_on=config.htt_on, symmetric=config.symmetric_nce,
+                                return_parts=True)
+    return tape, loss, parts
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,11 @@ def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
 
 CHECKPOINT_MAGIC = b"JM3DCKPT"
 CHECKPOINT_VERSION = 2
+
+
+# TrainConfig field -> its annotation ("int", "float", "bool" or "str")
+CONFIG_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -232,6 +241,15 @@ class Checkpoint:
     params: dict
 
     def train_config(self) -> TrainConfig:
+        """The stored config; a key ``TrainConfig`` lacks or a value of
+        another JSON type than its field's raises ``TypeError``."""
+        if not isinstance(self.config, dict):
+            raise TypeError("config is not a JSON object")
+        for key, value in self.config.items():
+            kind = CONFIG_FIELD_TYPES.get(key)
+            if kind and (isinstance(value, bool) != (kind == "bool")
+                         or not isinstance(value, _JSON_TYPES[kind])):
+                raise TypeError(f"config key {key!r} holds {value!r}, not a {kind}")
         return TrainConfig(**self.config)
 
     def tree(self) -> CategoryTree:
@@ -317,7 +335,7 @@ def load_checkpoint(path) -> Checkpoint:
             params=params,
         )
         config, tree = ckpt.train_config(), ckpt.tree()
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})") from None
     expected = {f"point.{name}": shape
                 for name, shape in point_encoder_shapes(config.point_hidden, ckpt.dim).items()}
@@ -372,22 +390,29 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
     bounds = _batch_bounds(n, config.batch_size)
     total_steps = config.epochs * len(bounds)
     epoch_losses: list[float] = []
+    epoch_parts: list[dict[str, float]] = []
 
     for _epoch in range(config.epochs):
         order = rng.permutation(n)
-        step_losses = []
+        step_losses, step_parts = [], []
         for a, b in bounds:
             batch = [prepped[i] for i in order[a:b]]
             view_rows = [p.view_rows[p.sampler.draw(rng)] for p in batch]
-            tape, loss = batch_loss(params, [p.sample.cloud for p in batch], view_rows,
-                                    [p.text_row for p in batch],
-                                    [p.parent_idx for p in batch], config)
+            tape, loss, parts = batch_loss(params, [p.sample.cloud for p in batch], view_rows,
+                                           [p.text_row for p in batch],
+                                           [p.parent_idx for p in batch], config)
             grads = tape.backward(loss)
+            # the tape and its parameter tensors refer to each other; without
+            # this the step's tape would wait for the cyclic garbage collector
+            tape.parameters.clear()
             lr = cosine_lr(opt.step, total_steps, config.base_lr)
             adamw_step(params, grads, opt, lr, config.beta1, config.beta2,
                        config.adam_eps, config.weight_decay)
             step_losses.append(loss.item())
+            step_parts.append(parts)
         epoch_losses.append(float(np.mean(step_losses)))
+        epoch_parts.append({name: float(np.mean([p[name] for p in step_parts]))
+                            for name in step_parts[0]})
 
     ckpt = Checkpoint(
         config=dataclasses.asdict(config),
@@ -401,7 +426,8 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(ckpt, out_dir / "checkpoint.bin")
-        lines = "".join(json.dumps({"epoch": i, "loss": x}) + "\n" for i, x in enumerate(epoch_losses))
+        lines = "".join(json.dumps({"epoch": i, "loss": x, **parts}) + "\n"
+                        for i, (x, parts) in enumerate(zip(epoch_losses, epoch_parts)))
         replace_file(out_dir / "losses.jsonl", lines.encode())
     return ckpt
 

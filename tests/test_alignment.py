@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from jm3d import alignment as al
 from jm3d import autodiff as ad
-from jm3d.errors import ConfigError, ContractError, InputError, ShapeError
+from jm3d.errors import ConfigError, ContractError, InputError, NumericError, ShapeError
 
-from fdtools import max_rel_vs_fd
+from fdtools import max_rel, max_rel_vs_fd
 
 # ln(1 + e) - 1: symmetric contrastive loss of the 2x2 identity at tau = 1,
 # worked by hand from log(e / (e + 1)) per diagonal entry.
@@ -427,3 +427,183 @@ def test_total_loss_gradients_match_fd():
 
     worst = max_rel_vs_fd(build, init)
     assert worst < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the one-record loss kernels against the op chains they replace
+
+
+def chain_nce_direction(a, b, inv_tau):
+    """Reference for one direction of ``ad.info_nce``: the op chain the
+    contrastive loss was built from before it became one record."""
+    logits = ad.mul(ad.matmul(a, ad.transpose(b)), inv_tau)
+    diag = ad.select_columns(ad.log_softmax(logits, axis=-1), np.arange(a.values.shape[0]))
+    return ad.scale(ad.mean(diag), -1.0)
+
+
+def chain_info_nce(a, b, inv_tau, symmetric=True):
+    forward = chain_nce_direction(a, b, inv_tau)
+    if not symmetric:
+        return forward
+    return ad.scale(ad.add(forward, chain_nce_direction(b, a, inv_tau)), 0.5)
+
+
+def chain_cross_entropy(logits, idx):
+    """Reference for ``ad.cross_entropy``: the parent loss's old chain."""
+    return ad.scale(ad.mean(ad.select_columns(ad.log_softmax(logits, axis=-1), idx)), -1.0)
+
+
+def nce_case(seed, b_trainable, inv_tau=1.0 / 0.07, n=5, d=7):
+    """(values, fixed_b): unit rows a and b and a 1x1 inv_tau; b is left
+    out of the values, as the constant fixed_b, when it is not trainable."""
+    rng = np.random.default_rng(stable_seed(seed))
+    a, b = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in rng.normal(size=(2, n, d)))
+    values = {"a": a, "inv_tau": np.array([[inv_tau]])}
+    if b_trainable:
+        return dict(values, b=b), None
+    return values, b
+
+
+def nce_build(loss_fn, symmetric, fixed_b=None):
+    def build(vals):
+        tape = ad.Tape()
+        a = tape.parameter("a", vals["a"])
+        b = tape.parameter("b", vals["b"]) if fixed_b is None else ad.constant(fixed_b)
+        inv_tau = tape.parameter("inv_tau", vals["inv_tau"])
+        return tape, loss_fn(a, b, inv_tau, symmetric)
+    return build
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("b_trainable", [True, False])
+def test_info_nce_record_matches_op_chain(symmetric, b_trainable):
+    values, fixed_b = nce_case(f"nce-chain-{symmetric}-{b_trainable}", b_trainable)
+    record_tape, record = nce_build(ad.info_nce, symmetric, fixed_b)(values)
+    chain_tape, chain = nce_build(chain_info_nce, symmetric, fixed_b)(values)
+    assert len(record_tape._records) == 1
+    assert max_rel(record.values, chain.values) < 1e-12
+    got, want = record_tape.backward(record), chain_tape.backward(chain)
+    for name in values:
+        assert max_rel(got[name], want[name]) < 1e-12, name
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("b_trainable", [True, False])
+def test_info_nce_record_matches_fd(symmetric, b_trainable):
+    values, fixed_b = nce_case(f"nce-fd-{symmetric}-{b_trainable}", b_trainable, inv_tau=3.0)
+    assert max_rel_vs_fd(nce_build(ad.info_nce, symmetric, fixed_b), values) < 1e-5
+
+
+def test_info_nce_record_with_constant_temperature():
+    # a float tau is a constant: no gradient flows to it, the a and b
+    # gradients equal the trainable-temperature case
+    values, _ = nce_case("nce-const-tau", b_trainable=True)
+    tape = ad.Tape()
+    a, b = tape.parameter("a", values["a"]), tape.parameter("b", values["b"])
+    grads = tape.backward(al.info_nce(a, b, tau=1.0 / values["inv_tau"][0, 0]))
+    ref_tape, ref = nce_build(ad.info_nce, True)(values)
+    ref_grads = ref_tape.backward(ref)
+    for name in ("a", "b"):
+        assert max_rel(grads[name], ref_grads[name]) < 1e-12, name
+
+
+def test_info_nce_record_rejects_bad_shapes():
+    a = ad.constant(np.eye(3))
+    with pytest.raises(ShapeError):
+        ad.info_nce(a, ad.constant(np.eye(2)), ad.constant([[1.0]]))
+    with pytest.raises(ShapeError):
+        ad.info_nce(a, a, ad.constant([[1.0, 2.0]]))
+
+
+def cross_entropy_values(seed, n=6, p=4):
+    rng = np.random.default_rng(stable_seed(seed))
+    return {"logits": rng.normal(size=(n, p)) * 2.0}, rng.integers(p, size=n)
+
+
+def test_cross_entropy_record_matches_op_chain():
+    values, idx = cross_entropy_values("ce-chain")
+    results = []
+    for loss_fn in (ad.cross_entropy, chain_cross_entropy):
+        tape = ad.Tape()
+        loss = loss_fn(tape.parameter("logits", values["logits"]), idx)
+        results.append((loss.values, tape.backward(loss)["logits"], len(tape._records)))
+    (value, grad, n_records), (ref_value, ref_grad, _) = results
+    assert n_records == 1
+    assert max_rel(value, ref_value) < 1e-12
+    assert max_rel(grad, ref_grad) < 1e-12
+
+
+def test_cross_entropy_record_matches_fd():
+    values, idx = cross_entropy_values("ce-fd")
+
+    def build(vals):
+        tape = ad.Tape()
+        return tape, ad.cross_entropy(tape.parameter("logits", vals["logits"]), idx)
+
+    assert max_rel_vs_fd(build, values) < 1e-5
+
+
+def test_cross_entropy_record_rejects_bad_targets():
+    logits = ad.constant(np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        ad.cross_entropy(logits, [0, 3])
+    with pytest.raises(ShapeError):
+        ad.cross_entropy(logits, [0])
+
+
+def test_total_loss_parts_are_the_unweighted_terms():
+    tape = ad.Tape()
+    heads = make_heads(tape, dim=4, parents=3)
+    rng = np.random.default_rng(stable_seed("total-parts"))
+    hp, hj, ht = (ad.constant(rng.normal(size=(3, 4))) for _ in range(3))
+    idx = [0, 1, 2]
+    w = al.LossWeights(1.0, 0.5, 0.25)
+    loss, parts = al.total_loss(hp, hj, ht, idx, heads, w, return_parts=True)
+    assert loss.values.tobytes() == al.total_loss(hp, hj, ht, idx, heads, w).values.tobytes()
+    pairs = {"point_view": (hp, hj), "point_text": (hp, ht), "text_view": (ht, hj)}
+    assert list(parts) == [*al.TERM_NAMES, "parent"]
+    for k, name in enumerate(al.TERM_NAMES):
+        want = al.info_nce(*pairs[name], inv_tau=heads.inv_tau(k)).item()
+        assert abs(parts[name] - want) < 1e-12, name
+    assert parts["parent"] == al.parent_class_loss(hp, idx, heads).item()
+    by_parts = sum(lam * parts[name] for lam, name in zip((1.0, 0.5, 0.25), al.TERM_NAMES))
+    assert abs(loss.item() - (by_parts + parts["parent"])) < 1e-12
+    _, bare = al.total_loss(hp, None, ht, idx, heads, al.LossWeights(0.0, 1.0, 0.0),
+                            htt_on=False, return_parts=True)
+    assert list(bare) == ["point_text"]
+
+
+# ---------------------------------------------------------------------------
+# numpy batch fusion against jma_fuse
+
+
+def assert_fuse_views_matches_jma_fuse(view_rows, text_rows):
+    fused = al.fuse_views(view_rows, text_rows)
+    assert fused.shape == (len(view_rows), text_rows[0].shape[1])
+    for i, (views, text) in enumerate(zip(view_rows, text_rows)):
+        ref = al.jma_fuse(ad.constant(views), ad.constant(text)).values
+        assert fused[i:i + 1].tobytes() == ref.tobytes(), i
+
+
+def test_fuse_views_is_bitwise_jma_fuse_on_ragged_batches():
+    rng = np.random.default_rng(stable_seed("fuse-views-ragged"))
+    for trial in range(30):
+        sizes = rng.integers(1, 7, size=int(rng.integers(1, 9)))
+        view_rows = [rng.normal(size=(v, 8)) for v in sizes]
+        text_rows = [rng.normal(size=(1, 8)) for _ in sizes]
+        assert_fuse_views_matches_jma_fuse(view_rows, text_rows)
+
+
+def test_fuse_views_is_bitwise_jma_fuse_on_ties_and_single_views():
+    tied = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+    key = np.array([[1.0, 1.0]])
+    single = np.array([[-0.25, 3.0]])
+    view_rows = [tied, tied[[2, 1, 0, 3]], single, tied[:2]]
+    text_rows = [key, key, np.array([[0.5, -2.0]]), key]
+    assert_fuse_views_matches_jma_fuse(view_rows, text_rows)
+    assert al.fuse_views([single], [key]).tobytes() == single.tobytes()
+
+
+def test_fuse_views_rejects_non_finite_scores():
+    with pytest.raises(NumericError):
+        al.fuse_views([np.array([[np.inf, 0.0], [0.0, 1.0]])], [np.array([[1.0, 1.0]])])

@@ -212,6 +212,28 @@ def test_mlp_max_pool_matches_op_chain():
         assert max_rel(fused[name], chain[name]) < 1e-12, name
 
 
+def test_mlp_max_pool_saturated_columns_match_op_chain():
+    # large layer-2 weights and biases push whole columns to tanh = +1 or
+    # -1: rows tied after tanh differ before it, so the pre-activation
+    # argmax picks another winner than max_pool_rows, with the same output
+    clouds = ragged_clouds(8)
+    values = mlp_pool_values(9, hidden=6)
+    values["w2"] = values["w2"] * 40.0
+    values["b2"] = np.array([[60.0, -60.0, 0.0, 60.0, -60.0, 0.0]])
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    pre = np.tanh(clouds[2] @ values["w1"] + values["b1"]) @ values["w2"] + values["b2"]
+    post = np.tanh(pre)
+    assert (post[:, [0, 3]] == 1.0).all() and (post[:, [1, 4]] == -1.0).all()
+    assert (np.argmax(pre, axis=0) != np.argmax(post, axis=0))[[0, 1, 3, 4]].all()
+    fused_pool = ad.mlp_max_pool(clouds, *consts)
+    assert fused_pool.values.tobytes() == mlp_pool_chain(clouds, *consts).values.tobytes()
+    fused_tape, fused_loss = mlp_pool_build(ad.mlp_max_pool, clouds)(values)
+    chain_tape, chain_loss = mlp_pool_build(mlp_pool_chain, clouds)(values)
+    fused, chain = fused_tape.backward(fused_loss), chain_tape.backward(chain_loss)
+    for name in values:
+        assert max_rel(fused[name], chain[name]) < 1e-12, name
+
+
 def test_mlp_max_pool_rejects_bad_shapes():
     values = mlp_pool_values(0, hidden=4)
     w1, b1, w2, b2 = (ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2"))

@@ -79,6 +79,19 @@ def test_missing_data_file_is_validation_error(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_manifest_dim_exits_2(dataset_dir, tmp_path, flag):
+    root = tmp_path / "data"
+    shutil.copytree(dataset_dir, root)
+    manifest = root / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), dim=flag))
+    manifest.write_text("\n".join(lines) + "\n")
+    code, _, err = run_captured(["pretrain", "--data", str(manifest), "--epochs", "1"])
+    assert code == 2
+    assert f"line 1: dim must be a positive integer, got {flag!r}" in err
+
+
 def test_missing_checkpoint_is_validation_error(dataset_dir, workdir):
     code = cli.run(["eval-zeroshot", "--checkpoint", str(workdir / "no.bin"),
                     "--data", str(dataset_dir / "manifest.jsonl")])
@@ -575,6 +588,66 @@ def test_fuzzed_inputs_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_factory
             assert (code, out) == intact[:2], (name, mutation)
         else:
             assert code in (2, 3), (name, mutation)
+
+
+# Every mutation below changes a trained checkpoint's bytes.  Whatever it
+# breaks, `eval-zeroshot` must exit 0 (the file still describes a usable
+# model), 2 or 3, and never raise.
+
+CHECKPOINT_META_VALUES = [None, -1, 0, 1, 2**40, 1e308, math.nan, math.inf, -math.inf,
+                          "x", "", True, [], {}, [["a", "b"]], [[1, 2, 3]], {"a": 1}]
+CHECKPOINT_META_KEYS = ["config", "tree", "dim", "step", "losses"]
+CHECKPOINT_CONFIG_KEYS = ["batch_size", "epochs", "v_views", "point_hidden", "head_hidden",
+                          "tau_init", "prompt", "htt_on", "frozen_seed", "no_such_key"]
+
+checkpoint_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 999), st.just(0)),
+    st.tuples(st.just("flip byte"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("meta"), st.sampled_from(CHECKPOINT_META_KEYS),
+              st.integers(-1, len(CHECKPOINT_META_VALUES) - 1)),
+    st.tuples(st.just("config"), st.sampled_from(CHECKPOINT_CONFIG_KEYS),
+              st.integers(-1, len(CHECKPOINT_META_VALUES) - 1)),
+)
+
+
+def mutate_checkpoint(raw: bytes, mutation) -> bytes:
+    """The checkpoint's bytes with one mutation applied; a value index of -1
+    deletes the key."""
+    kind, where, what = mutation
+    if kind == "truncate":
+        return raw[:where * len(raw) // 1000]
+    if kind == "flip byte":
+        blob = bytearray(raw)
+        blob[where % len(blob)] ^= what
+        return bytes(blob)
+    (blob_len,) = struct.unpack_from("<I", raw, 12)
+    meta = json.loads(raw[16:16 + blob_len])
+    obj = meta if kind == "meta" else meta["config"]
+    if what < 0:
+        obj.pop(where, None)
+    else:
+        obj[where] = CHECKPOINT_META_VALUES[what]
+    blob = json.dumps(meta).encode()
+    return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + blob_len:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutation=checkpoint_mutations)
+@example(mutation=("truncate", 10, 0))
+@example(mutation=("flip byte", 13, 1))  # the metadata length
+@example(mutation=("meta", "dim", CHECKPOINT_META_VALUES.index(math.inf)))
+@example(mutation=("meta", "step", CHECKPOINT_META_VALUES.index(math.nan)))
+@example(mutation=("config", "point_hidden", CHECKPOINT_META_VALUES.index(2**40)))
+@example(mutation=("config", "prompt", CHECKPOINT_META_VALUES.index(None)))
+@example(mutation=("config", "frozen_seed", CHECKPOINT_META_VALUES.index(-1)))
+def test_fuzzed_checkpoints_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_factory, mutation):
+    base, _ = fuzz_base
+    raw = (base / "run" / "checkpoint.bin").read_bytes()
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.bin"
+    path.write_bytes(mutate_checkpoint(raw, mutation))
+    code, _, _ = run_captured(["eval-zeroshot", "--set", "data", "--checkpoint", str(path),
+                               "--data", str(base / "data" / "manifest.jsonl")])
+    assert code in (0, 2, 3), mutation
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 enumeration, payload round-trips, and manifest validation."""
 
 import json
+import math
 import struct
 from collections import Counter
 from itertools import combinations
@@ -47,6 +48,15 @@ def test_angle_bucket_values():
 def test_angle_bucket_rejects(bad):
     with pytest.raises(ContractError):
         data.angle_bucket(bad)
+
+
+@pytest.mark.parametrize("bad", ["abc", "12", math.nan, math.inf, -math.inf, [12], {}, None,
+                                 False, 12.5])
+def test_view_record_rejects_non_angles_with_contract_error(bad):
+    # non-numeric, NaN, infinite, unhashable and boolean angles are all
+    # contract violations, not stray ValueError/OverflowError/TypeError
+    with pytest.raises(ContractError):
+        data.ViewRecord(bad, "rgb", feature=np.ones(4))
 
 
 def test_circular_distance():
@@ -465,6 +475,18 @@ def test_load_manifest_rejects_non_object_header(tmp_path, header):
     with pytest.raises(ManifestError) as err:
         data.load_manifest(path)
     assert err.value.violations == ["line 1: header is not a JSON object"]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_load_manifest_rejects_boolean_dim(tmp_path, flag):
+    # JSON true is a Python int; it must not pass as width 1
+    path = write_dataset(tmp_path, dim=1)
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({"version": data.MANIFEST_VERSION, "dim": flag})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path)
+    assert f"line 1: dim must be a positive integer, got {flag!r}" in err.value.violations
 
 
 def test_load_manifest_dim_mismatch(tmp_path):

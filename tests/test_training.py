@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import gc
 import json
 import math
 import os
@@ -192,6 +193,41 @@ def test_training_is_bitwise_deterministic(tiny_dataset, tmp_path):
         assert a.params[name].tobytes() == b.params[name].tobytes()
     assert (tmp_path / "a/checkpoint.bin").read_bytes() == (tmp_path / "b/checkpoint.bin").read_bytes()
     assert (tmp_path / "a/losses.jsonl").read_bytes() == (tmp_path / "b/losses.jsonl").read_bytes()
+
+
+def test_losses_jsonl_reports_epoch_means_of_the_parts(tiny_dataset, tmp_path):
+    cfg = quick_config(seed=3, lambda2=0.5)
+    logged = tr.train(tiny_dataset, cfg, out_dir=tmp_path / "logged")
+    lines = [json.loads(x) for x in (tmp_path / "logged/losses.jsonl").read_text().splitlines()]
+    assert [x["epoch"] for x in lines] == list(range(cfg.epochs))
+    assert [x["loss"] for x in lines] == logged.losses
+    for x in lines:
+        assert list(x) == ["epoch", "loss", *al.TERM_NAMES, "parent"]
+        by_parts = x["point_view"] + 0.5 * x["point_text"] + x["text_view"] + x["parent"]
+        assert abs(x["loss"] - by_parts) < 1e-9 * abs(x["loss"])
+    # telemetry only reads: the same run without an output directory saves
+    # the same checkpoint bytes
+    tr.save_checkpoint(tr.train(tiny_dataset, cfg), tmp_path / "quiet.bin")
+    assert (tmp_path / "quiet.bin").read_bytes() == (tmp_path / "logged/checkpoint.bin").read_bytes()
+    # a term that is not computed is not reported
+    tr.train(tiny_dataset, quick_config(jma_on=False, htt_on=False), out_dir=tmp_path / "bare")
+    bare = json.loads((tmp_path / "bare/losses.jsonl").read_text().splitlines()[0])
+    assert list(bare) == ["epoch", "loss", "point_view", "point_text"]
+
+
+def test_training_steps_leave_no_garbage_cycles(tiny_dataset):
+    # a step's tape must be freed when the step ends, not when the cyclic
+    # garbage collector next runs, so peak memory does not depend on it
+    def cyclic_garbage(epochs):
+        gc.collect()
+        gc.disable()
+        try:
+            tr.train(tiny_dataset, quick_config(epochs=epochs))
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert cyclic_garbage(3) == cyclic_garbage(1)
 
 
 def test_seed_changes_trajectory(tiny_dataset):
