@@ -60,12 +60,11 @@ class AlignmentHeads:
     def n_parents(self) -> int:
         return self.cw2.values.shape[1]
 
-    def inv_tau(self, term: int = 0) -> ad.Tensor:
-        """1/tau for one contrastive term, as a differentiable 1x1 tensor."""
-        if not 0 <= term < self.log_tau.values.shape[1]:
-            raise ContractError(f"no temperature for term {term}")
-        picked = ad.select_columns(self.log_tau, np.array([term]))
-        return ad.exp(ad.scale(picked, -1.0))
+    def inv_taus(self) -> tuple[ad.Tensor, ...]:
+        """1/tau for each contrastive term, in ``TERM_NAMES`` order, as
+        differentiable 1x1 tensors taken from one exp of log_tau."""
+        inv = ad.exp(ad.scale(self.log_tau, -1.0))
+        return tuple(ad.select_columns(inv, np.array([k])) for k in range(inv.values.shape[1]))
 
     def tau_value(self, term: int = 0) -> float:
         return float(np.exp(self.log_tau.values[0, term]))
@@ -171,7 +170,7 @@ def _as_inv_tau(tau, inv_tau) -> ad.Tensor:
         raise ContractError("provide exactly one of tau or inv_tau")
     if tau is not None:
         if isinstance(tau, ad.Tensor):
-            raise ContractError("trainable temperature must come in as inv_tau (see AlignmentHeads.inv_tau)")
+            raise ContractError("trainable temperature must come in as inv_tau (see AlignmentHeads.inv_taus)")
         if tau <= 0:
             raise ContractError(f"tau must be positive, got {tau}")
         return ad.constant([[1.0 / float(tau)]])
@@ -195,15 +194,15 @@ def info_nce(a: ad.Tensor, b: ad.Tensor, tau=None, inv_tau=None, symmetric: bool
 
 def contrastive_total(h_point: ad.Tensor, h_joint: ad.Tensor | None, h_text: ad.Tensor,
                       weights: LossWeights, tau=None, inv_tau=None,
-                      symmetric: bool = True, return_parts: bool = False):
-    """Weighted sum of the three pairwise terms; zero-weight terms are
-    skipped entirely (their features may legitimately be absent).
+                      symmetric: bool = True):
+    """Weighted sum of the three pairwise terms, as ``(total, parts)``;
+    zero-weight terms are skipped entirely (their features may
+    legitimately be absent).  ``parts`` holds each computed term's
+    unweighted value as a float, keyed by its name in ``TERM_NAMES``.
 
     inv_tau may be a single value shared by all terms or a sequence of
     three, one per term in (lambda1, lambda2, lambda3) order; the entry
-    of a zero-weight term is not read.  With ``return_parts`` the result
-    is ``(total, parts)``: each computed term's unweighted value as a
-    float, keyed by its name in ``TERM_NAMES``.
+    of a zero-weight term is not read.
     """
     if isinstance(inv_tau, (tuple, list)):
         if tau is not None:
@@ -226,7 +225,7 @@ def contrastive_total(h_point: ad.Tensor, h_joint: ad.Tensor | None, h_text: ad.
         if lam != 1.0:  # x * 1.0 is x: no record for a unit weight
             term = ad.scale(term, lam)
         total = term if total is None else ad.add(total, term)
-    return (total, parts) if return_parts else total
+    return total, parts
 
 
 def classifier_logits(h_point: ad.Tensor, heads: AlignmentHeads) -> ad.Tensor:
@@ -242,19 +241,15 @@ def parent_class_loss(h_point: ad.Tensor, parent_idx, heads: AlignmentHeads) -> 
 
 def total_loss(h_point: ad.Tensor, h_joint: ad.Tensor | None, h_text: ad.Tensor,
                parent_idx, heads: AlignmentHeads, weights: LossWeights,
-               htt_on: bool = True, symmetric: bool = True, return_parts: bool = False):
+               htt_on: bool = True, symmetric: bool = True):
     """Contrastive terms plus (when the tree branch is on) the parent
-    classification loss.  The three 1/tau come from one exp of
-    ``heads.log_tau``.  With ``return_parts`` the result is
-    ``(loss, parts)``, as in ``contrastive_total``, plus the parent loss
-    under "parent" when it is on."""
-    inv = ad.exp(ad.scale(heads.log_tau, -1.0))
-    its = [ad.select_columns(inv, np.array([k])) if lam > 0 else None
-           for k, lam in enumerate((weights.lambda1, weights.lambda2, weights.lambda3))]
-    loss, parts = contrastive_total(h_point, h_joint, h_text, weights, inv_tau=its,
-                                    symmetric=symmetric, return_parts=True)
+    classification loss, as ``(loss, parts)``: the parts of
+    ``contrastive_total`` plus the parent loss under "parent" when it is
+    on.  The three 1/tau are ``heads.inv_taus()``."""
+    loss, parts = contrastive_total(h_point, h_joint, h_text, weights, inv_tau=heads.inv_taus(),
+                                    symmetric=symmetric)
     if htt_on:
         parent = parent_class_loss(h_point, parent_idx, heads)
         parts["parent"] = parent.item()
         loss = ad.add(loss, parent)
-    return (loss, parts) if return_parts else loss
+    return loss, parts

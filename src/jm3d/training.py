@@ -210,8 +210,7 @@ def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
         h_text = _unit_rows(h_text)
     loss, parts = al.total_loss(h_point, ad.constant(h_joint), ad.constant(h_text),
                                 parent_idx, heads, config.loss_weights(),
-                                htt_on=config.htt_on, symmetric=config.symmetric_nce,
-                                return_parts=True)
+                                htt_on=config.htt_on, symmetric=config.symmetric_nce)
     return tape, loss, parts
 
 
