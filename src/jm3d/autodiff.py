@@ -628,10 +628,17 @@ def grad_check(build: Callable[[dict[str, np.ndarray]], tuple[Tape, Tensor]],
     if eps <= 0:
         raise ContractError("eps must be positive")
     values = {name: np.array(arr, dtype=np.float64) for name, arr in values.items()}
+
+    def loss_at() -> float:
+        tape, loss = build(values)
+        tape.parameters.clear()  # break the tape<->parameter cycle: free each build on return
+        return loss.item()
+
     tape, loss = build(values)
     if loss.values.size != 1:
         raise ContractError("grad_check needs a scalar loss")
     analytic = tape.backward(loss)
+    tape.parameters.clear()
     missing = sorted(set(values) - set(analytic))
     if missing:
         raise ContractError(f"build did not register parameters {missing}")
@@ -642,9 +649,9 @@ def grad_check(build: Callable[[dict[str, np.ndarray]], tuple[Tape, Tensor]],
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            hi = build(values)[1].item()
+            hi = loss_at()
             flat[i] = keep - eps
-            lo = build(values)[1].item()
+            lo = loss_at()
             flat[i] = keep
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise NumericError(f"loss is not finite near {name!r}")

@@ -79,12 +79,14 @@ class ViewRecord:
     """One rendered view: a grid angle, a render kind, and its payload.
 
     Exactly one of ``feature`` (D floats) or ``raster`` (H x W x C uint8)
-    is set.  Records are read-only and compare by identity.  A record that
+    is set.  Records are read-only and compare by identity.
+    ``payload_file`` is the payload's name in the manifest the record was
+    loaded from, or None for a record built by hand.  A record that
     ``load_manifest(..., read_views=False)`` builds reads its payload file
     the first time ``feature`` or ``raster`` is used.
     """
 
-    __slots__ = ("_angle", "_kind", "_feature", "_raster", "_read")
+    __slots__ = ("_angle", "_kind", "_feature", "_raster", "_file", "_read", "_where")
 
     def __init__(self, angle_deg: int, kind: str, feature: np.ndarray | None = None,
                  raster: np.ndarray | None = None):
@@ -93,18 +95,12 @@ class ViewRecord:
             raise InputError(f"view kind must be one of {VIEW_KINDS}, got {kind!r}")
         if (feature is None) == (raster is None):
             raise InputError("view needs exactly one of feature or raster")
-        self._angle, self._kind, self._feature, self._raster, self._read = angle_deg, kind, feature, raster, None
-
-    @classmethod
-    def _unchecked(cls, angle_deg: int, kind: str, feature, raster, read=None) -> "ViewRecord":
-        """A record whose angle and kind a manifest check has passed.  With
-        `read`, the payload set to `_UNREAD` is `read()`'s on first use."""
-        rec = cls.__new__(cls)
-        rec._angle, rec._kind, rec._feature, rec._raster, rec._read = angle_deg, kind, feature, raster, read
-        return rec
+        self._angle, self._kind, self._feature, self._raster = angle_deg, kind, feature, raster
+        self._file = self._read = self._where = None
 
     angle_deg = property(lambda self: self._angle)
     kind = property(lambda self: self._kind)
+    payload_file = property(lambda self: self._file)
 
     @property
     def feature(self) -> np.ndarray | None:
@@ -119,7 +115,8 @@ class ViewRecord:
         return self._raster
 
     def _load(self) -> None:
-        self._feature, self._raster = self._read()
+        """Read the payload; after a failed read the next use fails alike."""
+        self._feature, self._raster = self._read(self._file, self._where, self._raster is _UNREAD)
         self._read = None
 
     def __repr__(self) -> str:
@@ -133,6 +130,7 @@ class TripletSample:
     views: tuple[ViewRecord, ...]
     parent: str
     sub: str | None
+    cloud_file: str | None = None  # the cloud's name in its manifest, if loaded from one
 
     def __post_init__(self):
         if not self.views:
@@ -141,9 +139,15 @@ class TripletSample:
             raise InputError(f"sample {self.sample_id!r} has empty parent")
 
 
+# grid angle -> bucket index, the common case of `angle_bucket`
+_GRID_BUCKETS = {a: a // ANGLE_STEP_DEG for a in range(0, 360, ANGLE_STEP_DEG)}
+
+
 def angle_bucket(angle_deg) -> int:
     """Index of a grid angle: 0 -> 0, 12 -> 1, ..., 348 -> 29.  Anything
     else, a bool, NaN, Inf or a non-number included, raises ContractError."""
+    if type(angle_deg) is int and angle_deg in _GRID_BUCKETS:
+        return _GRID_BUCKETS[angle_deg]
     try:
         a = int(angle_deg)
         on_grid = (a == angle_deg and not isinstance(angle_deg, bool)
@@ -466,31 +470,9 @@ def read_raster_file(path) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ViewDescriptor:
-    angle_deg: int
-    kind: str
-    feature_file: str | None
-    image_file: str | None
-
-    @property
-    def payload_file(self) -> str:
-        return self.feature_file if self.feature_file is not None else self.image_file
-
-
-@dataclass(frozen=True)
-class SampleDescriptor:
-    sample_id: str
-    parent: str
-    sub: str | None
-    cloud_file: str
-    views: tuple[ViewDescriptor, ...]
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
     version: str
     dim: int
-    records: tuple[SampleDescriptor, ...]
 
 
 @dataclass(frozen=True)
@@ -513,7 +495,10 @@ def _name_problem(name) -> str | None:
     return None
 
 
-def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDescriptor | None:
+def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple | None:
+    """(id, parent, sub, cloud_file, views) of a valid record, each view an
+    unread `ViewRecord` that reads its payload through `read`; None once
+    the record's violations are appended to `problems`."""
     ok = True
 
     def bad(msg):
@@ -538,7 +523,8 @@ def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDe
     if not isinstance(views, list) or not views:
         bad("views must be a nonempty list")
         return None
-    parsed_views = []
+    sample_where = f"sample {obj['id']!r}"
+    records = []
     for i, vw in enumerate(views):
         if not isinstance(vw, dict):
             bad(f"view {i} is not an object")
@@ -557,23 +543,18 @@ def _descriptor_from_obj(obj: dict, where: str, problems: list[str]) -> SampleDe
         if (feat is None) == (img is None):
             bad(f"view {i} needs exactly one of feature_file or image_file")
             continue
-        if problem := _name_problem(img if feat is None else feat):
+        name = img if feat is None else feat
+        if problem := _name_problem(name):
             bad(f"view {i} {'image_file' if feat is None else 'feature_file'} {problem}")
             continue
-        parsed_views.append(ViewDescriptor(int(angle), kind, feat, img))
+        # built past __init__: the checks above are its checks
+        rec = ViewRecord.__new__(ViewRecord)
+        rec._angle, rec._kind, rec._file, rec._read, rec._where = int(angle), kind, name, read, sample_where
+        rec._feature, rec._raster = (_UNREAD, None) if img is None else (None, _UNREAD)
+        records.append(rec)
     if not ok:
         return None
-    return SampleDescriptor(obj["id"], obj["parent"], obj["sub"], obj["cloud_file"], tuple(parsed_views))
-
-
-def _read_view(path: str, vd: ViewDescriptor, dim: int | None) -> tuple:
-    """(feature, raster) of one view's payload file; a feature is 1 x dim."""
-    if vd.feature_file is None:
-        return None, read_raster_file(path)
-    feat = read_feature_file(path)
-    if feat.shape[0] != 1 or (dim is not None and feat.shape[1] != dim):
-        raise InputError(f"view feature {vd.feature_file} is {feat.shape[0]}x{feat.shape[1]}, expected 1x{dim}")
-    return feat[0], None
+    return obj["id"], obj["parent"], obj["sub"], obj["cloud_file"], tuple(records)
 
 
 def load_manifest(path, read_views: bool = True) -> LoadedDataset:
@@ -600,16 +581,17 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
             return str(base / name)
         return prefix + name
 
-    def lazy_view(vd: ViewDescriptor, where: str) -> ViewRecord:
-        def read():
-            try:
-                return _read_view(payload_path(vd.payload_file), vd, dim)
-            except (OSError, InputError, ShapeError) as e:
-                raise ManifestError([f"{where}: {e}"]) from None
-
-        if vd.feature_file is not None:
-            return ViewRecord._unchecked(vd.angle_deg, vd.kind, _UNREAD, None, read)
-        return ViewRecord._unchecked(vd.angle_deg, vd.kind, None, _UNREAD, read)
+    def read_view(name: str, where: str, is_image: bool) -> tuple:
+        """(feature, raster) of one view's payload file; a feature is 1 x dim."""
+        try:
+            if is_image:
+                return None, read_raster_file(payload_path(name))
+            feat = read_feature_file(payload_path(name))
+            if feat.shape[0] != 1 or (dim is not None and feat.shape[1] != dim):
+                raise InputError(f"view feature {name} is {feat.shape[0]}x{feat.shape[1]}, expected 1x{dim}")
+        except (OSError, InputError, ShapeError) as e:
+            raise ManifestError([f"{where}: {e}"]) from None
+        return feat[0], None
 
     problems: list[str] = []
     try:
@@ -636,7 +618,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
         problems.append(f"line 1: dim must be a positive integer, got {dim!r}")
         dim = None
 
-    descriptors: list[SampleDescriptor] = []
+    parsed: list[tuple] = []
     seen_ids: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"line {lineno}"
@@ -658,35 +640,35 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
                 problems.append(f"{where}: duplicate sample id {sid!r}")
                 continue
             seen_ids.add(sid)
-        desc = _descriptor_from_obj(obj, where, problems)
-        if desc is not None:
-            descriptors.append(desc)
+        sample = _sample_from_obj(obj, where, problems, read_view)
+        if sample is not None:
+            parsed.append(sample)
 
+    # payloads are read after every line is checked, so line violations come first
     samples: list[TripletSample] = []
-    for desc in descriptors:
-        where = f"sample {desc.sample_id!r}"
+    for sid, parent, sub, cloud_file, views in parsed:
+        where = f"sample {sid!r}"
         try:
-            cloud_pts = read_cloud_file(payload_path(desc.cloud_file))
+            cloud_pts = read_cloud_file(payload_path(cloud_file))
             if cloud_pts.shape[0] < 1:
                 raise InputError("empty cloud")
             if not np.isfinite(cloud_pts).all():
                 raise InputError("non-finite cloud coordinates")
             if read_views:
-                views = tuple(ViewRecord._unchecked(vd.angle_deg, vd.kind,
-                                                    *_read_view(payload_path(vd.payload_file), vd, dim))
-                              for vd in desc.views)
-            else:
-                views = tuple(lazy_view(vd, where) for vd in desc.views)
-            samples.append(TripletSample(desc.sample_id, PointCloud.from_raw(cloud_pts), views,
-                                         desc.parent, desc.sub))
+                for vw in views:
+                    vw._load()
         except (OSError, InputError, ShapeError) as e:
             problems.append(f"{where}: {e}")
+            continue
+        except ManifestError as e:  # from a view's read, which names the sample
+            problems += e.violations
+            continue
+        samples.append(TripletSample(sid, PointCloud.from_raw(cloud_pts), views, parent, sub, cloud_file))
 
     if problems:
         raise ManifestError(problems)
     tree = CategoryTree.from_pairs((s.parent, s.sub) for s in samples)
-    manifest = DatasetManifest(MANIFEST_VERSION, int(dim), tuple(descriptors))
-    return LoadedDataset(manifest, tuple(samples), tree)
+    return LoadedDataset(DatasetManifest(MANIFEST_VERSION, int(dim)), tuple(samples), tree)
 
 
 def write_manifest(path, dim: int, records: list[dict]) -> None:

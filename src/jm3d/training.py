@@ -61,6 +61,11 @@ class TrainConfig:
     symmetric_nce: bool = True
 
     def __post_init__(self):
+        # NaN passes every range check below, since it compares false
+        nan = [f.name for f in dataclasses.fields(self)
+               if f.type == "float" and math.isnan(getattr(self, f.name))]
+        if nan:
+            raise ConfigError(f"{', '.join(nan)} must not be NaN")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2 (contrastive loss needs negatives), got {self.batch_size}")
         if self.epochs < 1:
@@ -325,11 +330,14 @@ def load_checkpoint(path) -> Checkpoint:
         data = take(8 * n_items, f"array {name!r}")
         params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     try:
+        for key, least in (("dim", 1), ("step", 0)):
+            if type(meta[key]) is not int or meta[key] < least:  # JSON true is an int
+                raise ValueError(f"{key} must be an integer >= {least}, got {meta[key]!r}")
         ckpt = Checkpoint(
             config=meta["config"],
             tree_pairs=[(p, s) for p, s in meta["tree"]],
-            dim=int(meta["dim"]),
-            step=int(meta["step"]),
+            dim=meta["dim"],
+            step=meta["step"],
             losses=[float(x) for x in meta["losses"]],
             params=params,
         )
@@ -436,4 +444,6 @@ def point_features(samples, params: dict) -> np.ndarray:
     path: a throwaway tape per call, no gradients kept)."""
     tape = ad.Tape()
     enc = point_encoder_from_values(tape, params)
-    return encode_point_cloud([s.cloud for s in samples], enc).values
+    feats = encode_point_cloud([s.cloud for s in samples], enc).values
+    tape.parameters.clear()  # as in train(): free the tape without the cyclic GC
+    return feats

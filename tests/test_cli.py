@@ -107,6 +107,13 @@ def test_bad_config_key_is_validation_error(dataset_dir, workdir, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def test_nan_learning_rate_is_validation_error(dataset_dir, workdir, capsys):
+    code = cli.run(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"), "--lr", "nan",
+                    "--out", str(workdir / "nan_lr")])
+    assert code == 2
+    assert "base_lr must not be NaN" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report header and config resolution
 
@@ -298,20 +305,20 @@ def serve_args(run_dir, manifest):
 
 def test_serve_commands_read_only_the_payloads_they_use(run_dir, dataset_dir, workdir, monkeypatch):
     manifest = dataset_dir / "manifest.jsonl"
-    records = load_manifest(manifest).manifest.records
+    samples = load_manifest(manifest).samples
     calls = Counter()
     for name in ("read_cloud_file", "read_feature_file", "read_raster_file"):
         def counted(p, _read=getattr(data, name), _name=name):
             calls[_name, p] += 1
             return _read(p)
         monkeypatch.setattr(data, name, counted)
-    clouds = Counter(("read_cloud_file", str(dataset_dir / rec.cloud_file)) for rec in records)
-    query_view = ("read_feature_file", str(dataset_dir / records[3].views[5].feature_file))
+    clouds = Counter(("read_cloud_file", str(dataset_dir / s.cloud_file)) for s in samples)
+    query_view = ("read_feature_file", str(dataset_dir / samples[3].views[5].payload_file))
     common = serve_args(run_dir, manifest)
     for argv, expected in (
             (["eval-zeroshot", *common], clouds),
             (["export-features", *common, "--out", str(workdir / "lazy_feats")], clouds),
-            (["retrieve", *common, "--query", records[3].sample_id, "--view", "5"],
+            (["retrieve", *common, "--query", samples[3].sample_id, "--view", "5"],
              clouds + Counter([query_view]))):
         calls.clear()
         assert run_captured(argv)[0] == 0
@@ -320,14 +327,14 @@ def test_serve_commands_read_only_the_payloads_they_use(run_dir, dataset_dir, wo
 
 def copy_dataset(dataset_dir, root):
     shutil.copytree(dataset_dir, root)
-    return root / "manifest.jsonl", load_manifest(root / "manifest.jsonl").manifest.records
+    return root / "manifest.jsonl", load_manifest(root / "manifest.jsonl").samples
 
 
 def test_corrupt_view_fails_only_the_commands_that_read_it(run_dir, dataset_dir, tmp_path):
     intact = run_captured(["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl")])
     assert intact[0] == 0
     manifest, records = copy_dataset(dataset_dir, tmp_path / "data")
-    bad = [tmp_path / "data" / records[i].views[5].feature_file for i in (2, 7)]
+    bad = [tmp_path / "data" / records[i].views[5].payload_file for i in (2, 7)]
     for path in bad:
         path.write_bytes(path.read_bytes()[:6])
     violations = [f"sample {records[i].sample_id!r}: feature file {path} is truncated"
@@ -346,7 +353,7 @@ def test_corrupt_view_fails_only_the_commands_that_read_it(run_dir, dataset_dir,
 
 def test_non_finite_view_feature_exits_3_where_it_is_read(run_dir, dataset_dir, tmp_path):
     manifest, records = copy_dataset(dataset_dir, tmp_path / "data")
-    path = tmp_path / "data" / records[1].views[0].feature_file
+    path = tmp_path / "data" / records[1].views[0].payload_file
     blob = bytearray(path.read_bytes())
     struct.pack_into("<f", blob, 8 + 4 * 3, math.nan)
     path.write_bytes(bytes(blob))
@@ -488,7 +495,7 @@ def fuzz_base(tmp_path_factory):
                     "--seed", "0"]) == 0
     assert cli.run(["pretrain", "--data", str(root / "data" / "manifest.jsonl"),
                     "--out", str(root / "run"), "--epochs", "1", "--batch", "4"]) == 0
-    records = load_manifest(root / "data" / "manifest.jsonl").manifest.records
+    records = load_manifest(root / "data" / "manifest.jsonl").samples
     return root, records
 
 
@@ -518,7 +525,7 @@ def apply_mutation(root, records, mutation):
     kind, i, j = mutation[:3]
     if kind in PAYLOAD_FAULTS:
         rec, view = records[i // 5], i % 5 - 1  # view -1 is the cloud
-        path = root / (rec.cloud_file if view < 0 else rec.views[view].feature_file)
+        path = root / (rec.cloud_file if view < 0 else rec.views[view].payload_file)
         blob = bytearray(path.read_bytes())
         header = 4 if view < 0 else 8
         if kind == "truncate":

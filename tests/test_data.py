@@ -533,8 +533,9 @@ def array_signature(a):
 
 
 def dataset_signature(ds):
-    return [(s.sample_id, s.parent, s.sub, array_signature(s.cloud.points),
-             [(v.angle_deg, v.kind, array_signature(v.feature if v.raster is None else v.raster))
+    return [(s.sample_id, s.parent, s.sub, s.cloud_file, array_signature(s.cloud.points),
+             [(v.angle_deg, v.kind, v.payload_file,
+               array_signature(v.feature if v.raster is None else v.raster))
               for v in s.views])
             for s in ds.samples]
 
@@ -561,13 +562,11 @@ def test_load_manifest_calls_each_module_reader_once_per_payload(tmp_path, monke
         monkeypatch.setattr(data, name, counted)
     loaded = data.load_manifest(path)
     expected = Counter()
-    for desc in loaded.manifest.records:
-        expected["read_cloud_file", str(tmp_path / desc.cloud_file)] += 1
-        for vd in desc.views:
-            if vd.feature_file is not None:
-                expected["read_feature_file", str(tmp_path / vd.feature_file)] += 1
-            else:
-                expected["read_raster_file", str(tmp_path / vd.image_file)] += 1
+    for sample in loaded.samples:
+        expected["read_cloud_file", str(tmp_path / sample.cloud_file)] += 1
+        for vw in sample.views:
+            reader = "read_feature_file" if vw.raster is None else "read_raster_file"
+            expected[reader, str(tmp_path / vw.payload_file)] += 1
     assert calls == expected
     assert sum(calls.values()) == 8 * 9 + 3
 
@@ -655,6 +654,97 @@ def test_load_manifest_checks_each_angle_once(tmp_path, monkeypatch, read_views)
     monkeypatch.setattr(data, "angle_bucket", lambda a: checked.update([a]) or real(a))
     loaded = data.load_manifest(path, read_views=read_views)
     assert sum(checked.values()) == sum(len(s.views) for s in loaded.samples) == 8 * 8 + 2
+
+
+def ref_angle_bucket(angle_deg) -> int:
+    """`data.angle_bucket` before its grid lookup: the reference it must match."""
+    try:
+        a = int(angle_deg)
+        on_grid = (a == angle_deg and not isinstance(angle_deg, bool)
+                   and a % 12 == 0 and 0 <= a <= 348)
+    except (TypeError, ValueError, OverflowError):
+        on_grid = False
+    if not on_grid:
+        raise ContractError(f"angle must be a multiple of 12 in [0, 348], got {angle_deg!r}")
+    return a // 12
+
+
+def ref_view_problem(i: int, vw) -> str | None:
+    """The first violation of view i as the manifest check reported it when it
+    built a descriptor per view, or None: the reference `load_manifest` must match."""
+    if not isinstance(vw, dict):
+        return f"view {i} is not an object"
+    angle = vw.get("angle")
+    try:
+        ref_angle_bucket(angle)
+    except ContractError:
+        return f"view {i} angle {angle!r} is not a multiple of 12 in [0, 348]"
+    kind = vw.get("kind")
+    if kind not in ("rgb", "depth"):
+        return f"view {i} kind {kind!r} not in ('rgb', 'depth')"
+    feat, img = vw.get("feature_file"), vw.get("image_file")
+    if (feat is None) == (img is None):
+        return f"view {i} needs exactly one of feature_file or image_file"
+    field, name = ("image_file", img) if feat is None else ("feature_file", feat)
+    if not isinstance(name, str):
+        return f"view {i} {field} must be a string"
+    if "\0" in name:
+        return f"view {i} {field} {name!r} holds a NUL byte"
+    return None
+
+
+VIEW_ANGLES = [12, 12.0, True, False, 0, "12", 360, -12, math.nan, math.inf, [12],
+               348, 348.0, 12.5, 2**70, None]
+VIEW_KINDS = ["rgb", "depth", "RGB", ["rgb"], None]
+VIEW_NAMES = [{"feature_file": "f.bin"}, {"image_file": "r.bin"},
+              {"feature_file": "f.bin", "image_file": None}, {}, {"feature_file": 5},
+              {"image_file": ["r.bin"]}, {"feature_file": "a\0b.bin"}, {"image_file": "\0"},
+              {"feature_file": "f.bin", "image_file": "r.bin"}]
+
+
+def test_angle_bucket_matches_the_reference():
+    for angle in VIEW_ANGLES + [{}, -math.inf, 6, 349, 2**63, 24.000000001]:
+        try:
+            expected = ref_angle_bucket(angle)
+        except ContractError as exc:
+            with pytest.raises(ContractError) as err:
+                data.angle_bucket(angle)
+            assert str(err.value) == str(exc)
+        else:
+            assert data.angle_bucket(angle) == expected
+
+
+def test_view_checks_accept_exactly_what_the_reference_accepts(tmp_path):
+    rng = np.random.default_rng(0)
+    data.write_cloud_file(tmp_path / "c.bin", rng.normal(size=(8, 3)))
+    data.write_feature_file(tmp_path / "f.bin", rng.normal(size=(1, 4)))
+    data.write_raster_file(tmp_path / "r.bin", np.zeros((2, 2, 1), dtype=np.uint8))
+    path = tmp_path / "m.jsonl"
+    cases = [{"angle": angle, "kind": kind, **names}
+             for angle in VIEW_ANGLES for kind in VIEW_KINDS for names in VIEW_NAMES]
+    cases += [5, None, [{"angle": 0, "kind": "rgb", "feature_file": "f.bin"}],
+              {"kind": "rgb", "feature_file": "f.bin"}]
+    accepted = 0
+    for vw in cases:
+        # the view under test is view 1, after a valid one
+        data.write_manifest(path, 4, [{"id": "s0", "parent": "chair", "sub": None, "cloud_file": "c.bin",
+                                       "views": [{"angle": 0, "kind": "rgb", "feature_file": "f.bin"}, vw]}])
+        vw = json.loads(path.read_text().splitlines()[1])["views"][1]  # as the loader sees it
+        problem = ref_view_problem(1, vw)
+        for read_views in (False, True):
+            if problem is not None:
+                with pytest.raises(ManifestError) as err:
+                    data.load_manifest(path, read_views=read_views)
+                assert err.value.violations == [f"line 2: {problem}"], vw
+                continue
+            rec = data.load_manifest(path, read_views=read_views).samples[0].views[1]
+            name = vw.get("feature_file") or vw.get("image_file")
+            assert (rec.angle_deg, type(rec.angle_deg), rec.kind, rec.payload_file) == \
+                (int(vw["angle"]), int, vw["kind"], name), vw
+            assert (rec.raster is None) == ("feature_file" in vw and vw["feature_file"] is not None)
+            accepted += read_views
+    # angles 0, 12, 12.0, 348 and 348.0, either kind, three spellings of one name
+    assert accepted == 5 * 2 * 3
 
 
 @pytest.mark.parametrize("fault", ["truncated", "missing", "wrong dim"])

@@ -140,6 +140,14 @@ def test_config_validation():
         quick_config(lambda1=0.0, lambda2=0.0, lambda3=0.0)
     with pytest.raises(ConfigError):
         quick_config(prompt="no slot")
+    assert quick_config(omega_deg=math.inf).omega_deg == math.inf  # an unbounded window
+
+
+@pytest.mark.parametrize("name", ["base_lr", "tau_init", "omega_deg", "adam_eps", "weight_decay",
+                                  "lambda1", "lambda2", "lambda3"])
+def test_config_rejects_nan_in_every_float_field(name):
+    with pytest.raises(ConfigError, match=f"^{name} must not be NaN$"):
+        quick_config(**{name: math.nan})
 
 
 def test_jma_off_drops_frozen_only_term():
@@ -215,19 +223,39 @@ def test_losses_jsonl_reports_epoch_means_of_the_parts(tiny_dataset, tmp_path):
     assert list(bare) == ["epoch", "loss", "point_view", "point_text"]
 
 
+def cyclic_garbage(call) -> int:
+    """How many objects the cyclic garbage collector frees after `call()`."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
 def test_training_steps_leave_no_garbage_cycles(tiny_dataset):
     # a step's tape must be freed when the step ends, not when the cyclic
     # garbage collector next runs, so peak memory does not depend on it
-    def cyclic_garbage(epochs):
-        gc.collect()
-        gc.disable()
-        try:
-            tr.train(tiny_dataset, quick_config(epochs=epochs))
-            return gc.collect()
-        finally:
-            gc.enable()
+    def run(epochs):
+        return lambda: tr.train(tiny_dataset, quick_config(epochs=epochs))
 
-    assert cyclic_garbage(3) == cyclic_garbage(1)
+    assert cyclic_garbage(run(3)) == cyclic_garbage(run(1))
+
+
+def test_point_features_and_grad_check_leave_no_garbage_cycles(tiny_dataset):
+    # their throwaway tapes, one per call or per loss build, are freed on return
+    tape = ad.Tape()
+    init_point_encoder(tape, 8, tiny_dataset.dim, np.random.default_rng(0))
+    params = {name: t.values for name, t in tape.parameters.items()}
+
+    def build(values):
+        t = ad.Tape()
+        w = t.parameter("w", values["w"])
+        return t, ad.mean(ad.mul(w, w))
+
+    assert cyclic_garbage(lambda: tr.point_features(tiny_dataset.samples[:3], params)) == 0
+    assert cyclic_garbage(lambda: ad.grad_check(build, {"w": np.ones((2, 3))})) == 0
 
 
 def test_seed_changes_trajectory(tiny_dataset):
@@ -425,6 +453,14 @@ def test_malformed_checkpoint_exits_2_and_non_finite_exits_3(tiny_dir, tiny_data
         (with_params(**{"point.w1": None}), 2, "'point.w1'"),
         (with_params(**{"head.cb2": np.zeros((1, 7))}), 2, "'head.cb2'"),
         (with_params(**{"point.w2": nan_w2}), 3, "non-finite values in parameters ['point.w2']"),
+        (with_metadata(raw, {**meta, "dim": meta["dim"] + 0.7}), 2, "dim must be an integer >= 1, got"),
+        (with_metadata(raw, {**meta, "dim": str(meta["dim"])}), 2,
+         f"dim must be an integer >= 1, got '{meta['dim']}'"),
+        (with_metadata(raw, {**meta, "dim": True}), 2, "dim must be an integer >= 1, got True"),
+        (with_metadata(raw, {**meta, "step": meta["step"] + 0.9}), 2, "step must be an integer >= 0, got"),
+        (with_metadata(raw, {**meta, "step": -1}), 2, "step must be an integer >= 0, got -1"),
+        (with_metadata(raw, {**meta, "config": {**meta["config"], "tau_init": math.nan}}), 2,
+         "tau_init must not be NaN"),
     ]
     bad = tmp_path / "bad.bin"
     for blob, code, message in cases:
