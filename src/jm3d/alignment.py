@@ -56,10 +56,6 @@ class AlignmentHeads:
     cw2: ad.Tensor
     cb2: ad.Tensor
 
-    @property
-    def n_parents(self) -> int:
-        return self.cw2.values.shape[1]
-
     def inv_taus(self) -> tuple[ad.Tensor, ...]:
         """1/tau for each contrastive term, in ``TERM_NAMES`` order, as
         differentiable 1x1 tensors taken from one exp of log_tau."""
@@ -82,24 +78,22 @@ def alignment_head_shapes(dim: int, n_parents: int, hidden: int) -> dict[str, tu
 
 
 def init_alignment_heads(tape: ad.Tape, dim: int, n_parents: int, hidden: int, rng,
-                         tau_init: float = 0.07, prefix: str = "head") -> AlignmentHeads:
+                         tau_init: float = 0.07) -> AlignmentHeads:
     shapes = alignment_head_shapes(dim, n_parents, hidden)
     if tau_init <= 0:
         raise ConfigError(f"tau_init must be positive, got {tau_init}")
     return AlignmentHeads(
-        log_tau=tape.parameter(f"{prefix}.log_tau", np.full(shapes["log_tau"], math.log(tau_init))),
-        cw1=tape.parameter(f"{prefix}.cw1", rng.normal(size=shapes["cw1"]) / math.sqrt(dim)),
-        cb1=tape.parameter(f"{prefix}.cb1", np.zeros(shapes["cb1"])),
-        cw2=tape.parameter(f"{prefix}.cw2", rng.normal(size=shapes["cw2"]) / math.sqrt(hidden)),
-        cb2=tape.parameter(f"{prefix}.cb2", np.zeros(shapes["cb2"])),
+        log_tau=tape.parameter("head.log_tau", np.full(shapes["log_tau"], math.log(tau_init))),
+        cw1=tape.parameter("head.cw1", rng.normal(size=shapes["cw1"]) / math.sqrt(dim)),
+        cb1=tape.parameter("head.cb1", np.zeros(shapes["cb1"])),
+        cw2=tape.parameter("head.cw2", rng.normal(size=shapes["cw2"]) / math.sqrt(hidden)),
+        cb2=tape.parameter("head.cb2", np.zeros(shapes["cb2"])),
     )
 
 
-def heads_from_values(tape: ad.Tape, values: dict[str, np.ndarray], prefix: str = "head") -> AlignmentHeads:
-    return AlignmentHeads(**{
-        name: tape.parameter(f"{prefix}.{name}", values[f"{prefix}.{name}"])
-        for name in HEAD_PARAM_NAMES
-    })
+def heads_from_values(tape: ad.Tape, values: dict[str, np.ndarray]) -> AlignmentHeads:
+    return AlignmentHeads(**{name: tape.parameter(f"head.{name}", values[f"head.{name}"])
+                             for name in HEAD_PARAM_NAMES})
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ plumbing) and nothing else.  All values are 64-bit floats
 so finite-difference checks can run at tight tolerances.
 
 A :class:`Tape` records every differentiable operation in execution order.
-Tensors that do not require gradients (constants) are never recorded, so
-frozen-encoder outputs flow through the same functions at plain-numpy cost.
+Constants are never recorded, and a tape is built only where a gradient is
+taken: inference runs the ops on constants, and frozen features are plain
+arrays (view embeddings call ``_layer_norm``, ``layer_norm``'s forward).
 Backward replays the record list once, in reverse, accumulating gradients
 deterministically; replaying the same tape twice is bit-identical.
 """
@@ -495,20 +496,23 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _apply(out, (x,), backward)
 
 
+def _layer_norm(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``layer_norm``'s forward on a plain array: (out, centered rows, row std)."""
+    if xv.shape[-1] < 2:
+        raise ShapeError(f"layer_norm needs rows of width >= 2, got {xv.shape}")
+    centered = xv - xv.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))
+    return centered / (std + LAYER_NORM_EPS), centered, std
+
+
 def layer_norm(x: Tensor) -> Tensor:
     """Per-row standardization: subtract mean, divide by (std + 1e-5).
 
     No learnable gain or bias; the normalization is a fixed function.
     """
-    xv = x.values
-    dim = xv.shape[-1]
-    if dim < 2:
-        raise ShapeError(f"layer_norm needs rows of width >= 2, got {xv.shape}")
-    mu = xv.mean(axis=-1, keepdims=True)
-    centered = xv - mu
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))
+    out, centered, std = _layer_norm(x.values)
+    dim = out.shape[-1]
     denom = std + LAYER_NORM_EPS
-    out = centered / denom
 
     def backward(g):
         g_centered = g / denom

@@ -21,13 +21,12 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from . import alignment as al
 from .data import (LoadedDataset, PointCloud, load_manifest, replace_file,
                    resolve_label, stratified_split, write_feature_file)
 # encode_point_cloud is not called here, but bench/workloads.py traces it
 # under this module's name
 from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, embed_view,  # noqa: F401
-                       encode_image_frozen, encode_point_cloud, init_point_encoder)
+                       encode_image_frozen, encode_point_cloud)
 from .errors import ConfigError, InputError, Jm3dError, LabelError, NumericError
 from .evaluation import (PromptTemplate, ablation_table, accuracy_topk,
                          build_label_features, format_records, format_table,
@@ -35,7 +34,7 @@ from .evaluation import (PromptTemplate, ablation_table, accuracy_topk,
                          zero_shot_topk)
 from .synth import SynthConfig, synth_generate
 from .training import (CONFIG_FIELD_TYPES, Checkpoint, TrainConfig, batch_loss,
-                       load_checkpoint, point_features, train)
+                       init_params, load_checkpoint, point_features, train)
 
 GRADCHECK_TOLERANCE = 1e-4
 # the TrainConfig switches that change the loss itself; `gradcheck` checks
@@ -150,7 +149,7 @@ def model_gradient_check(seed: int = 0, n_samples: int = 4, dim: int = 16,
                          head_hidden: int = 8, n_parents: int = 2,
                          eps: float = 1e-6, config: TrainConfig = TrainConfig()) -> dict:
     """Central-difference check of the training loss under ``config``'s
-    loss switches.
+    loss switches and ``tau_init``.
 
     Builds a tiny random batch of clouds, embedded view rows and unit text
     rows, then checks ``training.batch_loss`` (the loss ``train`` optimizes)
@@ -166,22 +165,21 @@ def model_gradient_check(seed: int = 0, n_samples: int = 4, dim: int = 16,
         raw = rng.normal(size=(v_views, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         angles = rng.choice(30, size=v_views, replace=False) * 12
-        view_rows.append(np.concatenate([embed_view(raw[i], int(angles[i]), tables).values
-                                         for i in range(v_views)]))
+        view_rows.append(embed_view(raw, angles, tables))
         text = rng.normal(size=(1, dim))
         text_rows.append(text / np.linalg.norm(text))
     parent_idx = rng.integers(n_parents, size=n_samples).tolist()
 
-    init_tape = ad.Tape()
-    init_point_encoder(init_tape, hidden, dim, rng)
-    al.init_alignment_heads(init_tape, dim, n_parents, head_hidden, rng)
-    values = {name: t.values for name, t in init_tape.parameters.items()}
+    values = init_params(replace(config, point_hidden=hidden, head_hidden=head_hidden),
+                         dim, n_parents, rng)
 
     def build(vals):
         return batch_loss(vals, clouds, view_rows, text_rows, parent_idx, config)[:2]
 
     worst, worst_param = ad.grad_check(build, values, eps)
-    return {"max_rel": worst, "worst_param": worst_param, "loss": build(values)[1].item(),
+    tape, loss = build(values)
+    tape.parameters.clear()  # as grad_check does: free the tape without the cyclic GC
+    return {"max_rel": worst, "worst_param": worst_param, "loss": loss.item(),
             "n_coordinates": int(sum(v.size for v in values.values()))}
 
 
@@ -208,13 +206,23 @@ def _coerce_config_value(key: str, raw: str):
     return raw
 
 
+def _read_utf8(path: Path, what: str, error: type[Jm3dError]) -> str:
+    """A text file's contents; not found raises InputError, and bytes that
+    are not UTF-8 raise ``error``, both naming the file."""
+    if not path.is_file():
+        raise InputError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def parse_config_file(path) -> dict:
     """Flat key = value lines mirroring TrainConfig fields; # comments."""
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"config file not found: {path}")
     out = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    text = _read_utf8(path, "config file", ConfigError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -303,9 +311,8 @@ def _eval_classes(ns, dataset):
         return es.name, list(es.classes)
     if spec.startswith("custom:"):
         path = Path(spec[len("custom:"):])
-        if not path.is_file():
-            raise InputError(f"custom set file not found: {path}")
-        classes = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+        text = _read_utf8(path, "custom set file", InputError)
+        classes = [ln.strip() for ln in text.splitlines() if ln.strip()]
         return path.stem, classes
     raise ConfigError(f"unknown evaluation set {spec!r}; "
                       "use data, all, medium, hard, or custom:FILE")

@@ -460,6 +460,8 @@ def read_raster_file(path) -> np.ndarray:
     if len(raw) < 12:
         raise InputError(f"raster file {path} is truncated")
     h, w, c = _RASTER_HEADER.unpack_from(raw)
+    if 0 in (h, w, c):
+        raise InputError(f"raster file {path} declares an empty {h}x{w}x{c} raster")
     if len(raw) - 12 != h * w * c:
         raise InputError(f"raster file {path} declares {h}x{w}x{c} but holds {len(raw) - 12} bytes")
     return np.frombuffer(raw, np.uint8, offset=12).reshape(h, w, c).copy()

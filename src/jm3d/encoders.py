@@ -101,7 +101,7 @@ def encode_image_frozen(view: ViewRecord, spec: FrozenEncoderSpec) -> np.ndarray
     if view.raster is None:
         raise InputError("view has no payload")
     raster = np.asarray(view.raster, dtype=np.float64)
-    if raster.ndim != 3 or raster.shape[0] < 1 or raster.shape[1] < 1:
+    if raster.ndim != 3 or min(raster.shape) < 1:
         raise ShapeError(f"raster must be H x W x C, got {raster.shape}")
     gray = raster.mean(axis=2) / 255.0
     if gray.shape[0] < _RASTER_SIDE or gray.shape[1] < _RASTER_SIDE:
@@ -142,17 +142,14 @@ class ViewEmbeddingTables:
         return cls(degree, depth)
 
 
-def embed_view(feature, angle_deg: int, tables: ViewEmbeddingTables):
-    """Angle-aware view embedding: normalize(feature + degree[b] + depth[b]).
-
-    Accepts a Tensor or an array; constants stay off the tape.
-    """
-    bucket = angle_bucket(angle_deg)
-    t = feature if isinstance(feature, ad.Tensor) else ad.constant(np.atleast_2d(feature))
-    if t.values.shape[-1] != tables.degree.shape[1]:
-        raise ShapeError(f"feature dim {t.values.shape[-1]} does not match tables dim {tables.degree.shape[1]}")
-    shift = ad.constant((tables.degree[bucket] + tables.depth[bucket])[None, :])
-    return ad.layer_norm(ad.add(t, shift))
+def embed_view(features: np.ndarray, angles, tables: ViewEmbeddingTables) -> np.ndarray:
+    """Angle-aware view embeddings of a sample's V x D frozen features:
+    layer_norm(features + (degree + depth)[bucket of each angle]), V x D."""
+    if features.shape[1:] != tables.degree.shape[1:] or features.shape[0] != len(angles):
+        raise ShapeError(f"features {features.shape} do not match {len(angles)} angles "
+                         f"and tables dim {tables.degree.shape[1]}")
+    buckets = [angle_bucket(a) for a in angles]
+    return ad._layer_norm(features + (tables.degree + tables.depth)[buckets])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +168,6 @@ class PointEncoderParams:
     wp: ad.Tensor
     bp: ad.Tensor
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.values.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.wp.values.shape[1]
-
 
 POINT_PARAM_NAMES = ("w1", "b1", "w2", "b2", "wp", "bp")
 
@@ -191,27 +180,24 @@ def point_encoder_shapes(hidden: int, dim: int) -> dict[str, tuple[int, int]]:
             "b2": (1, hidden), "wp": (hidden, dim), "bp": (1, dim)}
 
 
-def init_point_encoder(tape: ad.Tape, hidden: int, dim: int, rng, prefix: str = "point") -> PointEncoderParams:
+def init_point_encoder(tape: ad.Tape, hidden: int, dim: int, rng) -> PointEncoderParams:
     """Register freshly initialized encoder weights on a tape."""
     shapes = point_encoder_shapes(hidden, dim)
 
     def make(name, fan_in):
-        return tape.parameter(f"{prefix}.{name}", rng.normal(size=shapes[name]) / math.sqrt(fan_in))
+        return tape.parameter(f"point.{name}", rng.normal(size=shapes[name]) / math.sqrt(fan_in))
 
     def zeros(name):
-        return tape.parameter(f"{prefix}.{name}", np.zeros(shapes[name]))
+        return tape.parameter(f"point.{name}", np.zeros(shapes[name]))
 
     return PointEncoderParams(w1=make("w1", 3), b1=zeros("b1"), w2=make("w2", hidden),
                               b2=zeros("b2"), wp=make("wp", hidden), bp=zeros("bp"))
 
 
-def point_encoder_from_values(tape: ad.Tape, values: dict[str, np.ndarray],
-                              prefix: str = "point") -> PointEncoderParams:
+def point_encoder_from_values(tape: ad.Tape, values: dict[str, np.ndarray]) -> PointEncoderParams:
     """Register existing weight arrays (e.g. from a checkpoint) on a tape."""
-    return PointEncoderParams(**{
-        name: tape.parameter(f"{prefix}.{name}", values[f"{prefix}.{name}"])
-        for name in POINT_PARAM_NAMES
-    })
+    return PointEncoderParams(**{name: tape.parameter(f"point.{name}", values[f"point.{name}"])
+                                 for name in POINT_PARAM_NAMES})
 
 
 def encode_point_cloud(clouds, params: PointEncoderParams) -> ad.Tensor:

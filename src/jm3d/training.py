@@ -25,9 +25,10 @@ from . import autodiff as ad
 # under this module's name
 from .data import (CategoryTree, LoadedDataset, TripletSample, WindowSampler,  # noqa: F401
                    replace_file, resolve_label, sample_within_window, window_sampler)
-from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, _unit_rows, embed_view,
-                       encode_image_frozen, encode_point_cloud, encode_text_frozen,
-                       init_point_encoder, point_encoder_from_values, point_encoder_shapes)
+from .encoders import (POINT_PARAM_NAMES, FrozenEncoderSpec, PointEncoderParams,
+                       ViewEmbeddingTables, _unit_rows, embed_view, encode_image_frozen,
+                       encode_point_cloud, encode_text_frozen, init_point_encoder,
+                       point_encoder_from_values, point_encoder_shapes)
 from .errors import ConfigError, ContractError, InputError, NumericError, ShapeError
 from .evaluation import PromptTemplate
 
@@ -173,14 +174,10 @@ def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
             text = encode_text_frozen(template.instantiate(label), spec)[None, :]
             text_cache[label] = text
         raw = np.stack([encode_image_frozen(vw, spec) for vw in sample.views])
-        if apply_embeddings:
-            rows = np.concatenate([embed_view(raw[i], vw.angle_deg, tables).values
-                                   for i, vw in enumerate(sample.views)])
-        else:
-            rows = ad.layer_norm(ad.constant(raw)).values
+        angles = tuple(vw.angle_deg for vw in sample.views)
+        rows = embed_view(raw, angles, tables) if apply_embeddings else ad._layer_norm(raw)[0]
         # without CIS a step sees one view; without the window any v views
         v = min(config.v_views, len(sample.views)) if config.cis_on else 1
-        angles = tuple(vw.angle_deg for vw in sample.views)
         prepped.append(_Prepped(
             sample=sample, parent_idx=p_idx, view_rows=rows, text_row=text,
             sampler=window_sampler(angles, v, omega),
@@ -369,6 +366,17 @@ def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in bounds if b - a >= 2]
 
 
+def init_params(config: TrainConfig, dim: int, n_parents: int, rng) -> dict[str, np.ndarray]:
+    """Fresh trainable arrays at the config's widths and tau_init, drawn
+    from rng for the point encoder first, then the heads."""
+    tape = ad.Tape()
+    init_point_encoder(tape, config.point_hidden, dim, rng)
+    al.init_alignment_heads(tape, dim, n_parents, config.head_hidden, rng, config.tau_init)
+    params = {name: t.values for name, t in tape.parameters.items()}
+    tape.parameters.clear()  # free the tape without the cyclic GC, as each step's is
+    return params
+
+
 def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoint:
     """Full pretraining run; returns (and optionally writes) a checkpoint.
 
@@ -387,11 +395,7 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
     prepped = _prepare_frozen(dataset, config, spec, tables)
 
     rng = np.random.default_rng(config.seed)
-    init_tape = ad.Tape()
-    init_point_encoder(init_tape, config.point_hidden, dim, rng)
-    al.init_alignment_heads(init_tape, dim, dataset.tree.n_parents,
-                            config.head_hidden, rng, config.tau_init)
-    params = {name: t.values.copy() for name, t in init_tape.parameters.items()}
+    params = init_params(config, dim, dataset.tree.n_parents, rng)
     opt = OptimizerState.fresh(params)
 
     bounds = _batch_bounds(n, config.batch_size)
@@ -441,9 +445,7 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
 
 def point_features(samples, params: dict) -> np.ndarray:
     """N x D trained-encoder features for a list of samples (inference
-    path: a throwaway tape per call, no gradients kept)."""
-    tape = ad.Tape()
-    enc = point_encoder_from_values(tape, params)
-    feats = encode_point_cloud([s.cloud for s in samples], enc).values
-    tape.parameters.clear()  # as in train(): free the tape without the cyclic GC
-    return feats
+    path: the weights are constants, so no tape is built)."""
+    enc = PointEncoderParams(**{name: ad.constant(params[f"point.{name}"])
+                                for name in POINT_PARAM_NAMES})
+    return encode_point_cloud([s.cloud for s in samples], enc).values

@@ -365,6 +365,34 @@ def test_non_finite_view_feature_exits_3_where_it_is_read(run_dir, dataset_dir, 
     assert run_captured(["pretrain", "--data", str(manifest), "--epochs", "1", "--batch", "4"])[0] == 3
 
 
+def test_empty_raster_exits_2_naming_the_sample(run_dir, dataset_dir, tmp_path):
+    manifest, records = copy_dataset(dataset_dir, tmp_path / "data")
+    data.write_raster_file(tmp_path / "data/payload/empty.bin", np.zeros((4, 4, 0), dtype=np.uint8))
+    lines = manifest.read_text().splitlines()
+    obj = json.loads(lines[2])  # line 1 is the header, so this is records[1]
+    obj["views"][0] = {"angle": obj["views"][0]["angle"], "kind": "rgb", "image_file": "payload/empty.bin"}
+    lines[2] = json.dumps(obj)
+    manifest.write_text("\n".join(lines) + "\n")
+    violation = (f"  - sample {records[1].sample_id!r}: raster file "
+                 f"{tmp_path / 'data/payload/empty.bin'} declares an empty 4x4x0 raster\n")
+    common = serve_args(run_dir, manifest)
+    code, _, err = run_captured(["retrieve", *common, "--query", records[1].sample_id, "--view", "0"])
+    assert (code, err) == (2, "error: manifest validation failed with 1 problem(s)\n" + violation)
+    code, _, err = run_captured(["pretrain", "--data", str(manifest), "--epochs", "1", "--batch", "4"])
+    assert (code, err) == (2, "error: manifest validation failed with 1 problem(s)\n" + violation)
+
+
+def test_non_utf8_config_and_class_files_exit_2_naming_them(run_dir, dataset_dir, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("epochs = 1\n# caf\xe9\n".encode("latin-1"))
+    code, _, err = run_captured(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"),
+                                 "--config", str(bad)])
+    assert code == 2 and err.startswith(f"error: config file {bad} is not UTF-8 text")
+    code, _, err = run_captured(["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl"),
+                                 "--set", f"custom:{bad}"])
+    assert code == 2 and err.startswith(f"error: custom set file {bad} is not UTF-8 text")
+
+
 def test_payload_name_with_nul_exits_2_naming_line_and_field(run_dir, dataset_dir, tmp_path):
     manifest, _ = copy_dataset(dataset_dir, tmp_path / "data")
     lines = manifest.read_text().splitlines()

@@ -1,0 +1,29 @@
+"""Smoke test: each quick demo runs to the end as its own process.
+
+Demo 06 (the ablation table, about 9 s) is left out to keep the suite
+fast; run it by hand after changing a public API it uses.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_the_quick_demos_are_all_found():
+    assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_0(demo, tmp_path):
+    # the demos write their datasets under tempfile's directory
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

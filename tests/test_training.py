@@ -20,8 +20,9 @@ from jm3d import alignment as al
 from jm3d import autodiff as ad
 from jm3d import cli
 from jm3d import training as tr
-from jm3d.data import PointCloud, load_manifest
-from jm3d.encoders import FrozenEncoderSpec, ViewEmbeddingTables, init_point_encoder
+from jm3d.data import PointCloud, angle_bucket, load_manifest
+from jm3d.encoders import (FrozenEncoderSpec, ViewEmbeddingTables, encode_image_frozen,
+                           encode_point_cloud, init_point_encoder, point_encoder_from_values)
 from jm3d.errors import ConfigError, ContractError, InputError, ShapeError
 from jm3d.synth import SynthConfig, synth_generate
 
@@ -235,16 +236,18 @@ def cyclic_garbage(call) -> int:
 
 
 def test_training_steps_leave_no_garbage_cycles(tiny_dataset):
-    # a step's tape must be freed when the step ends, not when the cyclic
-    # garbage collector next runs, so peak memory does not depend on it
+    # a step's tape, and the parameter-init tape, must be freed when they
+    # are done, not when the cyclic garbage collector next runs, so peak
+    # memory does not depend on it
     def run(epochs):
         return lambda: tr.train(tiny_dataset, quick_config(epochs=epochs))
 
-    assert cyclic_garbage(run(3)) == cyclic_garbage(run(1))
+    assert cyclic_garbage(run(3)) == cyclic_garbage(run(1)) == 0
 
 
 def test_point_features_and_grad_check_leave_no_garbage_cycles(tiny_dataset):
-    # their throwaway tapes, one per call or per loss build, are freed on return
+    # their throwaway tapes, one per call, per loss build or for the
+    # initial weights, are freed on return
     tape = ad.Tape()
     init_point_encoder(tape, 8, tiny_dataset.dim, np.random.default_rng(0))
     params = {name: t.values for name, t in tape.parameters.items()}
@@ -256,6 +259,8 @@ def test_point_features_and_grad_check_leave_no_garbage_cycles(tiny_dataset):
 
     assert cyclic_garbage(lambda: tr.point_features(tiny_dataset.samples[:3], params)) == 0
     assert cyclic_garbage(lambda: ad.grad_check(build, {"w": np.ones((2, 3))})) == 0
+    assert cyclic_garbage(lambda: cli.model_gradient_check(
+        n_samples=2, dim=4, points=4, hidden=2, head_hidden=2)) == 0
 
 
 def test_seed_changes_trajectory(tiny_dataset):
@@ -316,6 +321,51 @@ def test_ragged_tail_rule():
     assert tr._batch_bounds(10, 4) == [(0, 4), (4, 8), (8, 10)]
     assert tr._batch_bounds(9, 4) == [(0, 4), (4, 8)]  # singleton tail dropped
     assert tr._batch_bounds(8, 4) == [(0, 4), (4, 8)]
+
+
+def chain_view_rows(raw, angles, tables, embed):
+    """A sample's view rows through the tape ops, the bitwise reference
+    for frozen prep: add and layer_norm per view, or one layer_norm over
+    all views without embeddings."""
+    if not embed:
+        return ad.layer_norm(ad.constant(raw)).values
+    rows = []
+    for feat, angle in zip(raw, angles):
+        b = angle_bucket(angle)
+        shift = ad.constant((tables.degree[b] + tables.depth[b])[None, :])
+        rows.append(ad.layer_norm(ad.add(ad.constant(feat[None, :]), shift)).values)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("flags", [{}, dict(embeddings_on=False), dict(cis_on=False)])
+def test_prepared_view_rows_bitwise_equal_the_op_chain(tiny_dataset, flags, monkeypatch):
+    config = quick_config(**flags)
+    dim = tiny_dataset.dim
+    spec, tables = FrozenEncoderSpec(seed=config.frozen_seed, dim=dim), ViewEmbeddingTables.build(dim)
+    expected = [chain_view_rows(np.stack([encode_image_frozen(vw, spec) for vw in s.views]),
+                                [vw.angle_deg for vw in s.views], tables, not flags)
+                for s in tiny_dataset.samples]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("frozen prep built an autodiff Tensor")
+
+    monkeypatch.setattr(ad.Tensor, "__init__", refuse)
+    prepped = tr._prepare_frozen(tiny_dataset, config, spec, tables)
+    assert [p.view_rows.tobytes() for p in prepped] == [e.tobytes() for e in expected]
+
+
+def test_point_features_equal_the_taped_encode_without_a_tape(tiny_dataset, monkeypatch):
+    ckpt = tr.train(tiny_dataset, quick_config(epochs=1))
+    samples = tiny_dataset.samples[:7]
+    tape = ad.Tape()
+    taped = encode_point_cloud([s.cloud for s in samples], point_encoder_from_values(tape, ckpt.params))
+    tape.parameters.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("point_features built a Tape")
+
+    monkeypatch.setattr(ad.Tape, "__init__", refuse)
+    assert tr.point_features(samples, ckpt.params).tobytes() == taped.values.tobytes()
 
 
 def test_point_features_shape(tiny_dataset):
