@@ -137,20 +137,35 @@ def jma_fuse(view_feats: ad.Tensor, text_feat: ad.Tensor, return_weights: bool =
 def fuse_views(view_rows, text_rows) -> np.ndarray:
     """``jma_fuse`` of a batch in plain numpy: row i fuses sample i's
     V_i x D views keyed by its 1 x D text row, and V may differ between
-    samples.  The canonical order, matmuls and softmax are the ones
-    ``jma_fuse`` runs, so each row equals its ``jma_fuse`` bit for bit,
-    but no Tensor is built.
+    samples.  Each row equals its ``jma_fuse`` bit for bit, but no Tensor
+    is built.
+
+    The samples that share V are fused as one B x V x D stack.  A stacked
+    ``np.matmul`` makes the same BLAS call per slice as ``jma_fuse``'s 2-D
+    products, and its softmax sums run over each sample's V scores as
+    there.  A stable argsort of -score is the canonical order wherever a
+    sample's scores are distinct; a sample with tied scores is ordered by
+    ``_canonical_view_order`` itself.
     """
     fused = np.empty((len(view_rows), text_rows[0].shape[1]))
-    for i, (vv, tv) in enumerate(zip(view_rows, text_rows)):
-        raw_scores = vv @ tv[0]
+    groups: dict[int, list[int]] = {}
+    for i, vv in enumerate(view_rows):
+        groups.setdefault(vv.shape[0], []).append(i)
+    for v, members in groups.items():
+        views = np.stack([view_rows[i] for i in members])  # B x V x D
+        keys = np.concatenate([text_rows[i] for i in members])[:, :, None]  # B x D x 1
+        raw_scores = np.matmul(views, keys)[:, :, 0]
         if not np.isfinite(raw_scores).all():
             raise NumericError("non-finite fusion scores")
-        ordered = vv[_canonical_view_order(vv, raw_scores)]
-        # contiguous transposes, as ``ad.transpose`` makes them in jma_fuse
-        scores = ordered @ tv.T.copy()  # V x 1
-        e = np.exp(scores - scores.max(axis=0, keepdims=True))
-        fused[i] = (e / e.sum(axis=0, keepdims=True)).T.copy() @ ordered
+        order = np.argsort(-raw_scores, axis=1, kind="stable")
+        ranked = np.take_along_axis(raw_scores, order, axis=1)
+        for b in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
+            order[b] = _canonical_view_order(views[b], raw_scores[b])
+        ordered = np.take_along_axis(views, order[:, :, None], axis=1)
+        scores = np.matmul(ordered, keys)  # B x V x 1
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights = (e / e.sum(axis=1, keepdims=True)).reshape(len(members), 1, v)
+        fused[members] = np.matmul(weights, ordered)[:, 0]
     return fused
 
 

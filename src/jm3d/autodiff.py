@@ -376,21 +376,34 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
 
     def backward(g):
         g2 = g * (1.0 - out * out)
+        # the winner rows of the whole batch, numbered across the stacked
+        # clouds: marked once and read back ascending, so cloud i's distinct
+        # winners are rows[bounds[i]:bounds[i + 1]], in row order
+        starts = np.zeros(len(clouds) + 1, dtype=np.intp)
+        np.cumsum([pts.shape[0] for pts in clouds], out=starts[1:])
+        won = np.stack(winners)
+        won += starts[:-1, None]
+        mark = np.zeros(starts[-1], dtype=bool)
+        mark[won] = True
+        rows = np.flatnonzero(mark)
+        bounds = np.searchsorted(rows, starts).tolist()
+        d2 = np.zeros((rows.size, h))
+        d2[np.searchsorted(rows, won), cols] = g2
         gw1, gb1 = np.zeros_like(wv1), np.zeros_like(bv1)
         gw2, gb2 = np.zeros_like(wv2), np.zeros_like(bv2)
-        for i, idx in enumerate(winners):
-            # per cloud, so no GEMM reduces over more than h rows: longer
-            # reductions can round differently at another BLAS thread count
-            uniq, slot = np.unique(idx, return_inverse=True)
-            d2 = np.zeros((uniq.size, h))
-            d2[slot, cols] = g2[i]
-            pts = clouds[i][uniq]
+        for cloud, start, s, e in zip(clouds, starts, bounds, bounds[1:]):
+            # layer 1 and every product run per cloud, in cloud order: so no
+            # GEMM reduces over more than h rows (longer reductions can round
+            # differently at another BLAS thread count), and each rounds as
+            # in a product of that cloud's rows alone (numpy sends a 1-row
+            # product to another BLAS routine than a row of a taller one)
+            pts, d2c = cloud[rows[s:e] - start], d2[s:e]
             a = np.tanh(pts @ wv1 + bv1)
-            d1 = (d2 @ wv2.T) * (1.0 - a * a)
+            d1 = (d2c @ wv2.T) * (1.0 - a * a)
             gw1 += pts.T @ d1
             gb1 += d1.sum(axis=0)
-            gw2 += a.T @ d2
-            gb2 += d2.sum(axis=0)
+            gw2 += a.T @ d2c
+            gb2 += d2c.sum(axis=0)
         return gw1, gb1, gw2, gb2
 
     return _apply(out, (w1, b1, w2, b2), backward)

@@ -9,6 +9,7 @@ the read/write helpers.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import json
@@ -16,7 +17,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import numpy as np
@@ -247,26 +248,25 @@ def resolve_label(sample: TripletSample, tree: CategoryTree) -> tuple[int, int]:
 # view-window sampling
 
 
-def _draw_weighted(pairs, rng) -> object:
-    """Pick item from (item, integer weight) pairs, exactly proportional."""
-    total = sum(w for _, w in pairs)
+def _draw_index(cum: tuple[int, ...], rng) -> int:
+    """Index i drawn with probability (cum[i] - cum[i - 1]) / cum[-1], from
+    cumulative integer weights: the first one above a uniform draw."""
+    total = cum[-1]
     if total < 2**63:
         u = int(rng.integers(total))
     else:  # beyond exact integer draws; float resolution is plenty here
         u = int(rng.random() * total)
-    acc = 0
-    for item, w in pairs:
-        acc += w
-        if u < acc:
-            return item
-    return pairs[-1][0]
+    return min(bisect.bisect_right(cum, u), len(cum) - 1)
 
 
-def _choose(rng, pool: list[int], k: int) -> list[int]:
+def _choose(rng, pool, k: int) -> list[int]:
     if k == 0:
         return []
-    picked = rng.choice(len(pool), size=k, replace=False)
-    return [pool[int(i)] for i in picked]
+    if k == 1:
+        # the same value and generator state as rng.choice(len(pool), 1,
+        # replace=False), at a fraction of its cost (tests/test_data.py)
+        return [pool[int(rng.integers(len(pool)))]]
+    return [pool[int(i)] for i in rng.choice(len(pool), size=k, replace=False)]
 
 
 class WindowSampler:
@@ -281,6 +281,7 @@ class WindowSampler:
     and has a unique leftmost angle, which gives exact uniform weights.
     120 < omega_deg <= 180 enumerates the feasible sets (the pairwise bound
     no longer implies a common arc there; desk-scale candidate sets only).
+    Samplers are shared (see `window_sampler`), so all state is immutable.
     """
 
     def __init__(self, angles: tuple[int, ...], v: int, omega_deg: float):
@@ -293,29 +294,32 @@ class WindowSampler:
             raise SamplingError(f"cannot pick {v} views from {n} candidates")
         omega = float(omega_deg)
         self.n, self.v = n, v
-        self.anchors = self.feasible = None
+        self.anchors = self.anchor_cum = self.feasible = None
         if v == 1 or omega > 180.0:
             return
         if omega <= 120.0:
-            # (anchor, count) pairs; an anchor splits its count over how many
-            # records sit exactly at the anchor angle
-            self.anchors = []
+            # per anchor: the records at its angle, the rest of its window,
+            # each number k of records the set takes at the anchor, and the
+            # cumulative counts of sets per k; the last is the anchor's count
+            anchors = []
             for a in sorted(set(angles)):
                 window = [i for i in range(n) if (angles[i] - a) % 360 < omega]
-                at = [i for i in window if angles[i] == a]
-                rest = [i for i in window if angles[i] != a]
-                count = math.comb(len(window), v) - math.comb(len(rest), v)
-                if count > 0:
-                    k_weights = [(k, w) for k in range(1, min(len(at), v) + 1)
-                                 if (w := math.comb(len(at), k) * math.comb(len(rest), v - k)) > 0]
-                    self.anchors.append(((at, rest, k_weights), count))
+                at = tuple(i for i in window if angles[i] == a)
+                rest = tuple(i for i in window if angles[i] != a)
+                k_weights = [(k, w) for k in range(1, min(len(at), v) + 1)
+                             if (w := math.comb(len(at), k) * math.comb(len(rest), v - k)) > 0]
+                if k_weights:
+                    ks, weights = zip(*k_weights)
+                    anchors.append((at, rest, ks, tuple(accumulate(weights))))
+            self.anchors = tuple(anchors)
+            self.anchor_cum = tuple(accumulate(k_cum[-1] for *_, k_cum in anchors))
         else:
             if math.comb(n, v) > 600_000:
                 raise SamplingError(
                     f"window sampling with omega in (120, 180] needs enumeration; C({n},{v}) is too large")
-            self.feasible = [c for c in combinations(range(n), v)
-                             if all(circular_distance(angles[i], angles[j]) < omega
-                                    for i, j in combinations(c, 2))]
+            self.feasible = tuple(c for c in combinations(range(n), v)
+                                  if all(circular_distance(angles[i], angles[j]) < omega
+                                         for i, j in combinations(c, 2)))
         if self.count == 0:
             raise SamplingError(f"no {v}-view window of width < {omega_deg} degrees exists")
 
@@ -323,19 +327,19 @@ class WindowSampler:
     def count(self) -> int:
         """Number of feasible record sets."""
         if self.anchors is not None:
-            return sum(c for _, c in self.anchors)
+            return self.anchor_cum[-1] if self.anchor_cum else 0
         if self.feasible is not None:
             return len(self.feasible)
         return math.comb(self.n, self.v)
 
     def draw(self, rng) -> list[int]:
         if self.anchors is not None:
-            at, rest, k_weights = _draw_weighted(self.anchors, rng)
-            k = _draw_weighted(k_weights, rng)
+            at, rest, ks, k_cum = self.anchors[_draw_index(self.anchor_cum, rng)]
+            k = ks[_draw_index(k_cum, rng)]
             return sorted(_choose(rng, at, k) + _choose(rng, rest, self.v - k))
         if self.feasible is not None:
             return list(self.feasible[int(rng.integers(len(self.feasible)))])
-        return sorted(int(i) for i in rng.choice(self.n, size=self.v, replace=False))
+        return sorted(_choose(rng, range(self.n), self.v))
 
 
 # the one sampler per (angles, v, omega_deg); callers share it, so none may mutate it

@@ -58,9 +58,11 @@ class SynthConfig:
     feature_noise: float = 0.05
 
     def __post_init__(self):
-        for name in ("parents", "subs_per_parent", "samples_per_sub", "points", "dim", "latent", "n_angles"):
+        for name in ("parents", "subs_per_parent", "samples_per_sub", "points", "latent", "n_angles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dim < 2:  # the frozen encoders' floor: no command could read a narrower dataset
+            raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.n_angles > 30:
             raise ConfigError(f"n_angles cannot exceed the 30-bucket grid, got {self.n_angles}")
         if not self.kinds or any(k not in VIEW_KINDS for k in self.kinds):

@@ -584,11 +584,44 @@ def assert_fuse_views_matches_jma_fuse(view_rows, text_rows):
 
 
 def test_fuse_views_is_bitwise_jma_fuse_on_ragged_batches():
+    # fuse_views stacks the samples that share V; V runs past 8, where
+    # numpy's sums turn pairwise, and each V holds several samples
     rng = np.random.default_rng(stable_seed("fuse-views-ragged"))
     for trial in range(30):
-        sizes = rng.integers(1, 7, size=int(rng.integers(1, 9)))
-        view_rows = [rng.normal(size=(v, 8)) for v in sizes]
-        text_rows = [rng.normal(size=(1, 8)) for _ in sizes]
+        sizes = rng.integers(1, 21, size=int(rng.integers(1, 41)))
+        dim = int(rng.choice([2, 8, 32]))
+        view_rows = [rng.normal(size=(v, dim)) for v in sizes]
+        text_rows = [rng.normal(size=(1, dim)) for _ in sizes]
+        assert_fuse_views_matches_jma_fuse(view_rows, text_rows)
+    sizes = np.repeat(np.arange(1, 21), 3)
+    view_rows = [rng.normal(size=(v, 8)) for v in rng.permutation(sizes)]
+    assert_fuse_views_matches_jma_fuse(view_rows, [rng.normal(size=(1, 8)) for _ in sizes])
+
+
+def test_fuse_views_is_bitwise_jma_fuse_when_some_samples_tie():
+    # in one stack, samples with tied scores take the canonical byte order
+    # and the others the descending-score argsort.  Tied samples hold small
+    # integers, so their scores are exact: BLAS may round the same row
+    # differently at another position in the matrix
+    rng = np.random.default_rng(stable_seed("fuse-views-partial-ties"))
+    for v in (2, 3, 9, 12):
+        view_rows = [rng.normal(size=(v, 8)) for _ in range(6)]
+        text_rows = [rng.normal(size=(1, 8)) for _ in range(6)]
+        for i in (1, 3):
+            view_rows[i] = rng.integers(-4, 5, size=(v, 8)).astype(float)
+            text_rows[i] = rng.integers(-4, 5, size=(1, 8)).astype(float)
+        view_rows[1][v - 1] = view_rows[1][0]  # an exact duplicate view
+        view_rows[3][:] = view_rows[3][0]  # all views equal
+        # distinct views with tied scores: the key reads two integer
+        # columns only, so their order decides how the fused sum rounds
+        text_rows[4][:] = 0.0
+        text_rows[4][0, :2] = 1.0
+        view_rows[4][:, :2] = np.arange(2 * v).reshape(v, 2)
+        view_rows[4][:min(v, 3), :2] = (1.0, 2.0)
+        scores = [vv @ tv[0] for vv, tv in zip(view_rows, text_rows)]
+        tied = [len(np.unique(s)) < v for s in scores]
+        assert [tied[i] for i in (1, 3, 4)] == [True, True, True]
+        assert [tied[i] for i in (0, 2, 5)] == [False, False, False]
         assert_fuse_views_matches_jma_fuse(view_rows, text_rows)
 
 

@@ -234,6 +234,64 @@ def test_mlp_max_pool_saturated_columns_match_op_chain():
         assert max_rel(fused[name], chain[name]) < 1e-12, name
 
 
+def per_cloud_mlp_max_pool_backward(clouds, values, g):
+    """Reference for the ``mlp_max_pool`` backward: one ``np.unique`` per
+    cloud for its winner rows, and layer 1 recomputed cloud by cloud."""
+    wv1, bv1, wv2, bv2 = (values[k] for k in ("w1", "b1", "w2", "b2"))
+    h = wv1.shape[1]
+    cols = np.arange(h)
+    out, winners = np.empty((len(clouds), h)), []
+    for i, pts in enumerate(clouds):
+        z = np.tanh(pts @ wv1 + bv1) @ wv2 + bv2
+        winners.append(np.argmax(z, axis=0))
+        out[i] = np.tanh(z[winners[-1], cols])
+    g2 = g * (1.0 - out * out)
+    gw1, gb1 = np.zeros_like(wv1), np.zeros_like(bv1)
+    gw2, gb2 = np.zeros_like(wv2), np.zeros_like(bv2)
+    for i, idx in enumerate(winners):
+        uniq, slot = np.unique(idx, return_inverse=True)
+        d2 = np.zeros((uniq.size, h))
+        d2[slot, cols] = g2[i]
+        pts = clouds[i][uniq]
+        a = np.tanh(pts @ wv1 + bv1)
+        d1 = (d2 @ wv2.T) * (1.0 - a * a)
+        gw1 += pts.T @ d1
+        gb1 += d1.sum(axis=0)
+        gw2 += a.T @ d2
+        gb2 += d2.sum(axis=0)
+    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+
+
+@pytest.mark.parametrize("hidden", [1, 3, 8, 64])
+@pytest.mark.parametrize("monotone", [False, True])
+def test_mlp_max_pool_backward_is_bitwise_per_cloud_reference(hidden, monotone):
+    rng = np.random.default_rng(hidden)
+    values = mlp_pool_values(hidden + 10, hidden)
+    clouds = [rng.uniform(-1.0, 1.0, size=(n, 3)) for n in (1, 5, 1, 17, 256, 2, 300, 40)]
+    clouds.append(np.repeat(clouds[1], 4, axis=0))  # duplicated points tie
+    if monotone:
+        # positive weights make every pre-activation increase with each
+        # coordinate, so a point above all others wins every column
+        values = {name: np.abs(v) for name, v in values.items()}
+        dominant = np.vstack([rng.uniform(-1.0, 1.0, size=(9, 3)), np.full((1, 3), 1.5)])
+        z = np.tanh(dominant @ values["w1"] + values["b1"]) @ values["w2"] + values["b2"]
+        assert (np.argmax(z, axis=0) == 9).all()
+        clouds.insert(3, dominant)
+    tape = ad.Tape()
+    params = [tape.parameter(name, values[name]) for name in ("w1", "b1", "w2", "b2")]
+    pooled = ad.mlp_max_pool(clouds, *params)
+    backward = tape._records[-1][2]
+    for trial in range(3):
+        g = rng.normal(size=pooled.shape)
+        if trial == 2:  # signed zeros from upstream
+            g[:, ::2] = -0.0
+        got = dict(zip(("w1", "b1", "w2", "b2"), backward(g)))
+        ref = per_cloud_mlp_max_pool_backward(clouds, values, g)
+        for name in values:
+            assert got[name].tobytes() == ref[name].tobytes(), (trial, name)
+    tape.parameters.clear()
+
+
 def test_mlp_max_pool_rejects_bad_shapes():
     values = mlp_pool_values(0, hidden=4)
     w1, b1, w2, b2 = (ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2"))

@@ -178,6 +178,17 @@ def test_gen_data_writes_manifest(dataset_dir, capsys):
     assert ds.tree.n_parents == 2
 
 
+@pytest.mark.parametrize("dim", ["1", "0"])
+def test_gen_data_narrower_than_2_exits_2_before_writing(tmp_path, capsys, dim):
+    # the frozen encoders need dim >= 2, so pretrain could never read it
+    out = tmp_path / "data"
+    code = cli.run(["gen-data", "--out", str(out), "--parents", "2", "--subs", "1",
+                    "--per-sub", "2", "--points", "8", "--dim", dim, "--seed", "0"])
+    assert code == 2
+    assert f"dim must be >= 2, got {dim}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pretrain_writes_checkpoint_and_losses(run_dir):
     assert (run_dir / "checkpoint.bin").is_file()
     assert (run_dir / "losses.jsonl").is_file()

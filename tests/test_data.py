@@ -236,6 +236,87 @@ def test_sample_within_window_builds_each_sampler_once():
     assert data.window_sampler(angles, 2, 60.0) is data.window_sampler(angles, 2, 60.0)
 
 
+@pytest.mark.parametrize("n", [*range(1, 65), 10_001, 65_537, 1_000_003])
+def test_integers_draw_is_choice_of_one(n):
+    # WindowSampler draws one index with rng.integers(n) where it once
+    # called rng.choice(n, 1, replace=False); a numpy release that breaks
+    # this identity changes every training checkpoint
+    for seed in range(40):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for warmup in (0, 1):  # also from a state holding a buffered 32-bit half
+            assert int(a.integers(n)) == int(b.choice(n, size=1, replace=False)[0])
+            assert a.bit_generator.state == b.bit_generator.state
+            a.integers(3 + warmup)
+            b.integers(3 + warmup)
+
+
+class RefWindowSampler:
+    """The sampler before its draws bisected precomputed cumulative
+    weights: a linear scan over the weights, summed on every draw, and
+    ``rng.choice`` for every pick.  Kept as the reference for the random
+    stream (so for training checkpoints)."""
+
+    def __init__(self, angles, v, omega):
+        n = len(angles)
+        self.n, self.v, self.anchors = n, v, None
+        if v == 1 or omega > 180.0:
+            return
+        assert omega <= 120.0
+        self.anchors = []
+        for a in sorted(set(angles)):
+            window = [i for i in range(n) if (angles[i] - a) % 360 < omega]
+            at = [i for i in window if angles[i] == a]
+            rest = [i for i in window if angles[i] != a]
+            count = math.comb(len(window), v) - math.comb(len(rest), v)
+            if count > 0:
+                k_weights = [(k, w) for k in range(1, min(len(at), v) + 1)
+                             if (w := math.comb(len(at), k) * math.comb(len(rest), v - k)) > 0]
+                self.anchors.append(((at, rest, k_weights), count))
+
+    @staticmethod
+    def _weighted(pairs, rng):
+        u = int(rng.integers(sum(w for _, w in pairs)))
+        acc = 0
+        for item, w in pairs:
+            acc += w
+            if u < acc:
+                return item
+
+    @staticmethod
+    def _choose(rng, pool, k):
+        return [] if k == 0 else [pool[int(i)] for i in rng.choice(len(pool), size=k, replace=False)]
+
+    def draw(self, rng):
+        if self.anchors is None:
+            return sorted(int(i) for i in rng.choice(self.n, size=self.v, replace=False))
+        at, rest, k_weights = self._weighted(self.anchors, rng)
+        k = self._weighted(k_weights, rng)
+        return sorted(self._choose(rng, at, k) + self._choose(rng, rest, self.v - k))
+
+
+@pytest.mark.parametrize("v, omega", [(1, 60.0), (2, 60.0), (3, 36.0), (4, 60.0), (2, 120.0),
+                                      (3, 200.0), (5, 96.0)])
+def test_window_draws_match_the_reference_stream(v, omega):
+    case_seed = v * 1000 + int(omega)
+    rng_cases = np.random.default_rng(case_seed)
+    grids = [tuple(a for a in range(0, 360, 12) for _ in range(2)),  # the bench layout
+             tuple(int(a) for a in rng_cases.choice(range(0, 360, 12), size=9)),
+             (0, 0, 0, 12, 24, 48, 48, 300, 348)]
+    compared = 0
+    for angles in grids:
+        try:
+            sampler = data.WindowSampler(angles, v, omega)
+        except SamplingError:
+            continue
+        ref = RefWindowSampler(angles, v, omega)
+        ours, theirs = np.random.default_rng(case_seed), np.random.default_rng(case_seed)
+        for _ in range(300):
+            assert sampler.draw(ours) == ref.draw(theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        compared += 1
+    assert compared >= 2
+
+
 # ---------------------------------------------------------------------------
 # payload files
 

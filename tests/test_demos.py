@@ -21,9 +21,11 @@ def test_the_quick_demos_are_all_found():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_0(demo, tmp_path):
-    # the demos write their datasets under tempfile's directory
+    # the demos write their datasets under tempfile's directory, and must
+    # remove them on exit
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == []

@@ -88,6 +88,10 @@ def test_invalid_config_rejected():
         small_config(n_angles=31)
     with pytest.raises(ConfigError):
         small_config(kinds=("sketch",))
+    for dim in (1, 0, -3):
+        with pytest.raises(ConfigError, match="dim must be >= 2"):
+            small_config(dim=dim)
+    small_config(dim=2)
 
 
 def test_same_sub_features_closer_than_cross_parent(tmp_path):
