@@ -82,22 +82,22 @@ class ViewRecord:
     Exactly one of ``feature`` (D floats) or ``raster`` (H x W x C uint8)
     is set.  Records are read-only and compare by identity.
     ``payload_file`` is the payload's name in the manifest the record was
-    loaded from, or None for a record built by hand.  A record that
-    ``load_manifest(..., read_views=False)`` builds reads its payload file
-    the first time ``feature`` or ``raster`` is used.
+    loaded from or written to, or None for a record built by hand.  A
+    record that ``load_manifest(..., read_views=False)`` builds reads its
+    payload file the first time ``feature`` or ``raster`` is used.
     """
 
     __slots__ = ("_angle", "_kind", "_feature", "_raster", "_file", "_read", "_where")
 
     def __init__(self, angle_deg: int, kind: str, feature: np.ndarray | None = None,
-                 raster: np.ndarray | None = None):
+                 raster: np.ndarray | None = None, payload_file: str | None = None):
         angle_bucket(angle_deg)
         if kind not in VIEW_KINDS:
             raise InputError(f"view kind must be one of {VIEW_KINDS}, got {kind!r}")
         if (feature is None) == (raster is None):
             raise InputError("view needs exactly one of feature or raster")
         self._angle, self._kind, self._feature, self._raster = angle_deg, kind, feature, raster
-        self._file = self._read = self._where = None
+        self._file, self._read, self._where = payload_file, None, None
 
     angle_deg = property(lambda self: self._angle)
     kind = property(lambda self: self._kind)

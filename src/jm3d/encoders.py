@@ -8,16 +8,18 @@ sinusoidal angle/depth tables to frozen image features and re-normalize.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import N_ANGLE_BUCKETS, PointCloud, ViewRecord, angle_bucket
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .errors import ConfigError, InputError, ManifestError, NumericError, ShapeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _RASTER_SIDE = 16  # frozen image path reduces rasters to 16 x 16 grayscale
@@ -89,15 +91,15 @@ def _block_mean_16(gray: np.ndarray) -> np.ndarray:
     return sums / np.maximum(areas, 1)
 
 
-def encode_image_frozen(view: ViewRecord, spec: FrozenEncoderSpec) -> np.ndarray:
-    """Unit-norm D-vector for a view; all-zero inputs stay at zero."""
+def _image_row(view: ViewRecord, spec: FrozenEncoderSpec) -> np.ndarray:
+    """A view's D-vector before normalization, its payload checked."""
     if view.feature is not None:
         feat = np.asarray(view.feature, dtype=np.float64).reshape(-1)
         if feat.shape[0] != spec.dim:
             raise ShapeError(f"view feature has dim {feat.shape[0]}, spec expects {spec.dim}")
         if not np.isfinite(feat).all():
             raise NumericError("encode_image_frozen: view feature holds non-finite values")
-        return _unit_rows(feat)
+        return feat
     if view.raster is None:
         raise InputError("view has no payload")
     raster = np.asarray(view.raster, dtype=np.float64)
@@ -109,7 +111,31 @@ def encode_image_frozen(view: ViewRecord, spec: FrozenEncoderSpec) -> np.ndarray
         reps = (math.ceil(_RASTER_SIDE / gray.shape[0]), math.ceil(_RASTER_SIDE / gray.shape[1]))
         gray = np.tile(gray, reps)
     pooled = _block_mean_16(gray).reshape(-1)
-    return _unit_rows(pooled @ spec.image_proj)
+    return pooled @ spec.image_proj
+
+
+def encode_image_frozen(views, spec: FrozenEncoderSpec) -> np.ndarray:
+    """Unit-norm V x D rows for a sequence of views (a D-vector for a
+    single view); all-zero inputs stay at zero.
+
+    Each row is bitwise what the view gives alone.  Feature views are
+    checked and normalized as one stack; a raster view keeps its own
+    product, since a stacked product could round differently.  A bad
+    payload raises for the first bad view in view order.
+    """
+    if not isinstance(views, Sequence):
+        return _unit_rows(_image_row(views, spec))
+    if not views:
+        raise InputError("no views to encode")
+    stacked = None
+    with contextlib.suppress(ManifestError, ValueError):  # unreadable or ragged features
+        feats = [vw.feature for vw in views]
+        if all(f is not None for f in feats):
+            stacked = np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in feats])
+    if stacked is not None and stacked.shape[1] == spec.dim and np.isfinite(stacked).all():
+        return _unit_rows(stacked)
+    # rasters and bad payloads go view by view, so the first bad view raises
+    return _unit_rows(np.stack([_image_row(vw, spec) for vw in views]))
 
 
 # ---------------------------------------------------------------------------

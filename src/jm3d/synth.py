@@ -27,15 +27,20 @@ import numpy as np
 
 from .data import (
     ANGLE_STEP_DEG,
+    MANIFEST_VERSION,
     VIEW_KINDS,
+    CategoryTree,
+    DatasetManifest,
     LoadedDataset,
-    load_manifest,
+    PointCloud,
+    TripletSample,
+    ViewRecord,
     normalize_points,
     write_cloud_file,
     write_feature_file,
     write_manifest,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 # low-discrepancy increments spreading shape exponents over subcategories
 _GOLDEN = 0.6180339887498949
@@ -67,6 +72,10 @@ class SynthConfig:
             raise ConfigError(f"n_angles cannot exceed the 30-bucket grid, got {self.n_angles}")
         if not self.kinds or any(k not in VIEW_KINDS for k in self.kinds):
             raise ConfigError(f"kinds must be a nonempty subset of {VIEW_KINDS}, got {self.kinds}")
+        for name in ("sub_spread", "sample_spread", "cloud_noise", "feature_noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def n_samples(self) -> int:
@@ -113,15 +122,31 @@ def _sub_shape(parent: int, global_sub: int) -> tuple[tuple[float, float], np.nd
     return (e1 * mod, e2 * mod), axes
 
 
-def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
-    """Write a complete dataset under out_dir and load it back.
+def _as_stored(values: np.ndarray, what: str) -> np.ndarray:
+    """values as their payload files hold them: rounded to float32, back
+    in float64.  A value that rounds to a non-finite float32 raises."""
+    with np.errstate(over="ignore"):
+        stored = np.asarray(values, dtype=np.float32)
+    if not np.isfinite(stored).all():
+        raise NumericError(f"synth_generate: {what} would not be finite in float32")
+    return stored.astype(np.float64)
 
-    Returning the loader's output makes the on-disk files the single source
-    of truth; the f32 payload quantization is already applied to whatever
-    the caller sees.
+
+def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
+    """Write a complete dataset under out_dir and return it.
+
+    The returned dataset equals what ``load_manifest`` reads back from the
+    files, field for field: every array went through the f32 payload
+    rounding, clouds are re-normalized after it as the loader does, and
+    views and samples carry their payload names.  A payload that would
+    hold a non-finite value raises ``NumericError`` before the manifest is
+    written; a manifest already in out_dir is deleted first.
     """
     out = Path(out_dir)
     (out / "payload").mkdir(parents=True, exist_ok=True)
+    # a run that fails part way must not leave an earlier manifest naming
+    # payload files that this run has overwritten
+    (out / "manifest.jsonl").unlink(missing_ok=True)
     prefix = os.path.join(out, "")  # payload paths as strings: no Path per file
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     P, S, M, K, D = (config.parents, config.subs_per_parent, config.samples_per_sub,
@@ -131,8 +156,8 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     z_sub = z_parent[:, None, :] + config.sub_spread * rng.normal(size=(P, S, K))
     w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
 
-    angles = [a * ANGLE_STEP_DEG for a in range(config.n_angles)]
-    records = []
+    view_keys = [(a * ANGLE_STEP_DEG, kind) for a in range(config.n_angles) for kind in config.kinds]
+    records, samples = [], []
     for p in range(P):
         parent_name = f"cat{p:02d}"
         for s in range(S):
@@ -149,23 +174,29 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 pts = superquadric_surface(eta, om, jexps, jaxes)
                 pts = pts + config.cloud_noise * rng.normal(size=pts.shape)
                 cloud_file = f"payload/cloud_{sid}.bin"
-                write_cloud_file(prefix + cloud_file, normalize_points(pts))
+                cloud = _as_stored(normalize_points(pts), f"the cloud of sample {sid!r}")
+                write_cloud_file(prefix + cloud_file, cloud)
 
-                views = []
-                for angle in angles:
+                raw = []
+                for angle, kind in view_keys:
                     theta = math.radians(angle)
-                    for kind in config.kinds:
-                        base = np.concatenate([
-                            z_sample,
-                            [math.cos(theta), math.sin(theta), 1.0 if kind == "depth" else 0.0, 1.0],
-                        ])
-                        feat = base @ w_feat + config.feature_noise * rng.normal(size=D)
-                        feat_file = f"payload/feat_{sid}_{angle:03d}_{kind}.bin"
-                        write_feature_file(prefix + feat_file, feat[None, :])
-                        views.append({"angle": angle, "kind": kind, "feature_file": feat_file})
+                    base = np.concatenate([
+                        z_sample,
+                        [math.cos(theta), math.sin(theta), 1.0 if kind == "depth" else 0.0, 1.0],
+                    ])
+                    raw.append(base @ w_feat + config.feature_noise * rng.normal(size=D))
+                feats = _as_stored(np.stack(raw), f"the view features of sample {sid!r}")
+                views, view_objs = [], []
+                for (angle, kind), feat in zip(view_keys, feats):
+                    feat_file = f"payload/feat_{sid}_{angle:03d}_{kind}.bin"
+                    write_feature_file(prefix + feat_file, feat[None, :])
+                    views.append(ViewRecord(angle, kind, feature=feat, payload_file=feat_file))
+                    view_objs.append({"angle": angle, "kind": kind, "feature_file": feat_file})
+                samples.append(TripletSample(sid, PointCloud.from_raw(cloud), tuple(views),
+                                             parent_name, sub_name, cloud_file))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,
-                                "cloud_file": cloud_file, "views": views})
+                                "cloud_file": cloud_file, "views": view_objs})
 
-    manifest_path = out / "manifest.jsonl"
-    write_manifest(manifest_path, D, records)
-    return load_manifest(manifest_path)
+    write_manifest(out / "manifest.jsonl", D, records)
+    tree = CategoryTree.from_pairs((s.parent, s.sub) for s in samples)
+    return LoadedDataset(DatasetManifest(MANIFEST_VERSION, D), tuple(samples), tree)

@@ -173,7 +173,7 @@ def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
         if text is None:
             text = encode_text_frozen(template.instantiate(label), spec)[None, :]
             text_cache[label] = text
-        raw = np.stack([encode_image_frozen(vw, spec) for vw in sample.views])
+        raw = encode_image_frozen(sample.views, spec)
         angles = tuple(vw.angle_deg for vw in sample.views)
         rows = embed_view(raw, angles, tables) if apply_embeddings else ad._layer_norm(raw)[0]
         # without CIS a step sees one view; without the window any v views

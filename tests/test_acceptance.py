@@ -23,7 +23,6 @@ from jm3d.encoders import (FrozenEncoderSpec, encode_point_cloud,
 from jm3d.evaluation import (accuracy_topk, build_label_features,
                              format_records, modelnet_eval_sets,
                              zero_shot_topk)
-from jm3d.synth import SynthConfig, synth_generate
 from jm3d.training import TrainConfig, point_features, save_checkpoint, train
 
 
@@ -54,14 +53,6 @@ def held_out_top1(ckpt, held, tree, classes):
     feats = point_features(kept, ckpt.params)
     preds = [zero_shot_topk(feats[i:i + 1], label_feats, 1) for i in range(len(kept))]
     return accuracy_topk(preds, gold, 1)
-
-
-@pytest.fixture(scope="session")
-def bench_dataset(tmp_path_factory):
-    cfg = SynthConfig(parents=4, subs_per_parent=3, samples_per_sub=20,
-                      points=256, dim=32)
-    out = tmp_path_factory.mktemp("bench")
-    return out, synth_generate(cfg, out, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,16 @@
 table structure, and the trainable point branch (permutation invariance,
 gradients against finite differences)."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from fdtools import max_rel_vs_fd
 from jm3d import autodiff as ad
-from jm3d import encoders
-from jm3d.data import PointCloud, ViewRecord, angle_bucket
-from jm3d.errors import InputError, ShapeError
+from jm3d import encoders, synth
+from jm3d.data import PointCloud, ViewRecord, angle_bucket, load_manifest
+from jm3d.errors import InputError, ManifestError, NumericError, ShapeError
 
 
 SPEC = encoders.FrozenEncoderSpec(seed=0, dim=16)
@@ -98,6 +100,65 @@ def test_image_missing_payload():
 
     with pytest.raises(InputError):
         encoders.encode_image_frozen(Hollow(), SPEC)
+
+
+def random_views(rng, n, dim, with_rasters):
+    """n views at random grid angles: features of scales 1e-100 to 1e100,
+    some all-zero, and with_rasters, about a third rasters of random sizes."""
+    views = []
+    for _ in range(n):
+        angle = 12 * int(rng.integers(30))
+        if with_rasters and rng.random() < 0.3:
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)), int(rng.integers(1, 4)))
+            views.append(ViewRecord(angle, "rgb", raster=rng.integers(0, 256, size=shape, dtype=np.uint8)))
+        else:
+            feat = rng.normal(size=dim) * 10.0 ** int(rng.integers(-100, 101))
+            views.append(ViewRecord(angle, "depth", feature=feat * (rng.random() > 0.1)))
+    return views
+
+
+def test_image_sequence_rows_are_bitwise_the_per_view_vectors():
+    rng = np.random.default_rng(0)
+    for dim in (2, 16, 32, 33):
+        spec = encoders.FrozenEncoderSpec(seed=1, dim=dim)
+        for n in (1, 2, 7, 60, 257):
+            for with_rasters in (False, True):
+                views = random_views(rng, n, dim, with_rasters)
+                rows = encoders.encode_image_frozen(tuple(views), spec)
+                per_view = np.stack([encoders.encode_image_frozen(v, spec) for v in views])
+                assert rows.shape == (n, dim)
+                assert rows.tobytes() == per_view.tobytes()
+
+
+def test_image_sequence_first_bad_view_decides_the_error():
+    good = ViewRecord(0, "rgb", feature=np.ones(16))
+    nan = ViewRecord(12, "rgb", feature=np.full(16, np.nan))
+    short, long = ViewRecord(24, "rgb", feature=np.ones(15)), ViewRecord(36, "rgb", feature=np.ones(17))
+    no_channels = ViewRecord(48, "rgb", raster=np.zeros((4, 4, 0), dtype=np.uint8))
+    for views in [(good, nan), (good, nan, short), (good, short, nan), (short, short), (long, short),
+                  (nan, no_channels), (good, no_channels, nan)]:
+        first_bad = next(v for v in views if v is not good)
+        with pytest.raises((NumericError, ShapeError)) as single:
+            encoders.encode_image_frozen(first_bad, SPEC)
+        with pytest.raises(single.type) as seq:
+            encoders.encode_image_frozen(views, SPEC)
+        assert str(seq.value) == str(single.value)
+    with pytest.raises(InputError, match="no views"):
+        encoders.encode_image_frozen((), SPEC)
+
+
+def test_image_sequence_reads_lazy_payloads_in_view_order(tmp_path):
+    cfg = synth.SynthConfig(parents=1, subs_per_parent=1, samples_per_sub=1, points=8, dim=16, n_angles=4)
+    synth.synth_generate(cfg, tmp_path, seed=0)
+    sample = load_manifest(tmp_path / "manifest.jsonl", read_views=False).samples[0]
+    (tmp_path / sample.views[5].payload_file).write_bytes(b"")  # unreadable
+    with pytest.raises(ManifestError, match="truncated"):
+        encoders.encode_image_frozen(sample.views, SPEC)
+    sample = load_manifest(tmp_path / "manifest.jsonl", read_views=False).samples[0]
+    nan_file = tmp_path / sample.views[2].payload_file
+    nan_file.write_bytes(nan_file.read_bytes()[:8] + struct.pack("<f", np.nan) * 16)
+    with pytest.raises(NumericError, match="non-finite"):
+        encoders.encode_image_frozen(sample.views, SPEC)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 statistical separation the rest of the test suite relies on."""
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from jm3d import synth
 from jm3d.data import load_manifest, resolve_label
-from jm3d.errors import ConfigError
+from jm3d.errors import ConfigError, NumericError
+from jm3d.training import TrainConfig, save_checkpoint, train
+
+# `tree_hash` of the seed-0 bench dataset (conftest's `bench_dataset`); any
+# change to the generator's draws or the payload format moves it
+BENCH_SEED0_TREE = "2afd9c283d27f36a2793c87b5864ff73c20dce4935185d64b7fdedc224869004"
+SPREADS = ("sub_spread", "sample_spread", "cloud_noise", "feature_noise")
 
 
 def small_config(**over):
@@ -20,12 +27,17 @@ def small_config(**over):
 
 
 def tree_hash(root: Path) -> str:
-    h = hashlib.blake2b(digest_size=16)
+    h = hashlib.sha256()
     for path in sorted(root.rglob("*")):
         if path.is_file():
-            h.update(str(path.relative_to(root)).encode())
+            h.update(path.relative_to(root).as_posix().encode())
             h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def assert_bitwise(a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_counts_and_structure(tmp_path):
@@ -53,17 +65,59 @@ def test_different_seed_differs(tmp_path):
     assert tree_hash(tmp_path / "a") != tree_hash(tmp_path / "b")
 
 
-def test_generate_round_trips_through_loader(tmp_path):
-    ds = synth.synth_generate(small_config(), tmp_path / "d", seed=3)
-    again = load_manifest(tmp_path / "d" / "manifest.jsonl")
-    assert len(again.samples) == len(ds.samples)
-    for a, b in zip(ds.samples, again.samples):
-        assert a.sample_id == b.sample_id
-        np.testing.assert_array_equal(a.cloud.points, b.cloud.points)
-        for va, vb in zip(a.views, b.views):
-            assert (va.angle_deg, va.kind) == (vb.angle_deg, vb.kind)
-            np.testing.assert_array_equal(va.feature, vb.feature)
-    assert again.tree == ds.tree
+def test_generate_round_trips_through_loader(bench_dataset, tmp_path):
+    """synth_generate returns, field for field and bit for bit, what the
+    loader reads back from the files it wrote."""
+    small = synth.synth_generate(small_config(n_angles=4, points=7), tmp_path / "d", seed=3)
+    for root, ds in (bench_dataset, (tmp_path / "d", small)):
+        again = load_manifest(root / "manifest.jsonl")
+        assert again.manifest == ds.manifest
+        assert again.tree == ds.tree
+        assert len(again.samples) == len(ds.samples)
+        for a, b in zip(ds.samples, again.samples):
+            assert ((a.sample_id, a.parent, a.sub, a.cloud_file)
+                    == (b.sample_id, b.parent, b.sub, b.cloud_file))
+            assert_bitwise(a.cloud.points, b.cloud.points)
+            assert ([(v.angle_deg, v.kind, v.payload_file, v.raster) for v in a.views]
+                    == [(v.angle_deg, v.kind, v.payload_file, v.raster) for v in b.views])
+            for va, vb in zip(a.views, b.views):
+                assert_bitwise(va.feature, vb.feature)
+
+
+def test_bench_dataset_bytes_pinned(bench_dataset):
+    assert tree_hash(bench_dataset[0]) == BENCH_SEED0_TREE
+
+
+def test_training_on_the_returned_dataset_equals_training_on_the_files(bench_dataset, tmp_path):
+    root, ds = bench_dataset
+    cfg = TrainConfig(batch_size=16, epochs=3, seed=0, base_lr=2e-2, beta2=0.99)
+    save_checkpoint(train(ds, cfg), tmp_path / "returned.bin")
+    save_checkpoint(train(load_manifest(root / "manifest.jsonl"), cfg), tmp_path / "loaded.bin")
+    assert (tmp_path / "returned.bin").read_bytes() == (tmp_path / "loaded.bin").read_bytes()
+
+
+@pytest.mark.parametrize("name", SPREADS)
+def test_spread_must_be_finite_and_non_negative(name, tmp_path):
+    for bad in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and >= 0"):
+            synth.synth_generate(small_config(**{name: bad}), tmp_path / "d", seed=0)
+    assert not (tmp_path / "d").exists()
+    synth.synth_generate(small_config(**{name: 0.0}), tmp_path / "d", seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # float64 overflow on the way
+@pytest.mark.parametrize("name", SPREADS)
+def test_payload_beyond_float32_raises_before_the_manifest(name, tmp_path):
+    # cloud noise is normalized away unless it overflows float64 itself
+    huge = 1e308 if name == "cloud_noise" else 1e300
+    with pytest.raises(NumericError, match="would not be finite in float32"):
+        synth.synth_generate(small_config(**{name: huge}), tmp_path / "d", seed=0)
+    assert not (tmp_path / "d" / "manifest.jsonl").exists()
+    # nor may an earlier dataset's manifest survive, naming overwritten payloads
+    synth.synth_generate(small_config(), tmp_path / "d", seed=0)
+    with pytest.raises(NumericError):
+        synth.synth_generate(small_config(**{name: huge}), tmp_path / "d", seed=0)
+    assert not (tmp_path / "d" / "manifest.jsonl").exists()
 
 
 def test_labels_resolve(tmp_path):
