@@ -414,11 +414,13 @@ def replace_file(path, blob: bytes) -> None:
         raise
 
 
-def write_cloud_file(path, points: np.ndarray) -> None:
+def write_cloud_file(path, points: np.ndarray) -> np.ndarray:
+    """Returns the points as the file holds them, in float64."""
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64), dtype="<f4")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeError(f"cloud payload must be N x 3, got {pts.shape}")
     write_file(path, _CLOUD_HEADER.pack(pts.shape[0]) + pts.tobytes())
+    return pts.astype(np.float64)
 
 
 def read_cloud_file(path) -> np.ndarray:
@@ -431,8 +433,19 @@ def read_cloud_file(path) -> np.ndarray:
     return np.frombuffer(raw, "<f4", offset=4).reshape(count, 3).astype(np.float64)
 
 
-def write_feature_file(path, rows: np.ndarray, atomic: bool = False) -> None:
-    """`atomic` writes through `replace_file`: for output files, not for
+def payload_cloud(points: np.ndarray) -> PointCloud:
+    """The cloud that a cloud file's points load as: nonempty and finite,
+    re-normalized in float64 after their f32 round trip."""
+    if points.shape[0] < 1:
+        raise InputError("empty cloud")
+    if not np.isfinite(points).all():
+        raise InputError("non-finite cloud coordinates")
+    return PointCloud.from_raw(points)
+
+
+def write_feature_file(path, rows: np.ndarray, atomic: bool = False) -> np.ndarray:
+    """Returns the rows as the file holds them, count x dim in float64.
+    `atomic` writes through `replace_file`: for output files, not for
     dataset payloads, where a rename per file would double the write cost."""
     mat = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     arr = np.ascontiguousarray(mat, dtype="<f4")
@@ -440,6 +453,7 @@ def write_feature_file(path, rows: np.ndarray, atomic: bool = False) -> None:
         raise ShapeError(f"feature payload must be count x dim, got {arr.shape}")
     blob = _FEATURE_HEADER.pack(*arr.shape) + arr.tobytes()
     (replace_file if atomic else write_file)(path, blob)
+    return arr.astype(np.float64)
 
 
 def read_feature_file(path) -> np.ndarray:
@@ -486,6 +500,13 @@ class LoadedDataset:
     manifest: DatasetManifest
     samples: tuple[TripletSample, ...]
     tree: CategoryTree
+
+    @classmethod
+    def of(cls, dim: int, samples) -> "LoadedDataset":
+        """The dataset a current-version manifest of these samples loads as."""
+        samples = tuple(samples)
+        tree = CategoryTree.from_pairs((s.parent, s.sub) for s in samples)
+        return cls(DatasetManifest(MANIFEST_VERSION, int(dim)), samples, tree)
 
     @property
     def dim(self) -> int:
@@ -655,11 +676,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     for sid, parent, sub, cloud_file, views in parsed:
         where = f"sample {sid!r}"
         try:
-            cloud_pts = read_cloud_file(payload_path(cloud_file))
-            if cloud_pts.shape[0] < 1:
-                raise InputError("empty cloud")
-            if not np.isfinite(cloud_pts).all():
-                raise InputError("non-finite cloud coordinates")
+            cloud = payload_cloud(read_cloud_file(payload_path(cloud_file)))
             if read_views:
                 for vw in views:
                     vw._load()
@@ -669,12 +686,11 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
         except ManifestError as e:  # from a view's read, which names the sample
             problems += e.violations
             continue
-        samples.append(TripletSample(sid, PointCloud.from_raw(cloud_pts), views, parent, sub, cloud_file))
+        samples.append(TripletSample(sid, cloud, views, parent, sub, cloud_file))
 
     if problems:
         raise ManifestError(problems)
-    tree = CategoryTree.from_pairs((s.parent, s.sub) for s in samples)
-    return LoadedDataset(DatasetManifest(MANIFEST_VERSION, int(dim)), tuple(samples), tree)
+    return LoadedDataset.of(dim, samples)
 
 
 def write_manifest(path, dim: int, records: list[dict]) -> None:

@@ -8,7 +8,6 @@ sinusoidal angle/depth tables to frozen image features and re-normalize.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import re
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import N_ANGLE_BUCKETS, PointCloud, ViewRecord, angle_bucket
-from .errors import ConfigError, InputError, ManifestError, NumericError, ShapeError
+from .errors import ConfigError, InputError, NumericError, ShapeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _RASTER_SIDE = 16  # frozen image path reduces rasters to 16 x 16 grayscale
@@ -118,23 +117,14 @@ def encode_image_frozen(views, spec: FrozenEncoderSpec) -> np.ndarray:
     """Unit-norm V x D rows for a sequence of views (a D-vector for a
     single view); all-zero inputs stay at zero.
 
-    Each row is bitwise what the view gives alone.  Feature views are
-    checked and normalized as one stack; a raster view keeps its own
-    product, since a stacked product could round differently.  A bad
-    payload raises for the first bad view in view order.
+    Each row is bitwise what the view gives alone: views are checked and
+    projected one by one, so the first bad view in view order raises, and
+    their rows are normalized as one stack.
     """
     if not isinstance(views, Sequence):
         return _unit_rows(_image_row(views, spec))
     if not views:
         raise InputError("no views to encode")
-    stacked = None
-    with contextlib.suppress(ManifestError, ValueError):  # unreadable or ragged features
-        feats = [vw.feature for vw in views]
-        if all(f is not None for f in feats):
-            stacked = np.stack([np.asarray(f, dtype=np.float64).reshape(-1) for f in feats])
-    if stacked is not None and stacked.shape[1] == spec.dim and np.isfinite(stacked).all():
-        return _unit_rows(stacked)
-    # rasters and bad payloads go view by view, so the first bad view raises
     return _unit_rows(np.stack([_image_row(vw, spec) for vw in views]))
 
 

@@ -27,15 +27,12 @@ import numpy as np
 
 from .data import (
     ANGLE_STEP_DEG,
-    MANIFEST_VERSION,
     VIEW_KINDS,
-    CategoryTree,
-    DatasetManifest,
     LoadedDataset,
-    PointCloud,
     TripletSample,
     ViewRecord,
     normalize_points,
+    payload_cloud,
     write_cloud_file,
     write_feature_file,
     write_manifest,
@@ -122,25 +119,20 @@ def _sub_shape(parent: int, global_sub: int) -> tuple[tuple[float, float], np.nd
     return (e1 * mod, e2 * mod), axes
 
 
-def _as_stored(values: np.ndarray, what: str) -> np.ndarray:
-    """values as their payload files hold them: rounded to float32, back
-    in float64.  A value that rounds to a non-finite float32 raises."""
-    with np.errstate(over="ignore"):
-        stored = np.asarray(values, dtype=np.float32)
+def _check_stored(stored, what: str) -> None:
     if not np.isfinite(stored).all():
         raise NumericError(f"synth_generate: {what} would not be finite in float32")
-    return stored.astype(np.float64)
 
 
 def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     """Write a complete dataset under out_dir and return it.
 
     The returned dataset equals what ``load_manifest`` reads back from the
-    files, field for field: every array went through the f32 payload
-    rounding, clouds are re-normalized after it as the loader does, and
-    views and samples carry their payload names.  A payload that would
-    hold a non-finite value raises ``NumericError`` before the manifest is
-    written; a manifest already in out_dir is deleted first.
+    files, field for field: it is built from the arrays as the payload
+    writers report them stored, through the loader's own cloud and dataset
+    constructors, and views and samples carry their payload names.  A
+    payload that holds a non-finite value raises ``NumericError`` before
+    the manifest is written; a manifest already in out_dir is deleted first.
     """
     out = Path(out_dir)
     (out / "payload").mkdir(parents=True, exist_ok=True)
@@ -174,8 +166,8 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 pts = superquadric_surface(eta, om, jexps, jaxes)
                 pts = pts + config.cloud_noise * rng.normal(size=pts.shape)
                 cloud_file = f"payload/cloud_{sid}.bin"
-                cloud = _as_stored(normalize_points(pts), f"the cloud of sample {sid!r}")
-                write_cloud_file(prefix + cloud_file, cloud)
+                cloud = write_cloud_file(prefix + cloud_file, normalize_points(pts))
+                _check_stored(cloud, f"the cloud of sample {sid!r}")
 
                 raw = []
                 for angle, kind in view_keys:
@@ -185,18 +177,17 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                         [math.cos(theta), math.sin(theta), 1.0 if kind == "depth" else 0.0, 1.0],
                     ])
                     raw.append(base @ w_feat + config.feature_noise * rng.normal(size=D))
-                feats = _as_stored(np.stack(raw), f"the view features of sample {sid!r}")
                 views, view_objs = [], []
-                for (angle, kind), feat in zip(view_keys, feats):
+                for (angle, kind), feat in zip(view_keys, raw):
                     feat_file = f"payload/feat_{sid}_{angle:03d}_{kind}.bin"
-                    write_feature_file(prefix + feat_file, feat[None, :])
-                    views.append(ViewRecord(angle, kind, feature=feat, payload_file=feat_file))
+                    stored = write_feature_file(prefix + feat_file, feat)[0]
+                    views.append(ViewRecord(angle, kind, feature=stored, payload_file=feat_file))
                     view_objs.append({"angle": angle, "kind": kind, "feature_file": feat_file})
-                samples.append(TripletSample(sid, PointCloud.from_raw(cloud), tuple(views),
+                _check_stored([vw.feature for vw in views], f"the view features of sample {sid!r}")
+                samples.append(TripletSample(sid, payload_cloud(cloud), tuple(views),
                                              parent_name, sub_name, cloud_file))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,
                                 "cloud_file": cloud_file, "views": view_objs})
 
     write_manifest(out / "manifest.jsonl", D, records)
-    tree = CategoryTree.from_pairs((s.parent, s.sub) for s in samples)
-    return LoadedDataset(DatasetManifest(MANIFEST_VERSION, D), tuple(samples), tree)
+    return LoadedDataset.of(D, samples)

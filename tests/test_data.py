@@ -324,18 +324,23 @@ def test_window_draws_match_the_reference_stream(v, omega):
 def test_cloud_file_round_trip(tmp_path):
     pts = np.random.default_rng(0).normal(size=(17, 3))
     path = tmp_path / "c.bin"
-    data.write_cloud_file(path, pts)
+    stored = data.write_cloud_file(path, pts)
     back = data.read_cloud_file(path)
     np.testing.assert_array_equal(back, pts.astype(np.float32).astype(np.float64))
+    # the writer returns what the file holds, bit for bit
+    assert (stored.dtype, stored.shape, stored.tobytes()) == (back.dtype, back.shape, back.tobytes())
 
 
 def test_feature_file_round_trip(tmp_path):
     rows = np.random.default_rng(1).normal(size=(5, 8))
     path = tmp_path / "f.bin"
-    data.write_feature_file(path, rows)
+    stored = data.write_feature_file(path, rows)
     back = data.read_feature_file(path)
     assert back.shape == (5, 8)
     np.testing.assert_array_equal(back, rows.astype(np.float32).astype(np.float64))
+    assert (stored.dtype, stored.shape, stored.tobytes()) == (back.dtype, back.shape, back.tobytes())
+    one = data.write_feature_file(path, rows[0], atomic=True)
+    assert one.tobytes() == data.read_feature_file(path).tobytes() and one.shape == (1, 8)
 
 
 def test_raster_file_round_trip(tmp_path):
