@@ -177,14 +177,17 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                         [math.cos(theta), math.sin(theta), 1.0 if kind == "depth" else 0.0, 1.0],
                     ])
                     raw.append(base @ w_feat + config.feature_noise * rng.normal(size=D))
-                views, view_objs = [], []
-                for (angle, kind), feat in zip(view_keys, raw):
-                    feat_file = f"payload/feat_{sid}_{angle:03d}_{kind}.bin"
-                    stored = write_feature_file(prefix + feat_file, feat)[0]
-                    views.append(ViewRecord(angle, kind, feature=stored, payload_file=feat_file))
-                    view_objs.append({"angle": angle, "kind": kind, "feature_file": feat_file})
-                _check_stored([vw.feature for vw in views], f"the view features of sample {sid!r}")
-                samples.append(TripletSample(sid, payload_cloud(cloud), tuple(views),
+                feat_files = [f"payload/feat_{sid}_{angle:03d}_{kind}.bin" for angle, kind in view_keys]
+                # the sample's views share one V x D array: far fewer
+                # objects to hold than an array per view
+                feats = np.concatenate([write_feature_file(prefix + name, feat)
+                                        for name, feat in zip(feat_files, raw)])
+                _check_stored(feats, f"the view features of sample {sid!r}")
+                views = tuple(ViewRecord(angle, kind, feature=feat, payload_file=name)
+                              for (angle, kind), name, feat in zip(view_keys, feat_files, feats))
+                view_objs = [{"angle": angle, "kind": kind, "feature_file": name}
+                             for (angle, kind), name in zip(view_keys, feat_files)]
+                samples.append(TripletSample(sid, payload_cloud(cloud), views,
                                              parent_name, sub_name, cloud_file))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,
                                 "cloud_file": cloud_file, "views": view_objs})
