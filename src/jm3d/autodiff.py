@@ -344,20 +344,30 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
     first row of maximal pre-activation.  That differs from
     ``max_pool_rows``' first maximal row after tanh only where two
     pre-activations round to one tanh value, and then the pooled value is
-    the same.  Only the pooled rows and each cloud's winner rows are
-    kept.  The gradient reaches at most h rows per cloud, so backward
-    recomputes layer 1 on those rows only.
+    the same.
+
+    On a tape, the forward keeps, for each cloud and column, its winner's
+    point and layer-1 activation (B x h x 3 and B x h x h), and the
+    backward is one batch-wide pass over those (cloud, column) pairs: it
+    recomputes no layer 1 and runs no product over the rest of a winner
+    row's columns.  A row that wins several columns gets the sum of its
+    per-column terms.  On constants nothing is kept, and each column's max
+    is taken without locating its winner.
     """
-    wv1, bv1, wv2, bv2 = w1.values, b1.values, w2.values, b2.values
+    params = (w1, b1, w2, b2)
+    wv1, bv1, wv2, bv2 = (p.values for p in params)
     h = wv1.shape[1]
     if wv1.shape[0] != 3 or wv2.shape != (h, h) or bv1.shape != (1, h) or bv2.shape != (1, h):
         raise ShapeError(f"mlp_max_pool weights do not chain: w1 {wv1.shape}, b1 {bv1.shape}, "
                          f"w2 {wv2.shape}, b2 {bv2.shape}")
     if not clouds:
         raise ShapeError("mlp_max_pool needs at least one cloud")
+    tape = _tape_of(params)
+    taped = tape is not None and any(p.requires_grad for p in params)
     cols = np.arange(h)
     out = np.empty((len(clouds), h))
-    winners = []
+    if taped:
+        act, pin = np.empty((len(clouds), h, h)), np.empty((len(clouds), h, 3))
     for i, pts in enumerate(clouds):
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ShapeError(f"cloud {i} must be N x 3 with N >= 1, got {pts.shape}")
@@ -369,44 +379,33 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         # 300 points), and then the pooled bits would depend on point order
         z = a @ wv2
         z += bv2
-        idx = np.argmax(z, axis=0)
+        if not taped:
+            z.max(axis=0, out=out[i])
+            continue
+        idx = z.argmax(axis=0)
         out[i] = z[idx, cols]
-        winners.append(idx)
+        a.take(idx, 0, act[i])
+        pin[i] = pts[idx]
     np.tanh(out, out=out)
+    if not taped:
+        return constant(out)
 
     def backward(g):
         g2 = g * (1.0 - out * out)
-        # the winner rows of the whole batch, numbered across the stacked
-        # clouds: marked once and read back ascending, so cloud i's distinct
-        # winners are rows[bounds[i]:bounds[i + 1]], in row order
-        starts = np.zeros(len(clouds) + 1, dtype=np.intp)
-        np.cumsum([pts.shape[0] for pts in clouds], out=starts[1:])
-        won = np.stack(winners)
-        won += starts[:-1, None]
-        mark = np.zeros(starts[-1], dtype=bool)
-        mark[won] = True
-        rows = np.flatnonzero(mark)
-        bounds = np.searchsorted(rows, starts).tolist()
-        d2 = np.zeros((rows.size, h))
-        d2[np.searchsorted(rows, won), cols] = g2
-        gw1, gb1 = np.zeros_like(wv1), np.zeros_like(bv1)
-        gw2, gb2 = np.zeros_like(wv2), np.zeros_like(bv2)
-        for cloud, start, s, e in zip(clouds, starts, bounds, bounds[1:]):
-            # layer 1 and every product run per cloud, in cloud order: so no
-            # GEMM reduces over more than h rows (longer reductions can round
-            # differently at another BLAS thread count), and each rounds as
-            # in a product of that cloud's rows alone (numpy sends a 1-row
-            # product to another BLAS routine than a row of a taller one)
-            pts, d2c = cloud[rows[s:e] - start], d2[s:e]
-            a = np.tanh(pts @ wv1 + bv1)
-            d1 = (d2c @ wv2.T) * (1.0 - a * a)
-            gw1 += pts.T @ d1
-            gb1 += d1.sum(axis=0)
-            gw2 += a.T @ d2c
-            gb2 += d2c.sum(axis=0)
-        return gw1, gb1, gw2, gb2
+        gw2 = np.einsum("ij,ijk->kj", g2, act)
+        # layer 1's derivative per (cloud, column) pair, (1 - act^2) * w2.T;
+        # the pair's upstream factor g2 is the same along that row, so the
+        # GEMMs' left sides carry it, not this B x h x h array.  Each GEMM
+        # reduces over all B x h pairs; OpenBLAS splits its output, not that
+        # reduction, over threads, so the bits hold at any thread count
+        d1 = act * act
+        np.subtract(1.0, d1, out=d1)
+        d1 *= wv2.T
+        d1 = d1.reshape(-1, h)
+        gw1 = (pin * g2[:, :, None]).reshape(-1, 3).T @ d1
+        return gw1, g2.reshape(1, -1) @ d1, gw2, g2.sum(axis=0, keepdims=True)
 
-    return _apply(out, (w1, b1, w2, b2), backward)
+    return tape._record(out, params, backward)
 
 
 # ---------------------------------------------------------------------------

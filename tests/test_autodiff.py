@@ -6,6 +6,7 @@ forward function, never by a second copy of the backward rule.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,12 +205,32 @@ def test_mlp_max_pool_matches_op_chain():
     consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
     fused_pool = ad.mlp_max_pool(clouds, *consts)
     assert fused_pool.values.tobytes() == mlp_pool_chain(clouds, *consts).values.tobytes()
+    tape = ad.Tape()
+    taped = ad.mlp_max_pool(clouds, *(tape.parameter(k, values[k]) for k in ("w1", "b1", "w2", "b2")))
+    assert taped.values.tobytes() == fused_pool.values.tobytes()
     fused_tape, fused_loss = mlp_pool_build(ad.mlp_max_pool, clouds)(values)
     chain_tape, chain_loss = mlp_pool_build(mlp_pool_chain, clouds)(values)
     assert len(fused_tape._records) == 3  # the pool op, the weighting, the mean
     fused, chain = fused_tape.backward(fused_loss), chain_tape.backward(chain_loss)
     for name in values:
         assert max_rel(fused[name], chain[name]) < 1e-12, name
+
+
+def test_mlp_max_pool_on_constants_keeps_no_winner_activations():
+    # inference encodes every cloud at once: 240 bench-size clouds must not
+    # cost the B x h x h winner activations a taped forward keeps
+    rng = np.random.default_rng(10)
+    clouds = [rng.normal(size=(256, 3)) for _ in range(240)]
+    hidden = 64
+    values = mlp_pool_values(11, hidden)
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    tracemalloc.start()
+    try:
+        ad.mlp_max_pool(clouds, *consts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(clouds) * hidden * hidden * 8
 
 
 def test_mlp_max_pool_saturated_columns_match_op_chain():
@@ -265,6 +286,12 @@ def per_cloud_mlp_max_pool_backward(clouds, values, g):
 @pytest.mark.parametrize("hidden", [1, 3, 8, 64])
 @pytest.mark.parametrize("monotone", [False, True])
 def test_mlp_max_pool_backward_is_bitwise_per_cloud_reference(hidden, monotone):
+    """The batch-wide backward against the per-cloud reference, and its
+    replay.  The two sum in different orders, so each array must be within
+    1e-12 of the reference's largest entry (an element-wise relative bound
+    fails on near-zero coordinates).  What stays bitwise is the replay: a
+    second call gives the same bytes and leaves the kept arrays as they
+    were."""
     rng = np.random.default_rng(hidden)
     values = mlp_pool_values(hidden + 10, hidden)
     clouds = [rng.uniform(-1.0, 1.0, size=(n, 3)) for n in (1, 5, 1, 17, 256, 2, 300, 40)]
@@ -281,14 +308,20 @@ def test_mlp_max_pool_backward_is_bitwise_per_cloud_reference(hidden, monotone):
     params = [tape.parameter(name, values[name]) for name in ("w1", "b1", "w2", "b2")]
     pooled = ad.mlp_max_pool(clouds, *params)
     backward = tape._records[-1][2]
+    closure = dict(zip(backward.__code__.co_freevars, (c.cell_contents for c in backward.__closure__)))
+    kept = {name: closure[name].tobytes() for name in ("act", "pin")}
     for trial in range(3):
         g = rng.normal(size=pooled.shape)
         if trial == 2:  # signed zeros from upstream
             g[:, ::2] = -0.0
         got = dict(zip(("w1", "b1", "w2", "b2"), backward(g)))
+        again = dict(zip(("w1", "b1", "w2", "b2"), backward(g)))
         ref = per_cloud_mlp_max_pool_backward(clouds, values, g)
         for name in values:
-            assert got[name].tobytes() == ref[name].tobytes(), (trial, name)
+            assert got[name].shape == ref[name].shape, (trial, name)
+            assert np.abs(got[name] - ref[name]).max() <= 1e-12 * np.abs(ref[name]).max(), (trial, name)
+            assert again[name].tobytes() == got[name].tobytes(), (trial, name)
+        assert {name: closure[name].tobytes() for name in kept} == kept, trial
     tape.parameters.clear()
 
 

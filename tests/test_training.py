@@ -457,23 +457,26 @@ def test_checkpoint_cut_inside_array_headers_exits_2(tiny_dir, tiny_dataset, tmp
 
 def test_checkpoint_bytes_identical_at_1_and_2_blas_threads(tmp_path):
     # bench-sized clouds and the default hidden width, so the encoder's
-    # GEMMs are large enough for OpenBLAS to split them over threads
+    # GEMMs are large enough for OpenBLAS to split them over threads; the
+    # encoder backward reduces over batch x hidden rows in one product, so
+    # the batch of 32 makes that reduction twice as long
     data_dir = tmp_path / "data"
     synth_generate(SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=8,
                                points=256, dim=16, n_angles=10), data_dir, seed=2)
     src = str(Path(jm3d.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run([sys.executable, "-m", "jm3d", "pretrain",
-                               "--data", str(data_dir / "manifest.jsonl"), "--out", str(out),
-                               "--epochs", "2", "--batch", "16", "--seed", "0"],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests.append((out / "checkpoint.bin").read_bytes())
-    assert digests[0] == digests[1]
+    for batch in ("16", "32"):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"batch{batch}-threads{threads}"
+            proc = subprocess.run([sys.executable, "-m", "jm3d", "pretrain",
+                                   "--data", str(data_dir / "manifest.jsonl"), "--out", str(out),
+                                   "--epochs", "2", "--batch", batch, "--seed", "0"],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append((out / "checkpoint.bin").read_bytes())
+        assert digests[0] == digests[1], batch
 
 
 def with_metadata(raw: bytes, meta) -> bytes:
