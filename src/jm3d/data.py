@@ -84,10 +84,11 @@ class ViewRecord:
     ``payload_file`` is the payload's name in the manifest the record was
     loaded from or written to, or None for a record built by hand.  A
     record that ``load_manifest(..., read_views=False)`` builds reads its
-    payload file the first time ``feature`` or ``raster`` is used.
+    payload file the first time ``feature`` or ``raster`` is used, unless
+    another view of its sample has already read the view file they share.
     """
 
-    __slots__ = ("_angle", "_kind", "_feature", "_raster", "_file", "_read", "_where")
+    __slots__ = ("_angle", "_kind", "_feature", "_raster", "_file", "_read", "_row")
 
     def __init__(self, angle_deg: int, kind: str, feature: np.ndarray | None = None,
                  raster: np.ndarray | None = None, payload_file: str | None = None):
@@ -97,7 +98,7 @@ class ViewRecord:
         if (feature is None) == (raster is None):
             raise InputError("view needs exactly one of feature or raster")
         self._angle, self._kind, self._feature, self._raster = angle_deg, kind, feature, raster
-        self._file, self._read, self._where = payload_file, None, None
+        self._file, self._read, self._row = payload_file, None, None
 
     angle_deg = property(lambda self: self._angle)
     kind = property(lambda self: self._kind)
@@ -117,11 +118,29 @@ class ViewRecord:
 
     def _load(self) -> None:
         """Read the payload; after a failed read the next use fails alike."""
-        self._feature, self._raster = self._read(self._file, self._where, self._raster is _UNREAD)
+        self._feature, self._raster = self._read.take(self._row)
         self._read = None
 
     def __repr__(self) -> str:
         return f"ViewRecord(angle_deg={self._angle!r}, kind={self._kind!r})"
+
+
+class _Payload:
+    """A payload file that views of one sample read: a raster (``rows`` is
+    None) or a feature file of exactly ``rows`` rows, one per view that
+    reads it.  It is read on the first ``take`` and then held, so each file
+    is read once per load; a failed read is tried again on the next take."""
+
+    __slots__ = ("read", "name", "where", "rows", "data")
+
+    def __init__(self, read, name: str, where: str, rows: int | None):
+        self.read, self.name, self.where, self.rows, self.data = read, name, where, rows, None
+
+    def take(self, row: int) -> tuple:
+        """(feature, raster) of the view that reads row `row`."""
+        if self.data is None:
+            self.data = self.read(self.name, self.where, self.rows)
+        return (None, self.data) if self.rows is None else (self.data[row], None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,6 +506,21 @@ def read_raster_file(path) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # manifest
+#
+# UTF-8 text, one JSON object per nonblank line.  Line 1 is the header
+# {"version": "jm3d-1", "dim": D}; each further line is one sample:
+#   id, parent    nonempty strings
+#   sub           null or a nonempty string
+#   cloud_file    the cloud's payload name
+#   view_file     optional: a feature file with one row per view, in view
+#                 order, so exactly len(views) x D
+#   views         a nonempty list of {"angle", "kind"} objects, each with at
+#                 most one of feature_file (a 1 x D feature file) or
+#                 image_file (a raster file)
+# A view that names neither file takes row i of its record's view_file,
+# where i is its index in views; a record without a view_file needs one of
+# them in every view.  Payload names are relative to the manifest's
+# directory, joined as `base / name` joins them.
 
 
 @dataclass(frozen=True)
@@ -524,8 +558,9 @@ def _name_problem(name) -> str | None:
 
 def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple | None:
     """(id, parent, sub, cloud_file, views) of a valid record, each view an
-    unread `ViewRecord` that reads its payload through `read`; None once
-    the record's violations are appended to `problems`."""
+    unread `ViewRecord` whose `_Payload` reads through `read`; the views
+    that take rows of the view file share one payload.  None once the
+    record's violations are appended to `problems`."""
     ok = True
 
     def bad(msg):
@@ -546,11 +581,15 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
         bad("sub must be null or a nonempty string")
     if problem := _name_problem(obj["cloud_file"]):
         bad(f"cloud_file {problem}")
+    has_view_file = "view_file" in obj
+    if has_view_file and (problem := _name_problem(obj["view_file"])):
+        bad(f"view_file {problem}")
     views = obj["views"]
     if not isinstance(views, list) or not views:
         bad("views must be a nonempty list")
         return None
     sample_where = f"sample {obj['id']!r}"
+    shared = None  # the view file's payload, once a view takes a row of it
     records = []
     for i, vw in enumerate(views):
         if not isinstance(vw, dict):
@@ -567,16 +606,22 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
             bad(f"view {i} kind {kind!r} not in {VIEW_KINDS}")
             continue
         feat, img = vw.get("feature_file"), vw.get("image_file")
-        if (feat is None) == (img is None):
-            bad(f"view {i} needs exactly one of feature_file or image_file")
-            continue
-        name = img if feat is None else feat
-        if problem := _name_problem(name):
-            bad(f"view {i} {'image_file' if feat is None else 'feature_file'} {problem}")
-            continue
+        if feat is None and img is None and has_view_file:
+            if shared is None:
+                shared = _Payload(read, obj["view_file"], sample_where, len(views))
+            payload, row = shared, i
+        else:
+            if (feat is None) == (img is None):
+                bad(f"view {i} needs exactly one of feature_file or image_file")
+                continue
+            name = img if feat is None else feat
+            if problem := _name_problem(name):
+                bad(f"view {i} {'image_file' if feat is None else 'feature_file'} {problem}")
+                continue
+            payload, row = _Payload(read, name, sample_where, None if feat is None else 1), 0
         # built past __init__: the checks above are its checks
         rec = ViewRecord.__new__(ViewRecord)
-        rec._angle, rec._kind, rec._file, rec._read, rec._where = int(angle), kind, name, read, sample_where
+        rec._angle, rec._kind, rec._file, rec._read, rec._row = int(angle), kind, payload.name, payload, row
         rec._feature, rec._raster = (_UNREAD, None) if img is None else (None, _UNREAD)
         records.append(rec)
     if not ok:
@@ -588,10 +633,12 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     """Parse, validate, and materialize a dataset.
 
     Validation runs to the end and reports every violation at once; payload
-    clouds are re-normalized in float64 after their f32 round-trip.  With
-    ``read_views=False`` the manifest and every cloud are still read and
-    checked, but each view reads and checks its payload file the first time
-    its ``feature`` or ``raster`` is used, and a bad file then raises
+    clouds are re-normalized in float64 after their f32 round-trip.  Each
+    payload file is read once: a view file's rows are shared by the views
+    that take them, as rows of one V x D array.  With ``read_views=False``
+    the manifest and every cloud are still read and checked, but view
+    payloads are read and checked on first use: a view file on the first
+    use of any view that takes a row of it.  A bad file then raises
     ``ManifestError`` naming the sample, as the full load would.
     """
     path = Path(path)
@@ -608,17 +655,19 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
             return str(base / name)
         return prefix + name
 
-    def read_view(name: str, where: str, is_image: bool) -> tuple:
-        """(feature, raster) of one view's payload file; a feature is 1 x dim."""
+    def read_payload(name: str, where: str, rows: int | None) -> np.ndarray:
+        """A raster when rows is None, else a feature file's rows, which
+        must be exactly rows x dim."""
         try:
-            if is_image:
-                return None, read_raster_file(payload_path(name))
-            feat = read_feature_file(payload_path(name))
-            if feat.shape[0] != 1 or (dim is not None and feat.shape[1] != dim):
-                raise InputError(f"view feature {name} is {feat.shape[0]}x{feat.shape[1]}, expected 1x{dim}")
+            if rows is None:
+                return read_raster_file(payload_path(name))
+            feats = read_feature_file(payload_path(name))
+            if feats.shape[0] != rows or (dim is not None and feats.shape[1] != dim):
+                raise InputError(f"view feature {name} is {feats.shape[0]}x{feats.shape[1]}, "
+                                 f"expected {rows}x{dim}")
         except (OSError, InputError, ShapeError) as e:
             raise ManifestError([f"{where}: {e}"]) from None
-        return feat[0], None
+        return feats
 
     problems: list[str] = []
     try:
@@ -667,7 +716,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
                 problems.append(f"{where}: duplicate sample id {sid!r}")
                 continue
             seen_ids.add(sid)
-        sample = _sample_from_obj(obj, where, problems, read_view)
+        sample = _sample_from_obj(obj, where, problems, read_payload)
         if sample is not None:
             parsed.append(sample)
 
@@ -694,12 +743,11 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
 
 def write_manifest(path, dim: int, records: list[dict]) -> None:
-    """Emit the manifest header plus one JSON record per line."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"version": MANIFEST_VERSION, "dim": int(dim)}, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """Emit the manifest header plus one JSON record per line, through
+    `replace_file`: a write that fails part way leaves no partial manifest."""
+    lines = [json.dumps({"version": MANIFEST_VERSION, "dim": int(dim)}, sort_keys=True)]
+    lines += [json.dumps(rec, sort_keys=True) for rec in records]
+    replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

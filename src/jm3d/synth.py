@@ -127,12 +127,17 @@ def _check_stored(stored, what: str) -> None:
 def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     """Write a complete dataset under out_dir and return it.
 
-    The returned dataset equals what ``load_manifest`` reads back from the
-    files, field for field: it is built from the arrays as the payload
-    writers report them stored, through the loader's own cloud and dataset
-    constructors, and views and samples carry their payload names.  A
-    payload that holds a non-finite value raises ``NumericError`` before
-    the manifest is written; a manifest already in out_dir is deleted first.
+    Each sample gets two payload files: its cloud, ``payload/cloud_<id>.bin``,
+    and its view file, ``payload/views_<id>.bin``, whose V x D rows are the
+    view features in view order; the manifest's view objects name no file
+    and take those rows.  The returned dataset equals what
+    ``load_manifest`` reads back from the files, field for field: it is
+    built from the arrays as the payload writers report them stored,
+    through the loader's own cloud and dataset constructors; a sample's
+    views share one V x D array and carry the view file's name, and samples
+    carry their cloud's.  A payload that holds a non-finite value raises
+    ``NumericError`` before the manifest is written; a manifest already in
+    out_dir is deleted first.
     """
     out = Path(out_dir)
     (out / "payload").mkdir(parents=True, exist_ok=True)
@@ -149,6 +154,8 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
 
     view_keys = [(a * ANGLE_STEP_DEG, kind) for a in range(config.n_angles) for kind in config.kinds]
+    # every record's views: they name no file, so they take the view file's rows
+    view_objs = [{"angle": angle, "kind": kind} for angle, kind in view_keys]
     records, samples = [], []
     for p in range(P):
         parent_name = f"cat{p:02d}"
@@ -177,20 +184,16 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                         [math.cos(theta), math.sin(theta), 1.0 if kind == "depth" else 0.0, 1.0],
                     ])
                     raw.append(base @ w_feat + config.feature_noise * rng.normal(size=D))
-                feat_files = [f"payload/feat_{sid}_{angle:03d}_{kind}.bin" for angle, kind in view_keys]
-                # the sample's views share one V x D array: far fewer
-                # objects to hold than an array per view
-                feats = np.concatenate([write_feature_file(prefix + name, feat)
-                                        for name, feat in zip(feat_files, raw)])
+                view_file = f"payload/views_{sid}.bin"
+                feats = write_feature_file(prefix + view_file, raw)
                 _check_stored(feats, f"the view features of sample {sid!r}")
-                views = tuple(ViewRecord(angle, kind, feature=feat, payload_file=name)
-                              for (angle, kind), name, feat in zip(view_keys, feat_files, feats))
-                view_objs = [{"angle": angle, "kind": kind, "feature_file": name}
-                             for (angle, kind), name in zip(view_keys, feat_files)]
+                views = tuple(ViewRecord(angle, kind, feature=feat, payload_file=view_file)
+                              for (angle, kind), feat in zip(view_keys, feats))
                 samples.append(TripletSample(sid, payload_cloud(cloud), views,
                                              parent_name, sub_name, cloud_file))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,
-                                "cloud_file": cloud_file, "views": view_objs})
+                                "cloud_file": cloud_file, "view_file": view_file,
+                                "views": view_objs})
 
     write_manifest(out / "manifest.jsonl", D, records)
     return LoadedDataset.of(D, samples)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from jm3d import cli, data
 from jm3d.data import load_manifest, read_feature_file
 from jm3d.errors import ConfigError, LabelError
+from layouts import split_view_files
 
 HEADER_RE = re.compile(r"^jm3d \d+\.\d+\.\d+ config=[0-9a-f]{12} seed=\d+$")
 
@@ -38,6 +39,15 @@ def dataset_dir(workdir):
                     "--per-sub", "3", "--points", "48", "--dim", "16",
                     "--angles", "12", "--seed", "3"])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def per_view_dataset_dir(workdir, dataset_dir):
+    """`dataset_dir` in the per-view layout: one feature file per view."""
+    out = workdir / "per_view_data"
+    shutil.copytree(dataset_dir, out)
+    split_view_files(out)
     return out
 
 
@@ -341,25 +351,35 @@ def copy_dataset(dataset_dir, root):
     return root / "manifest.jsonl", load_manifest(root / "manifest.jsonl").samples
 
 
-def test_corrupt_view_fails_only_the_commands_that_read_it(run_dir, dataset_dir, tmp_path):
+def test_corrupt_view_fails_only_the_commands_that_read_it(run_dir, dataset_dir, per_view_dataset_dir,
+                                                          tmp_path):
     intact = run_captured(["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl")])
     assert intact[0] == 0
-    manifest, records = copy_dataset(dataset_dir, tmp_path / "data")
-    bad = [tmp_path / "data" / records[i].views[5].payload_file for i in (2, 7)]
-    for path in bad:
-        path.write_bytes(path.read_bytes()[:6])
-    violations = [f"sample {records[i].sample_id!r}: feature file {path} is truncated"
-                  for i, path in zip((2, 7), bad)]
-    common = serve_args(run_dir, manifest)
-    assert run_captured(["eval-zeroshot", *common]) == intact
-    assert run_captured(["retrieve", *common, "--query", records[2].sample_id, "--view", "4"])[0] == 0
-    code, _, err = run_captured(["retrieve", *common, "--query", records[2].sample_id, "--view", "5"])
-    assert code == 2
-    assert err == f"error: manifest validation failed with 1 problem(s)\n  - {violations[0]}\n"
-    code, _, err = run_captured(["pretrain", "--data", str(manifest), "--epochs", "1", "--batch", "4"])
-    assert code == 2
-    assert err == "error: manifest validation failed with 2 problem(s)\n" + "".join(
-        f"  - {v}\n" for v in violations)
+    # a view file holds all its sample's views: corrupt, it fails every one
+    # of them; a per-view file fails its own view only
+    for layout, source, failing_views in (("view file", dataset_dir, (4, 5)),
+                                          ("per view", per_view_dataset_dir, (5,))):
+        manifest, records = copy_dataset(source, tmp_path / layout)
+        bad = [tmp_path / layout / records[i].views[5].payload_file for i in (2, 7)]
+        for path in bad:
+            path.write_bytes(path.read_bytes()[:6])
+        violations = [f"sample {records[i].sample_id!r}: feature file {path} is truncated"
+                      for i, path in zip((2, 7), bad)]
+        common = serve_args(run_dir, manifest)
+        assert run_captured(["eval-zeroshot", *common]) == intact
+        for view in (4, 5):
+            code, _, err = run_captured(["retrieve", *common, "--query", records[2].sample_id,
+                                         "--view", str(view)])
+            if view in failing_views:
+                assert (code, err) == (2, f"error: manifest validation failed with 1 problem(s)\n"
+                                          f"  - {violations[0]}\n"), layout
+            else:
+                assert code == 0, layout
+        assert run_captured(["retrieve", *common, "--query", records[3].sample_id, "--view", "5"])[0] == 0
+        code, _, err = run_captured(["pretrain", "--data", str(manifest), "--epochs", "1", "--batch", "4"])
+        assert code == 2
+        assert err == "error: manifest validation failed with 2 problem(s)\n" + "".join(
+            f"  - {v}\n" for v in violations)
 
 
 def test_non_finite_view_feature_exits_3_where_it_is_read(run_dir, dataset_dir, tmp_path):
@@ -538,6 +558,17 @@ def fuzz_base(tmp_path_factory):
     return root, records
 
 
+@pytest.fixture(scope="module")
+def fuzz_base_per_view(fuzz_base, tmp_path_factory):
+    """`fuzz_base` with its dataset in the per-view layout."""
+    root = tmp_path_factory.mktemp("fuzz_per_view") / "base"
+    shutil.copytree(fuzz_base[0], root)
+    split_view_files(root / "data")
+    records = load_manifest(root / "data" / "manifest.jsonl").samples
+    return root, records
+
+
+DROPPED_VIEW = ("view", None)  # views[view] deleted: fewer views than view-file rows
 FIELD_FAULTS = [  # (field, bad value); "view." fields change views[view]
     ("id", 5), ("id", ""), ("parent", None), ("sub", 3), ("views", []),
     ("cloud_file", "payload/a\0b.bin"), ("cloud_file", 7), ("cloud_file", "payload/gone.bin"),
@@ -545,14 +576,31 @@ FIELD_FAULTS = [  # (field, bad value); "view." fields change views[view]
     ("view.kind", "sketch"), ("view.feature_file", "payload/a\0b.bin"), ("view.feature_file", 5),
     ("view.feature_file", "payload/gone.bin"), ("header.version", "jm3d-0"), ("header.dim", 0),
     ("header.dim", "4"), ("header.dim", 5),
+    ("view_file", "payload/a\0b.bin"), ("view_file", 5), ("view_file", "payload/gone.bin"), DROPPED_VIEW,
 ]
 PAYLOAD_FAULTS = ("truncate", "flip header byte", "nan in body")
 
-mutations = st.one_of(
-    st.tuples(st.sampled_from(PAYLOAD_FAULTS), st.integers(0, 19), st.integers(0, 99)),
-    st.tuples(st.sampled_from(["cut line", "repeat line"]), st.integers(0, 4), st.integers(0, 99)),
-    st.tuples(st.just("field"), st.integers(0, 4), st.integers(0, 3), st.sampled_from(FIELD_FAULTS)),
-)
+
+def mutation_strategy(field_faults):
+    return st.one_of(
+        st.tuples(st.sampled_from(PAYLOAD_FAULTS), st.integers(0, 19), st.integers(0, 99)),
+        st.tuples(st.sampled_from(["cut line", "repeat line"]), st.integers(0, 4), st.integers(0, 99)),
+        st.tuples(st.just("field"), st.integers(0, 4), st.integers(0, 3), st.sampled_from(field_faults)),
+    )
+
+
+mutations = mutation_strategy(FIELD_FAULTS)
+# a per-view record holds no view-file rows, so dropping a view leaves it valid
+per_view_mutations = mutation_strategy([f for f in FIELD_FAULTS if f != DROPPED_VIEW])
+
+
+def view_file_readers(obj) -> set:
+    """(sample id, view index) of each view of a manifest record that takes
+    a row of the record's view file."""
+    if "view_file" not in obj:
+        return set()
+    return {(obj["id"], v) for v, vw in enumerate(obj["views"])
+            if vw.get("feature_file") is None and vw.get("image_file") is None}
 
 
 def apply_mutation(root, records, mutation):
@@ -564,7 +612,8 @@ def apply_mutation(root, records, mutation):
     kind, i, j = mutation[:3]
     if kind in PAYLOAD_FAULTS:
         rec, view = records[i // 5], i % 5 - 1  # view -1 is the cloud
-        path = root / (rec.cloud_file if view < 0 else rec.views[view].payload_file)
+        name = rec.cloud_file if view < 0 else rec.views[view].payload_file
+        path = root / name
         blob = bytearray(path.read_bytes())
         header = 4 if view < 0 else 8
         if kind == "truncate":
@@ -572,9 +621,17 @@ def apply_mutation(root, records, mutation):
         elif kind == "flip header byte":
             blob[j % header] ^= 1 + j % 255
         else:
-            struct.pack_into("<f", blob, header + 4 * (j % ((len(blob) - header) // 4)), math.nan)
+            at = j % ((len(blob) - header) // 4)
+            struct.pack_into("<f", blob, header + 4 * at, math.nan)
         path.write_bytes(bytes(blob))
-        return None if view < 0 else {(rec.sample_id, view)}
+        if view < 0:
+            return None
+        # the views that read the file, the k-th of them its row k; a fault
+        # breaks all of them, but a NaN only the one whose row it is in
+        readers = [v for v, vw in enumerate(rec.views) if vw.payload_file == name]
+        if kind == "nan in body":
+            readers = [readers[at // struct.unpack_from("<I", blob, 4)[0]]]
+        return {(rec.sample_id, v) for v in readers}
     if kind == "cut line":
         lines[i] = lines[i][:1 + j * (len(lines[i]) - 1) // 100]
     elif kind == "repeat line":
@@ -590,12 +647,17 @@ def apply_mutation(root, records, mutation):
                 scope = {(rec.sample_id, v) for rec in records for v in range(len(rec.views))}
         else:
             obj = json.loads(lines[1 + i % 4])
-            if field.startswith("view."):
+            if (field, value) == DROPPED_VIEW:  # every view that took a row now fails
+                scope = view_file_readers(obj)
+                del obj["views"][j]
+            elif field.startswith("view."):
                 obj["views"][j][field[len("view."):]] = value
                 if value == "payload/gone.bin":
                     scope = {(obj["id"], j)}
             else:
                 obj[field] = value
+                if field == "view_file" and value == "payload/gone.bin":
+                    scope = view_file_readers(obj)
             lines[1 + i % 4] = json.dumps(obj)
         manifest.write_text("\n".join(lines) + "\n")
         return scope
@@ -603,17 +665,7 @@ def apply_mutation(root, records, mutation):
     return None
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(mutation=mutations, query=st.integers(0, 15))
-@example(mutation=("field", 0, 0, ("cloud_file", "payload/a\0b.bin")), query=0)
-@example(mutation=("field", 0, 1, ("view.feature_file", "payload/a\0b.bin")), query=1)
-@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=1)
-@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=2)
-@example(mutation=("field", 0, 0, ("header.dim", 5)), query=6)
-@example(mutation=("truncate", 1, 50), query=0)
-@example(mutation=("truncate", 1, 50), query=1)
-def test_fuzzed_inputs_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_factory, mutation, query):
-    base, records = fuzz_base
+def check_fuzzed_inputs(base, records, tmp_path_factory, mutation, query):
     root = tmp_path_factory.mktemp("mutant") / "data"
     shutil.copytree(base / "data", root)
     broken = apply_mutation(root, records, mutation)
@@ -634,6 +686,37 @@ def test_fuzzed_inputs_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_factory
             assert (code, out) == intact[:2], (name, mutation)
         else:
             assert code in (2, 3), (name, mutation)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mutation=mutations, query=st.integers(0, 15))
+@example(mutation=("field", 0, 0, ("cloud_file", "payload/a\0b.bin")), query=0)
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/a\0b.bin")), query=1)
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=1)
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=2)
+@example(mutation=("field", 0, 0, ("header.dim", 5)), query=6)
+@example(mutation=("truncate", 1, 50), query=0)
+@example(mutation=("truncate", 1, 50), query=1)
+@example(mutation=("nan in body", 1, 30), query=0)  # row 3 of sample 0's view file
+@example(mutation=("nan in body", 1, 30), query=3)
+@example(mutation=("field", 0, 1, ("view_file", "payload/gone.bin")), query=1)
+@example(mutation=("field", 0, 1, ("view_file", "payload/gone.bin")), query=4)
+@example(mutation=("field", 0, 1, DROPPED_VIEW), query=0)
+@example(mutation=("field", 0, 1, DROPPED_VIEW), query=5)
+def test_fuzzed_inputs_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_factory, mutation, query):
+    check_fuzzed_inputs(*fuzz_base, tmp_path_factory, mutation, query)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mutation=per_view_mutations, query=st.integers(0, 15))
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=1)
+@example(mutation=("field", 0, 1, ("view.feature_file", "payload/gone.bin")), query=2)
+@example(mutation=("truncate", 1, 50), query=0)
+@example(mutation=("truncate", 1, 50), query=1)
+@example(mutation=("field", 0, 1, ("view_file", "payload/gone.bin")), query=1)  # read by no view
+def test_fuzzed_per_view_inputs_exit_0_2_or_3_and_never_raise(fuzz_base_per_view, tmp_path_factory,
+                                                              mutation, query):
+    check_fuzzed_inputs(*fuzz_base_per_view, tmp_path_factory, mutation, query)
 
 
 # Every mutation below changes a trained checkpoint's bytes.  Whatever it

@@ -1,8 +1,11 @@
 """Dataset model tests: tree indexing, window sampling against brute-force
 enumeration, payload round-trips, and manifest validation."""
 
+import errno
 import json
 import math
+import os
+import shutil
 import struct
 from collections import Counter
 from itertools import combinations
@@ -22,6 +25,7 @@ from jm3d.errors import (
     SamplingError,
 )
 from jm3d.synth import SynthConfig, synth_generate
+from layouts import split_view_files
 
 
 def feature_view(angle, kind="rgb", dim=4, fill=0.5):
@@ -650,11 +654,11 @@ def test_load_manifest_calls_each_module_reader_once_per_payload(tmp_path, monke
     expected = Counter()
     for sample in loaded.samples:
         expected["read_cloud_file", str(tmp_path / sample.cloud_file)] += 1
-        for vw in sample.views:
-            reader = "read_feature_file" if vw.raster is None else "read_raster_file"
-            expected[reader, str(tmp_path / vw.payload_file)] += 1
+        # each distinct payload file once: a sample's views share its view file
+        expected.update({("read_feature_file" if vw.raster is None else "read_raster_file",
+                          str(tmp_path / vw.payload_file)) for vw in sample.views})
     assert calls == expected
-    assert sum(calls.values()) == 8 * 9 + 3
+    assert sum(calls.values()) == 8 * 2 + 3
 
 
 @pytest.mark.parametrize("name", [
@@ -905,6 +909,191 @@ def test_load_manifest_rejects_text_that_is_not_utf8(tmp_path):
     with pytest.raises(ManifestError) as err:
         data.load_manifest(path)
     assert err.value.violations[0].startswith(f"manifest {path} is not UTF-8 text (byte ")
+
+
+# ---------------------------------------------------------------------------
+# view files: one feature file per sample, one row per view
+
+
+def view_file_dataset(root, views=3, rows=3, width=4, view_file="views.bin"):
+    """A one-sample, dim-4 manifest under root whose views take rows of a
+    rows x width view file; returns (manifest path, the rows as stored)."""
+    rng = np.random.default_rng(4)
+    data.write_cloud_file(root / "c.bin", rng.normal(size=(8, 3)))
+    stored = data.write_feature_file(root / "views.bin", rng.normal(size=(rows, width)))
+    path = root / "m.jsonl"
+    data.write_manifest(path, 4, [{"id": "s0", "parent": "chair", "sub": None, "cloud_file": "c.bin",
+                                   "view_file": view_file,
+                                   "views": [{"angle": 12 * i, "kind": "rgb"} for i in range(views)]}])
+    return path, stored
+
+
+def load_violations(path, read_views: bool) -> list[str]:
+    """The violations of a full load, or those of the first use of each of
+    the first sample's views after a lazy one, which must all agree."""
+    if read_views:
+        with pytest.raises(ManifestError) as err:
+            data.load_manifest(path)
+        return err.value.violations
+    found = []
+    for vw in data.load_manifest(path, read_views=False).samples[0].views:
+        with pytest.raises(ManifestError) as err:
+            vw.feature
+        found.append(err.value.violations)
+    assert all(v == found[0] for v in found)
+    return found[0]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("rows, width, shape", [(4, 4, "4x4"), (2, 4, "2x4"), (3, 5, "3x5"), (3, 3, "3x3")])
+def test_view_file_must_hold_one_row_per_view_of_width_dim(tmp_path, read_views, rows, width, shape):
+    path, _ = view_file_dataset(tmp_path, views=3, rows=rows, width=width)
+    assert load_violations(path, read_views) == [f"sample 's0': view feature views.bin is {shape}, expected 3x4"]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("value, message", [
+    ("payload/a\0b.bin", "line 2: view_file 'payload/a\\x00b.bin' holds a NUL byte"),
+    (5, "line 2: view_file must be a string"),
+    (None, "line 2: view_file must be a string"),
+])
+def test_view_file_name_gets_the_cloud_file_checks(tmp_path, read_views, value, message):
+    path, _ = view_file_dataset(tmp_path, view_file=value)
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_missing_view_file_names_the_sample_and_the_path(tmp_path, read_views):
+    path, _ = view_file_dataset(tmp_path, view_file="./gone//views.bin")
+    gone = tmp_path / "gone" / "views.bin"  # as `base / name` spells it
+    assert load_violations(path, read_views) == [f"sample 's0': [Errno 2] No such file or directory: '{gone}'"]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_views_with_a_payload_of_their_own_keep_reading_it(tmp_path, read_views):
+    path, stored = view_file_dataset(tmp_path, views=4, rows=4)
+    own = data.write_feature_file(tmp_path / "own.bin", np.arange(4.0))
+    img = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+    data.write_raster_file(tmp_path / "r.bin", img)
+    header, line = path.read_text().splitlines()
+    rec = json.loads(line)
+    rec["views"][1]["feature_file"] = "own.bin"
+    rec["views"][2]["image_file"] = "r.bin"
+    path.write_text(header + "\n" + json.dumps(rec) + "\n")
+    views = data.load_manifest(path, read_views=read_views).samples[0].views
+    assert [v.payload_file for v in views] == ["views.bin", "own.bin", "r.bin", "views.bin"]
+    assert views[0].feature.tobytes() == stored[0].tobytes()
+    assert views[1].feature.tobytes() == own[0].tobytes()
+    assert views[2].feature is None and views[2].raster.tobytes() == img.tobytes()
+    assert views[3].feature.tobytes() == stored[3].tobytes()  # row 3: rows 1 and 2 go unread
+
+
+def test_view_file_is_read_once_and_its_rows_shared(tmp_path, monkeypatch):
+    path, stored = view_file_dataset(tmp_path, views=3, rows=3)
+    calls = count_reads(monkeypatch)
+    cloud, views_file = ("read_cloud_file", str(tmp_path / "c.bin")), ("read_feature_file", str(tmp_path / "views.bin"))
+    full = data.load_manifest(path).samples[0].views
+    assert calls == Counter([cloud, views_file])
+    calls.clear()
+    lazy = data.load_manifest(path, read_views=False).samples[0].views
+    assert calls == Counter([cloud])
+    lazy[1].feature  # the first use of any view reads the file, once
+    assert calls == Counter([cloud, views_file])
+    assert [v.feature.tobytes() for v in lazy] == [row.tobytes() for row in stored]
+    assert calls == Counter([cloud, views_file])
+    for views in (full, lazy):
+        shared = views[0].feature.base
+        assert (shared.dtype, shared.shape) == (np.float64, (3, 4))
+        assert all(v.feature.base is shared for v in views)
+        assert [v.payload_file for v in views] == ["views.bin"] * 3
+
+
+def test_synth_generate_returns_what_load_manifest_reads(tmp_path):
+    config = SynthConfig(parents=2, subs_per_parent=1, samples_per_sub=2, points=8, dim=4,
+                         latent=4, n_angles=3)
+    returned = synth_generate(config, tmp_path, seed=2)
+    for read_views in (True, False):
+        loaded = data.load_manifest(tmp_path / "manifest.jsonl", read_views=read_views)
+        assert (loaded.manifest, loaded.tree) == (returned.manifest, returned.tree)
+        assert dataset_signature(loaded) == dataset_signature(returned)
+        for ds in (returned, loaded):
+            for s in ds.samples:
+                shared = s.views[0].feature.base
+                assert shared.shape == (6, 4) and all(v.feature.base is shared for v in s.views)
+                assert {v.payload_file for v in s.views} == {f"payload/views_{s.sample_id}.bin"}
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_per_view_layout_loads_the_same_values(tmp_path, read_views):
+    config = SynthConfig(parents=2, subs_per_parent=1, samples_per_sub=2, points=8, dim=4,
+                         latent=4, n_angles=3)
+    synth_generate(config, tmp_path / "a", seed=2)
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    split_view_files(tmp_path / "b")
+    assert sum(1 for _ in (tmp_path / "b" / "payload").iterdir()) == 4 * (1 + 6)
+    a, b = (data.load_manifest(tmp_path / d / "manifest.jsonl", read_views=read_views) for d in "ab")
+    assert (a.manifest, a.tree) == (b.manifest, b.tree)
+
+    def values(ds):
+        return [(sig[:5], [view[:2] + view[3:] for view in sig[5]]) for sig in dataset_signature(ds)]
+
+    assert values(a) == values(b)
+    assert {v.payload_file for s in b.samples for v in s.views} == {
+        f"payload/feat_{s.sample_id}_{v.angle_deg:03d}_{v.kind}.bin" for s in b.samples for v in s.views}
+
+
+def test_bench_data_is_two_files_per_sample_and_the_manifest(bench_dataset):
+    root, ds = bench_dataset
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    assert files == sorted(["manifest.jsonl"] + [f"payload/{kind}_{s.sample_id}.bin"
+                                                 for s in ds.samples for kind in ("cloud", "views")])
+    assert len(files) == 2 * 240 + 1
+
+
+@pytest.mark.parametrize("fault", ["KeyboardInterrupt in json.dumps", "OSError in the write"])
+def test_a_failed_manifest_write_leaves_no_partial_manifest(tmp_path, monkeypatch, fault):
+    config = SynthConfig(parents=2, subs_per_parent=1, samples_per_sub=4, points=8, dim=4,
+                         latent=4, n_angles=2)
+    synth_generate(config, tmp_path / "d", seed=0)
+    manifest = tmp_path / "d" / "manifest.jsonl"
+    earlier = manifest.read_bytes()
+    calls = Counter()
+    if fault.startswith("KeyboardInterrupt"):
+        real = json.dumps
+
+        def dumps(obj, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 6:  # the header, then the fifth record
+                raise KeyboardInterrupt
+            return real(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        expected = KeyboardInterrupt
+    else:
+        real_write = data.write_file
+
+        def write_file(path, blob):
+            if not str(path).endswith(".tmp"):
+                return real_write(path, blob)
+            real_write(path, blob[:len(blob) // 2])  # half the manifest, then a full disk
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(data, "write_file", write_file)
+        expected = OSError
+    # gen-data into the old directory: no manifest, complete or partial, is left
+    with pytest.raises(expected):
+        synth_generate(config, tmp_path / "d", seed=1)
+    assert sorted(os.listdir(tmp_path / "d")) == ["payload"]
+    # over an existing manifest, the old bytes stay
+    manifest.write_bytes(earlier)
+    calls.clear()
+    records = [json.loads(line) for line in earlier.decode().splitlines()[1:]]
+    with pytest.raises(expected):
+        data.write_manifest(manifest, 4, records)
+    assert manifest.read_bytes() == earlier
+    assert sorted(os.listdir(tmp_path / "d")) == ["manifest.jsonl", "payload"]
 
 
 def test_view_record_validation():

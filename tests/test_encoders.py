@@ -2,6 +2,7 @@
 table structure, and the trainable point branch (permutation invariance,
 gradients against finite differences)."""
 
+import json
 import struct
 
 import numpy as np
@@ -150,13 +151,21 @@ def test_image_sequence_first_bad_view_decides_the_error():
 def test_image_sequence_reads_lazy_payloads_in_view_order(tmp_path):
     cfg = synth.SynthConfig(parents=1, subs_per_parent=1, samples_per_sub=1, points=8, dim=16, n_angles=4)
     synth.synth_generate(cfg, tmp_path, seed=0)
-    sample = load_manifest(tmp_path / "manifest.jsonl", read_views=False).samples[0]
-    (tmp_path / sample.views[5].payload_file).write_bytes(b"")  # unreadable
+    # view 5 reads a file of its own; the others take rows of the view file
+    manifest = tmp_path / "manifest.jsonl"
+    header, line = manifest.read_text().splitlines()
+    rec = json.loads(line)
+    rec["views"][5]["feature_file"] = "payload/own.bin"
+    manifest.write_text(header + "\n" + json.dumps(rec) + "\n")
+    (tmp_path / "payload" / "own.bin").write_bytes(b"")  # unreadable
+    sample = load_manifest(manifest, read_views=False).samples[0]
     with pytest.raises(ManifestError, match="truncated"):
         encoders.encode_image_frozen(sample.views, SPEC)
-    sample = load_manifest(tmp_path / "manifest.jsonl", read_views=False).samples[0]
-    nan_file = tmp_path / sample.views[2].payload_file
-    nan_file.write_bytes(nan_file.read_bytes()[:8] + struct.pack("<f", np.nan) * 16)
+    sample = load_manifest(manifest, read_views=False).samples[0]
+    view_file = tmp_path / sample.views[2].payload_file
+    blob = bytearray(view_file.read_bytes())
+    struct.pack_into("<16f", blob, 8 + 2 * 16 * 4, *[np.nan] * 16)  # view 2's row
+    view_file.write_bytes(bytes(blob))
     with pytest.raises(NumericError, match="non-finite"):
         encoders.encode_image_frozen(sample.views, SPEC)
 

@@ -15,7 +15,11 @@ from jm3d.training import TrainConfig, save_checkpoint, train
 
 # `tree_hash` of the seed-0 bench dataset (conftest's `bench_dataset`); any
 # change to the generator's draws or the payload format moves it
-BENCH_SEED0_TREE = "2afd9c283d27f36a2793c87b5864ff73c20dce4935185d64b7fdedc224869004"
+BENCH_SEED0_TREE = "d641d78dbccda1703b0a88ffa33f9207c3fba315c180357f45a55efb944521a2"
+# `values_hash` of the same dataset as loaded; it was taken when gen-data
+# wrote one file per view (tree hash 2afd9c28...), so it pins the values
+# across the change to one view file per sample
+BENCH_SEED0_VALUES = "dee3b863ce112a0eb53588aaccbd96cf1c4e3b337ec57e42af8a1b472c059519"
 SPREADS = ("sub_spread", "sample_spread", "cloud_noise", "feature_noise")
 
 
@@ -32,6 +36,19 @@ def tree_hash(root: Path) -> str:
         if path.is_file():
             h.update(path.relative_to(root).as_posix().encode())
             h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def values_hash(ds) -> str:
+    """sha256 of a dataset's ids, clouds and view angles, kinds and features,
+    in sample and view order: no payload name or file layout enters it."""
+    h = hashlib.sha256()
+    for s in ds.samples:
+        h.update(s.sample_id.encode())
+        h.update(s.cloud.points.tobytes())
+        for v in s.views:
+            h.update(f"{v.angle_deg} {v.kind}".encode())
+            h.update(v.feature.tobytes())
     return h.hexdigest()
 
 
@@ -85,7 +102,9 @@ def test_generate_round_trips_through_loader(bench_dataset, tmp_path):
 
 
 def test_bench_dataset_bytes_pinned(bench_dataset):
-    assert tree_hash(bench_dataset[0]) == BENCH_SEED0_TREE
+    root, returned = bench_dataset
+    assert tree_hash(root) == BENCH_SEED0_TREE
+    assert values_hash(returned) == values_hash(load_manifest(root / "manifest.jsonl")) == BENCH_SEED0_VALUES
 
 
 def test_training_on_the_returned_dataset_equals_training_on_the_files(bench_dataset, tmp_path):
