@@ -156,6 +156,8 @@ def model_gradient_check(seed: int = 0, n_samples: int = 4, dim: int = 16,
     over every coordinate of every trainable parameter.  Returns the worst
     relative disagreement, the array it occurred in, and the loss value.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     clouds = [PointCloud.from_raw(rng.normal(size=(points, 3)))
               for _ in range(n_samples)]

@@ -133,14 +133,22 @@ class _Payload:
 
     __slots__ = ("read", "name", "where", "rows", "data")
 
-    def __init__(self, read, name: str, where: str, rows: int | None):
-        self.read, self.name, self.where, self.rows, self.data = read, name, where, rows, None
+    def __init__(self, read, name: str, where: str | None, rows: int | None, data=None):
+        self.read, self.name, self.where, self.rows, self.data = read, name, where, rows, data
 
     def take(self, row: int) -> tuple:
         """(feature, raster) of the view that reads row `row`."""
         if self.data is None:
             self.data = self.read(self.name, self.where, self.rows)
         return (None, self.data) if self.rows is None else (self.data[row], None)
+
+    def view(self, angle: int, kind: str, row: int) -> ViewRecord:
+        """The unread view that takes row `row` (0 for a raster), built past
+        ``ViewRecord.__init__``: every caller has checked the angle and kind."""
+        rec = ViewRecord.__new__(ViewRecord)
+        rec._angle, rec._kind, rec._file, rec._read, rec._row = angle, kind, self.name, self, row
+        rec._feature, rec._raster = (None, _UNREAD) if self.rows is None else (_UNREAD, None)
+        return rec
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,14 +221,10 @@ class CategoryTree:
         for parent, sub in pairs:
             if not parent:
                 raise LabelError("empty parent name")
-            leaves = by_parent.setdefault(parent, set())
-            if sub:
-                leaves.add(sub)
+            by_parent.setdefault(parent, {parent}).add(sub or parent)  # with its fallback leaf
         if not by_parent:
             raise LabelError("no categories declared")
         owner: dict[str, str] = {}
-        for parent in by_parent:
-            by_parent[parent].add(parent)  # fallback leaf
         for parent in sorted(by_parent):
             for sub in by_parent[parent]:
                 if sub in owner:
@@ -256,11 +260,10 @@ def resolve_label(sample: TripletSample, tree: CategoryTree) -> tuple[int, int]:
     """(parent index, leaf index); unknown or absent subs use the parent's fallback leaf."""
     if sample.parent not in tree.parent_index:
         raise LabelError(f"unknown parent {sample.parent!r} for sample {sample.sample_id!r}")
-    p_idx = tree.parent_index[sample.parent]
-    key = (sample.parent, sample.sub) if sample.sub else None
-    if key is not None and key in tree.leaf_index:
-        return p_idx, tree.leaf_index[key]
-    return p_idx, tree.leaf_index[(sample.parent, sample.parent)]
+    key = (sample.parent, sample.sub)
+    if key not in tree.leaf_index:  # no sub, or one the tree does not hold
+        key = (sample.parent, sample.parent)
+    return tree.parent_index[sample.parent], tree.leaf_index[key]
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +584,15 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
         bad("sub must be null or a nonempty string")
     if problem := _name_problem(obj["cloud_file"]):
         bad(f"cloud_file {problem}")
-    has_view_file = "view_file" in obj
-    if has_view_file and (problem := _name_problem(obj["view_file"])):
+    if "view_file" in obj and (problem := _name_problem(obj["view_file"])):
         bad(f"view_file {problem}")
     views = obj["views"]
     if not isinstance(views, list) or not views:
         bad("views must be a nonempty list")
         return None
     sample_where = f"sample {obj['id']!r}"
-    shared = None  # the view file's payload, once a view takes a row of it
+    # the view file's payload, read only if a view takes a row of it
+    shared = _Payload(read, obj["view_file"], sample_where, len(views)) if "view_file" in obj else None
     records = []
     for i, vw in enumerate(views):
         if not isinstance(vw, dict):
@@ -606,9 +609,7 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
             bad(f"view {i} kind {kind!r} not in {VIEW_KINDS}")
             continue
         feat, img = vw.get("feature_file"), vw.get("image_file")
-        if feat is None and img is None and has_view_file:
-            if shared is None:
-                shared = _Payload(read, obj["view_file"], sample_where, len(views))
+        if feat is None and img is None and shared is not None:
             payload, row = shared, i
         else:
             if (feat is None) == (img is None):
@@ -619,11 +620,7 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
                 bad(f"view {i} {'image_file' if feat is None else 'feature_file'} {problem}")
                 continue
             payload, row = _Payload(read, name, sample_where, None if feat is None else 1), 0
-        # built past __init__: the checks above are its checks
-        rec = ViewRecord.__new__(ViewRecord)
-        rec._angle, rec._kind, rec._file, rec._read, rec._row = int(angle), kind, payload.name, payload, row
-        rec._feature, rec._raster = (_UNREAD, None) if img is None else (None, _UNREAD)
-        records.append(rec)
+        records.append(payload.view(int(angle), kind, row))
     if not ok:
         return None
     return obj["id"], obj["parent"], obj["sub"], obj["cloud_file"], tuple(records)
@@ -658,12 +655,13 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     def read_payload(name: str, where: str, rows: int | None) -> np.ndarray:
         """A raster when rows is None, else a feature file's rows, which
         must be exactly rows x dim."""
+        file = payload_path(name)
         try:
             if rows is None:
-                return read_raster_file(payload_path(name))
-            feats = read_feature_file(payload_path(name))
+                return read_raster_file(file)
+            feats = read_feature_file(file)
             if feats.shape[0] != rows or (dim is not None and feats.shape[1] != dim):
-                raise InputError(f"view feature {name} is {feats.shape[0]}x{feats.shape[1]}, "
+                raise InputError(f"view feature {file} is {feats.shape[0]}x{feats.shape[1]}, "
                                  f"expected {rows}x{dim}")
         except (OSError, InputError, ShapeError) as e:
             raise ManifestError([f"{where}: {e}"]) from None

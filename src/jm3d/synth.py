@@ -12,8 +12,8 @@ PRNG: numpy PCG64 seeded with the user seed, consumed in this exact order:
   3. the view-feature projection, one (K + 4, D) normal draw
   4. per sample, in (parent, sub, index) order:
      a. latent wobble (K), b. shape jitter (5), c. eta (N_c), d. omega (N_c),
-     e. cloud noise (N_c, 3), f. per view in angle-major then kind order:
-        feature noise (D)
+     e. cloud noise (N_c, 3), f. one (V, D) feature-noise draw, rows in
+        angle-major then kind order
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .data import (
     VIEW_KINDS,
     LoadedDataset,
     TripletSample,
-    ViewRecord,
+    _Payload,
     normalize_points,
     payload_cloud,
     write_cloud_file,
@@ -131,14 +131,15 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     and its view file, ``payload/views_<id>.bin``, whose V x D rows are the
     view features in view order; the manifest's view objects name no file
     and take those rows.  The returned dataset equals what
-    ``load_manifest`` reads back from the files, field for field: it is
-    built from the arrays as the payload writers report them stored,
-    through the loader's own cloud and dataset constructors; a sample's
-    views share one V x D array and carry the view file's name, and samples
-    carry their cloud's.  A payload that holds a non-finite value raises
-    ``NumericError`` before the manifest is written; a manifest already in
-    out_dir is deleted first.
+    ``load_manifest`` reads back, field for field: it is built from the
+    arrays as the payload writers report them stored, through the loader's
+    own cloud, view and dataset constructors.  A negative seed raises
+    ``ConfigError`` before anything is written; a payload that holds a
+    non-finite value raises ``NumericError`` before the manifest is
+    written, and a manifest already in out_dir is deleted first.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     out = Path(out_dir)
     (out / "payload").mkdir(parents=True, exist_ok=True)
     # a run that fails part way must not leave an earlier manifest naming
@@ -156,6 +157,10 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     view_keys = [(a * ANGLE_STEP_DEG, kind) for a in range(config.n_angles) for kind in config.kinds]
     # every record's views: they name no file, so they take the view file's rows
     view_objs = [{"angle": angle, "kind": kind} for angle, kind in view_keys]
+    # a sample's latent, then per view [cos, sin, depth flag, 1] from libm (np.cos may round otherwise)
+    base = np.empty((len(view_keys), K + 4))
+    base[:, K:] = [[math.cos(math.radians(angle)), math.sin(math.radians(angle)),
+                    1.0 if kind == "depth" else 0.0, 1.0] for angle, kind in view_keys]
     records, samples = [], []
     for p in range(P):
         parent_name = f"cat{p:02d}"
@@ -164,7 +169,7 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
             exps, axes = _sub_shape(p, p * S + s)
             for m in range(M):
                 sid = f"{sub_name}_{m:03d}"
-                z_sample = z_sub[p, s] + config.sample_spread * rng.normal(size=K)
+                base[:, :K] = z_sub[p, s] + config.sample_spread * rng.normal(size=K)
                 jit = rng.normal(size=5)
                 eta = rng.uniform(-np.pi / 2, np.pi / 2, size=config.points)
                 om = rng.uniform(-np.pi, np.pi, size=config.points)
@@ -176,19 +181,14 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 cloud = write_cloud_file(prefix + cloud_file, normalize_points(pts))
                 _check_stored(cloud, f"the cloud of sample {sid!r}")
 
-                raw = []
-                for angle, kind in view_keys:
-                    theta = math.radians(angle)
-                    base = np.concatenate([
-                        z_sample,
-                        [math.cos(theta), math.sin(theta), 1.0 if kind == "depth" else 0.0, 1.0],
-                    ])
-                    raw.append(base @ w_feat + config.feature_noise * rng.normal(size=D))
+                # stacked 1 x (K + 4) rows round as lone vector-matrix products; a 2-D one may not
+                raw = np.matmul(base[:, None, :], w_feat)[:, 0]
+                raw += config.feature_noise * rng.normal(size=(len(view_keys), D))
                 view_file = f"payload/views_{sid}.bin"
                 feats = write_feature_file(prefix + view_file, raw)
                 _check_stored(feats, f"the view features of sample {sid!r}")
-                views = tuple(ViewRecord(angle, kind, feature=feat, payload_file=view_file)
-                              for (angle, kind), feat in zip(view_keys, feats))
+                payload = _Payload(None, view_file, None, len(feats), data=feats)
+                views = tuple(payload.view(angle, kind, i) for i, (angle, kind) in enumerate(view_keys))
                 samples.append(TripletSample(sid, payload_cloud(cloud), views,
                                              parent_name, sub_name, cloud_file))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,

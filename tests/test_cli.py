@@ -199,6 +199,17 @@ def test_gen_data_narrower_than_2_exits_2_before_writing(tmp_path, capsys, dim):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "gradcheck"])
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "data"
+    argv = [command, "--seed", "-1"]
+    if command == "gen-data":
+        argv += ["--out", str(out), "--parents", "2", "--subs", "1", "--per-sub", "2", "--points", "8"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 def test_pretrain_writes_checkpoint_and_losses(run_dir):
     assert (run_dir / "checkpoint.bin").is_file()
     assert (run_dir / "losses.jsonl").is_file()

@@ -850,7 +850,8 @@ def test_lazy_view_raises_the_full_loads_violation(tmp_path, fault):
         lines = path.read_text().splitlines()
         lines[0] = json.dumps({"version": data.MANIFEST_VERSION, "dim": 5})
         path.write_text("\n".join(lines) + "\n")
-        expected = [f"sample 's{i}': view feature feat_{i}.bin is 1x4, expected 1x5" for i in range(3)]
+        expected = [f"sample 's{i}': view feature {tmp_path / f'feat_{i}.bin'} is 1x4, expected 1x5"
+                    for i in range(3)]
     with pytest.raises(ManifestError) as full:
         data.load_manifest(path)
     assert full.value.violations == expected
@@ -948,7 +949,8 @@ def load_violations(path, read_views: bool) -> list[str]:
 @pytest.mark.parametrize("rows, width, shape", [(4, 4, "4x4"), (2, 4, "2x4"), (3, 5, "3x5"), (3, 3, "3x3")])
 def test_view_file_must_hold_one_row_per_view_of_width_dim(tmp_path, read_views, rows, width, shape):
     path, _ = view_file_dataset(tmp_path, views=3, rows=rows, width=width)
-    assert load_violations(path, read_views) == [f"sample 's0': view feature views.bin is {shape}, expected 3x4"]
+    assert load_violations(path, read_views) == [
+        f"sample 's0': view feature {tmp_path / 'views.bin'} is {shape}, expected 3x4"]
 
 
 @pytest.mark.parametrize("read_views", [True, False])

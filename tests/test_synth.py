@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jm3d import synth
-from jm3d.data import load_manifest, resolve_label
+from jm3d.data import ViewRecord, load_manifest, resolve_label
 from jm3d.errors import ConfigError, NumericError
 from jm3d.training import TrainConfig, save_checkpoint, train
 
@@ -20,6 +20,17 @@ BENCH_SEED0_TREE = "d641d78dbccda1703b0a88ffa33f9207c3fba315c180357f45a55efb9445
 # wrote one file per view (tree hash 2afd9c28...), so it pins the values
 # across the change to one view file per sample
 BENCH_SEED0_VALUES = "dee3b863ce112a0eb53588aaccbd96cf1c4e3b337ec57e42af8a1b472c059519"
+# seed-0 `tree_hash` of two configs off the bench path (odd dim, depth only,
+# 7 angles; latent 3 with both kinds), taken while the generator still
+# projected and drew each view on its own
+OTHER_SEED0_TREES = {
+    "depth7": ("8973d718ef80857017576b642b384e4e56b0984a17030e05c5444d0f528fea85",
+               dict(parents=2, subs_per_parent=2, samples_per_sub=3, points=32, dim=5,
+                    n_angles=7, kinds=("depth",))),
+    "latent3": ("9f81e43366b0ca175c62d562aff06eb316317e60193bcec6c0708fe16a4dbed9",
+                dict(parents=2, subs_per_parent=2, samples_per_sub=2, points=16, dim=64,
+                     latent=3, n_angles=5)),
+}
 SPREADS = ("sub_spread", "sample_spread", "cloud_noise", "feature_noise")
 
 
@@ -82,29 +93,75 @@ def test_different_seed_differs(tmp_path):
     assert tree_hash(tmp_path / "a") != tree_hash(tmp_path / "b")
 
 
+def assert_loads_back(root: Path, ds):
+    """ds is, field for field and bit for bit, what the loader reads from root."""
+    again = load_manifest(root / "manifest.jsonl")
+    assert again.manifest == ds.manifest
+    assert again.tree == ds.tree
+    assert len(again.samples) == len(ds.samples)
+    for a, b in zip(ds.samples, again.samples):
+        assert ((a.sample_id, a.parent, a.sub, a.cloud_file)
+                == (b.sample_id, b.parent, b.sub, b.cloud_file))
+        assert_bitwise(a.cloud.points, b.cloud.points)
+        assert ([(v.angle_deg, v.kind, v.payload_file, v.raster) for v in a.views]
+                == [(v.angle_deg, v.kind, v.payload_file, v.raster) for v in b.views])
+        for va, vb in zip(a.views, b.views):
+            assert_bitwise(va.feature, vb.feature)
+
+
 def test_generate_round_trips_through_loader(bench_dataset, tmp_path):
-    """synth_generate returns, field for field and bit for bit, what the
-    loader reads back from the files it wrote."""
+    """synth_generate returns what the loader reads back from the files it wrote."""
     small = synth.synth_generate(small_config(n_angles=4, points=7), tmp_path / "d", seed=3)
     for root, ds in (bench_dataset, (tmp_path / "d", small)):
-        again = load_manifest(root / "manifest.jsonl")
-        assert again.manifest == ds.manifest
-        assert again.tree == ds.tree
-        assert len(again.samples) == len(ds.samples)
-        for a, b in zip(ds.samples, again.samples):
-            assert ((a.sample_id, a.parent, a.sub, a.cloud_file)
-                    == (b.sample_id, b.parent, b.sub, b.cloud_file))
-            assert_bitwise(a.cloud.points, b.cloud.points)
-            assert ([(v.angle_deg, v.kind, v.payload_file, v.raster) for v in a.views]
-                    == [(v.angle_deg, v.kind, v.payload_file, v.raster) for v in b.views])
-            for va, vb in zip(a.views, b.views):
-                assert_bitwise(va.feature, vb.feature)
+        assert_loads_back(root, ds)
+
+
+def test_generate_builds_no_view_through_its_constructor(tmp_path, monkeypatch):
+    # the generator's views are built as the loader's are, past the checks
+    # that SynthConfig has already made
+    def refuse(*args, **kwargs):
+        raise AssertionError("ViewRecord.__init__ called")
+
+    monkeypatch.setattr(ViewRecord, "__init__", refuse)
+    cfg = small_config(kinds=("rgb", "depth"), n_angles=3)
+    assert_loads_back(tmp_path / "d", synth.synth_generate(cfg, tmp_path / "d", seed=2))
 
 
 def test_bench_dataset_bytes_pinned(bench_dataset):
     root, returned = bench_dataset
     assert tree_hash(root) == BENCH_SEED0_TREE
     assert values_hash(returned) == values_hash(load_manifest(root / "manifest.jsonl")) == BENCH_SEED0_VALUES
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_SEED0_TREES))
+def test_other_configs_bytes_pinned(tmp_path, name):
+    expected, config = OTHER_SEED0_TREES[name]
+    synth.synth_generate(synth.SynthConfig(**config), tmp_path / "d", seed=0)
+    assert tree_hash(tmp_path / "d") == expected
+
+
+# The view features' bytes rest on two numpy facts: a stacked product of
+# 1 x K rows rounds each row as a lone vector-matrix product does, and a
+# (V, D) normal draw is the stream of V draws of D values.
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 32, 128])
+def test_stacked_row_products_equal_lone_vector_matrix_products(dim):
+    rng = np.random.default_rng(dim)
+    for views in range(1, 61):
+        for k in (7, 20):
+            base, w = rng.normal(size=(views, k)), rng.normal(size=(k, dim))
+            stacked = np.matmul(base[:, None, :], w)[:, 0]
+            assert_bitwise(stacked, np.stack([base[i] @ w for i in range(views)]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_normal_draw_equals_row_draws(seed):
+    for views, dim in ((1, 2), (7, 5), (60, 32), (13, 128)):
+        block = np.random.Generator(np.random.PCG64(seed))
+        rows = np.random.Generator(np.random.PCG64(seed))
+        assert_bitwise(block.normal(size=(views, dim)),
+                       np.stack([rows.normal(size=dim) for _ in range(views)]))
+        assert block.bit_generator.state == rows.bit_generator.state
 
 
 def test_training_on_the_returned_dataset_equals_training_on_the_files(bench_dataset, tmp_path):
