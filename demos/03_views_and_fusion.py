@@ -30,7 +30,9 @@ text /= np.linalg.norm(text)
 
 fused, weights = jma_fuse(ad.constant(view_feats), ad.constant(text),
                           return_weights=True)
-print(f"\nfusion weights: {np.round(weights.values.ravel(), 4)}")
+print("\nfusion weights, one per input view:")
+for i, w in enumerate(weights.values.ravel()):
+    print(f"  view {i}: {w:.4f}")
 print(f"weights sum to {weights.values.sum():.12f}")
 
 # shuffling the views cannot change a single output bit

@@ -100,37 +100,36 @@ def heads_from_values(tape: ad.Tape, values: dict[str, np.ndarray]) -> Alignment
 # fusion
 
 
-def _canonical_view_order(view_values: np.ndarray, scores: np.ndarray) -> list[int]:
-    """Order views by descending score, ties by raw bytes.
-
-    Fixing the summation order inside the fusion is what makes its output
-    byte-stable under any permutation of the incoming views.
-    """
-    keys = [(-float(scores[i]), view_values[i].tobytes()) for i in range(view_values.shape[0])]
-    return sorted(range(view_values.shape[0]), key=lambda i: keys[i])
+def _byte_order(views: np.ndarray) -> np.ndarray:
+    """(..., V) indices that put each sample's V x D views in the order of
+    their raw bytes.  The order depends only on the multiset of rows, so
+    fusion on the ordered rows has the same bits under any permutation of
+    the views, ties included."""
+    rows = np.ascontiguousarray(views)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
+    return np.argsort(keys, axis=-1, kind="stable")
 
 
 def jma_fuse(view_feats: ad.Tensor, text_feat: ad.Tensor, return_weights: bool = False):
     """Attention-fused view feature: softmax over <view, text> scores, then
-    the weighted sum of views.  Permutation of views cannot change a bit of
-    the output; V = 1 returns the view unchanged.
-    """
+    the weighted sum of views, in their byte order, so a permutation of the
+    views cannot change a bit of the output; V = 1 returns the view
+    unchanged.  The V x 1 ``return_weights`` give weight i to input view i."""
     vv = view_feats.values
     tv = text_feat.values
     if vv.ndim != 2 or vv.shape[0] < 1:
         raise InputError(f"need a V x D view matrix with V >= 1, got {vv.shape}")
     if tv.shape != (1, vv.shape[1]):
         raise ShapeError(f"text feature must be 1 x {vv.shape[1]}, got {tv.shape}")
-    raw_scores = vv @ tv[0]
-    if not np.isfinite(raw_scores).all():
-        raise NumericError("non-finite fusion scores")
-    order = _canonical_view_order(vv, raw_scores)
+    order = _byte_order(vv)
     ordered = ad.take_rows(view_feats, order)
     scores = ad.matmul(ordered, ad.transpose(text_feat))  # V x 1
+    if not np.isfinite(scores.values).all():
+        raise NumericError("non-finite fusion scores")
     weights = ad.softmax(scores, axis=0)
     fused = ad.matmul(ad.transpose(weights), ordered)  # 1 x D
     if return_weights:
-        return fused, weights
+        return fused, ad.take_rows(weights, np.argsort(order))
     return fused
 
 
@@ -140,13 +139,9 @@ def fuse_views(view_rows, text_rows) -> np.ndarray:
     samples.  Each row equals its ``jma_fuse`` bit for bit, but no Tensor
     is built.
 
-    The samples that share V are fused as one B x V x D stack.  A stacked
-    ``np.matmul`` makes the same BLAS call per slice as ``jma_fuse``'s 2-D
-    products, and its softmax sums run over each sample's V scores as
-    there.  A stable argsort of -score is the canonical order wherever a
-    sample's scores are distinct; a sample with tied scores is ordered by
-    ``_canonical_view_order`` itself.
-    """
+    The samples that share V are fused as one B x V x D stack in byte
+    order.  A stacked ``np.matmul`` makes the same BLAS call per slice as
+    ``jma_fuse``'s 2-D products, and its softmax sums run as there."""
     fused = np.empty((len(view_rows), text_rows[0].shape[1]))
     groups: dict[int, list[int]] = {}
     for i, vv in enumerate(view_rows):
@@ -154,15 +149,10 @@ def fuse_views(view_rows, text_rows) -> np.ndarray:
     for v, members in groups.items():
         views = np.stack([view_rows[i] for i in members])  # B x V x D
         keys = np.concatenate([text_rows[i] for i in members])[:, :, None]  # B x D x 1
-        raw_scores = np.matmul(views, keys)[:, :, 0]
-        if not np.isfinite(raw_scores).all():
-            raise NumericError("non-finite fusion scores")
-        order = np.argsort(-raw_scores, axis=1, kind="stable")
-        ranked = np.take_along_axis(raw_scores, order, axis=1)
-        for b in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
-            order[b] = _canonical_view_order(views[b], raw_scores[b])
-        ordered = np.take_along_axis(views, order[:, :, None], axis=1)
+        ordered = np.take_along_axis(views, _byte_order(views)[:, :, None], axis=1)
         scores = np.matmul(ordered, keys)  # B x V x 1
+        if not np.isfinite(scores).all():
+            raise NumericError("non-finite fusion scores")
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         weights = (e / e.sum(axis=1, keepdims=True)).reshape(len(members), 1, v)
         fused[members] = np.matmul(weights, ordered)[:, 0]

@@ -500,6 +500,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
+        # a top-k below 1 ranks nothing; one above the candidates is clamped
+        if getattr(ns, "topk", 1) < 1:
+            raise ConfigError(f"--topk must be >= 1, got {ns.topk}")
         return ns.func(ns)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

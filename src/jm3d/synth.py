@@ -18,6 +18,7 @@ PRNG: numpy PCG64 seeded with the user seed, consumed in this exact order:
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -124,6 +125,29 @@ def _check_stored(stored, what: str) -> None:
         raise NumericError(f"synth_generate: {what} would not be finite in float32")
 
 
+def _remove_named_payloads(out: Path) -> None:
+    """Delete the files that out's manifest names as ``payload/<name>``,
+    a direct child of out/payload and nothing else; a line that does not
+    parse names nothing."""
+    try:
+        lines = (out / "manifest.jsonl").read_bytes().splitlines()
+    except FileNotFoundError:
+        return
+    for line in lines:
+        try:
+            rec = json.loads(line)
+            names = [rec.get("cloud_file"), rec.get("view_file")]
+            names += [v.get(key) for v in rec.get("views", ()) for key in ("feature_file", "image_file")]
+        except (ValueError, AttributeError, TypeError, RecursionError):
+            continue
+        for name in names:
+            base = name[len("payload/"):] if isinstance(name, str) and name.startswith("payload/") else ""
+            if base not in ("", ".", "..") and not set("/\\\0") & set(base):
+                path = out / "payload" / base
+                if os.path.isfile(path):  # unlike Path.is_file, False for a name too long
+                    path.unlink()
+
+
 def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     """Write a complete dataset under out_dir and return it.
 
@@ -136,14 +160,17 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     own cloud, view and dataset constructors.  A negative seed raises
     ``ConfigError`` before anything is written; a payload that holds a
     non-finite value raises ``NumericError`` before the manifest is
-    written, and a manifest already in out_dir is deleted first.
+    written.  A manifest already in out_dir is deleted first, with the
+    payload files it names directly under ``payload/``.
     """
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     out = Path(out_dir)
     (out / "payload").mkdir(parents=True, exist_ok=True)
     # a run that fails part way must not leave an earlier manifest naming
-    # payload files that this run has overwritten
+    # payload files that this run has overwritten; a smaller run must not
+    # leave the earlier dataset's payload files behind
+    _remove_named_payloads(out)
     (out / "manifest.jsonl").unlink(missing_ok=True)
     prefix = os.path.join(out, "")  # payload paths as strings: no Path per file
     rng = np.random.Generator(np.random.PCG64(int(seed)))

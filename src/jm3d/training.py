@@ -62,11 +62,15 @@ class TrainConfig:
     symmetric_nce: bool = True
 
     def __post_init__(self):
-        # NaN passes every range check below, since it compares false
-        nan = [f.name for f in dataclasses.fields(self)
-               if f.type == "float" and math.isnan(getattr(self, f.name))]
+        # NaN passes every range check below, since it compares false, and
+        # an infinity passes most; omega_deg = inf is a window with no bound
+        floats = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self) if f.type == "float"]
+        nan = [name for name, x in floats if math.isnan(x)]
         if nan:
             raise ConfigError(f"{', '.join(nan)} must not be NaN")
+        inf = [name for name, x in floats if math.isinf(x) and (name, x) != ("omega_deg", math.inf)]
+        if inf:
+            raise ConfigError(f"{', '.join(inf)} must be finite")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2 (contrastive loss needs negatives), got {self.batch_size}")
         if self.epochs < 1:

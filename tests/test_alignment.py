@@ -2,6 +2,7 @@
 checks, and the permutation/symmetry invariants."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -189,6 +190,54 @@ def test_fuse_ties_still_permutation_invariant():
     for perm in ((1, 0, 2), (2, 1, 0), (0, 2, 1), (2, 0, 1), (1, 2, 0)):
         got = al.jma_fuse(ad.constant(views[list(perm)]), ad.constant(text)).values.tobytes()
         assert got == ref
+
+
+def test_fuse_near_ties_permutation_invariant():
+    # view 1's score is projected onto view 0's, so the two agree to about
+    # an ulp, and BLAS rounds a score by the row's position in the matrix
+    rng = np.random.default_rng(stable_seed("fuse-near-ties"))
+    views = rng.normal(size=(2000, 3, 32))
+    texts = rng.normal(size=(2000, 1, 32))
+    t = texts[:, 0]
+    gap = np.einsum("bd,bd->b", views[:, 0] - views[:, 1], t) / np.einsum("bd,bd->b", t, t)
+    views[:, 1] += gap[:, None] * t
+    perms = list(itertools.permutations(range(3)))
+    batched = [al.fuse_views(list(views[:, list(p)]), list(texts)) for p in perms]
+    for b in range(len(views)):
+        outs = {al.jma_fuse(ad.constant(views[b, list(p)]), ad.constant(texts[b])).values.tobytes()
+                for p in perms}
+        assert len(outs) == 1, b
+        assert {fused[b].tobytes() for fused in batched} == outs, b
+
+
+def test_fuse_byte_order_on_shared_zero_bytes_and_signed_zeros():
+    # small integers share their low (leading, on little-endian) zero bytes,
+    # and rows that differ only by the sign of a zero tie in every score
+    rows = np.array([[1.0, 2.0, 0.0], [1.0, 3.0, 0.0], [1.0, 2.0, 5e-324],
+                     [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]])
+    order = al._byte_order(rows)
+    assert [rows[i].tobytes() for i in order] == sorted(r.tobytes() for r in rows)
+    stacked = np.stack([rows, rows[::-1]])
+    assert [[s[i].tobytes() for i in o] for s, o in zip(stacked, al._byte_order(stacked))] == \
+        [sorted(r.tobytes() for r in rows)] * 2
+    text = np.array([[0.5, -1.0, 2.0]])
+    for views in (rows, rows[3:]):
+        perms = [list(p) for p in itertools.permutations(range(len(views)))]
+        outs = {al.jma_fuse(ad.constant(views[p]), ad.constant(text)).values.tobytes() for p in perms}
+        outs |= {fused.tobytes() for fused in al.fuse_views([views[p] for p in perms], [text] * len(perms))}
+        assert len(outs) == 1
+
+
+def test_fuse_weights_follow_input_views():
+    rng = np.random.default_rng(stable_seed("fuse-weight-order"))
+    for trial in range(50):
+        v = 2 + int(rng.integers(5))
+        views = rng.normal(size=(v, 8))
+        text = ad.constant(rng.normal(size=(1, 8)))
+        _, weights = al.jma_fuse(ad.constant(views), text, return_weights=True)
+        perm = rng.permutation(v)
+        _, permuted = al.jma_fuse(ad.constant(views[perm]), text, return_weights=True)
+        assert permuted.values.tobytes() == weights.values[perm].tobytes()
 
 
 def test_fuse_rejects_bad_shapes():
@@ -599,10 +648,9 @@ def test_fuse_views_is_bitwise_jma_fuse_on_ragged_batches():
 
 
 def test_fuse_views_is_bitwise_jma_fuse_when_some_samples_tie():
-    # in one stack, samples with tied scores take the canonical byte order
-    # and the others the descending-score argsort.  Tied samples hold small
-    # integers, so their scores are exact: BLAS may round the same row
-    # differently at another position in the matrix
+    # one stack mixes samples with tied scores and samples without.  Tied
+    # samples hold small integers, so their scores are exact: BLAS may
+    # round the same row differently at another position in the matrix
     rng = np.random.default_rng(stable_seed("fuse-views-partial-ties"))
     for v in (2, 3, 9, 12):
         view_rows = [rng.normal(size=(v, 8)) for _ in range(6)]

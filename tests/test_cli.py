@@ -124,6 +124,27 @@ def test_nan_learning_rate_is_validation_error(dataset_dir, workdir, capsys):
     assert "base_lr must not be NaN" in capsys.readouterr().err
 
 
+def test_infinite_temperature_is_validation_error(dataset_dir, workdir, capsys):
+    out = workdir / "inf_tau"
+    code = cli.run(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"), "--tau", "inf",
+                    "--out", str(out)])
+    assert code == 2
+    assert "tau_init must be finite" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("command,extra", [("eval-zeroshot", ["--checkpoint", "missing.bin"]),
+                                           ("retrieve", ["--checkpoint", "missing.bin", "--query", "s0"]),
+                                           ("ablate", [])])
+@pytest.mark.parametrize("topk", ["0", "-2"])
+def test_topk_below_one_exits_2_before_reading_anything(tmp_path, capsys, command, extra, topk):
+    # neither the checkpoint nor the manifest exists: --topk is checked first
+    code = cli.run([command, "--data", str(tmp_path / "none.jsonl"), *extra, "--topk", topk])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --topk must be >= 1, got {topk}\n"
+
+
 # ---------------------------------------------------------------------------
 # report header and config resolution
 

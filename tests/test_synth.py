@@ -2,6 +2,7 @@
 statistical separation the rest of the test suite relies on."""
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -170,6 +171,45 @@ def test_training_on_the_returned_dataset_equals_training_on_the_files(bench_dat
     save_checkpoint(train(ds, cfg), tmp_path / "returned.bin")
     save_checkpoint(train(load_manifest(root / "manifest.jsonl"), cfg), tmp_path / "loaded.bin")
     assert (tmp_path / "returned.bin").read_bytes() == (tmp_path / "loaded.bin").read_bytes()
+
+
+def manifest_names(root: Path) -> set[str]:
+    records = [json.loads(line) for line in (root / "manifest.jsonl").read_text().splitlines()[1:]]
+    return {r[key] for r in records for key in ("cloud_file", "view_file")}
+
+
+def test_regenerating_removes_the_earlier_payload_files(tmp_path):
+    out = tmp_path / "d"
+    synth.synth_generate(small_config(), out, seed=0)
+    assert len(list((out / "payload").iterdir())) == 24
+    synth.synth_generate(small_config(parents=1, subs_per_parent=1, samples_per_sub=2), out, seed=0)
+    left = {f"payload/{p.name}" for p in (out / "payload").iterdir()}
+    assert left == manifest_names(out) and len(left) == 4
+    synth.synth_generate(small_config(), tmp_path / "fresh", seed=0)
+    synth.synth_generate(small_config(), out, seed=0)
+    assert tree_hash(out) == tree_hash(tmp_path / "fresh")
+
+
+def test_regenerating_removes_only_direct_payload_children(tmp_path):
+    out = tmp_path / "d"
+    (out / "payload" / "sub").mkdir(parents=True)
+    kept = [tmp_path / "keep.bin", tmp_path / "abs.bin", out / "keep.bin",
+            out / "payload" / "sub" / "deep.bin", out / "payload" / "unparsed.bin"]
+    for path in kept + [out / "payload" / "stale.bin"]:
+        path.write_bytes(b"x")
+    lines = [json.dumps({"version": 1, "dim": 16}),
+             json.dumps({"cloud_file": "../keep.bin", "view_file": str(tmp_path / "abs.bin"),
+                         "views": [{"feature_file": "payload/../keep.bin"},
+                                   {"image_file": "payload/sub/deep.bin"},
+                                   {"feature_file": "payload/.."}, {"image_file": "payload/"}]}),
+             "{not json", "[" * 100_000,
+             json.dumps({"cloud_file": "payload/" + "x" * 5000}),
+             json.dumps({"cloud_file": "payload/unparsed.bin", "views": [3]}),
+             json.dumps({"cloud_file": "payload/stale.bin"})]
+    (out / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    synth.synth_generate(small_config(), out, seed=0)
+    assert all(path.read_bytes() == b"x" for path in kept)
+    assert not (out / "payload" / "stale.bin").exists()
 
 
 @pytest.mark.parametrize("name", SPREADS)

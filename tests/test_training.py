@@ -151,6 +151,20 @@ def test_config_rejects_nan_in_every_float_field(name):
         quick_config(**{name: math.nan})
 
 
+FLOAT_FIELDS = ["base_lr", "tau_init", "omega_deg", "adam_eps", "weight_decay",
+                "lambda1", "lambda2", "lambda3", "beta1", "beta2"]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_config_rejects_infinity_in_every_float_field(name, value):
+    if (name, value) == ("omega_deg", math.inf):
+        assert quick_config(omega_deg=value).omega_deg == value  # an unbounded window
+        return
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+        quick_config(**{name: value})
+
+
 def test_jma_off_drops_frozen_only_term():
     w = quick_config(jma_on=False, lambda3=5.0).loss_weights()
     assert w.lambda3 == 0.0
