@@ -10,7 +10,7 @@ from .errors import (ConfigError, ContractError, InputError, Jm3dError, LabelErr
                      ManifestError, NumericError, SamplingError, ShapeError)
 from .autodiff import Tape, Tensor, constant, grad_check
 from .data import (CategoryTree, LoadedDataset, PointCloud, TripletSample,
-                   ViewRecord, circular_distance, load_manifest, normalize_points,
+                   ViewRecord, ViewSet, circular_distance, load_manifest, normalize_points,
                    resolve_label, sample_within_window, stratified_split,
                    write_manifest)
 from .synth import SynthConfig, synth_generate
@@ -35,7 +35,7 @@ __all__ = [
     "ConfigError", "SamplingError", "LabelError", "ManifestError",
     "Tape", "Tensor", "constant", "grad_check",
     "CategoryTree", "LoadedDataset", "PointCloud", "TripletSample", "ViewRecord",
-    "circular_distance", "load_manifest", "normalize_points", "resolve_label",
+    "ViewSet", "circular_distance", "load_manifest", "normalize_points", "resolve_label",
     "sample_within_window", "stratified_split", "write_manifest",
     "SynthConfig", "synth_generate",
     "FrozenEncoderSpec", "PointEncoderParams", "ViewEmbeddingTables",

@@ -510,6 +510,9 @@ def run(argv) -> int:
     except (Jm3dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: {ns.command}: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

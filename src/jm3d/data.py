@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from pathlib import Path
@@ -45,17 +46,20 @@ VIEW_KINDS = ("rgb", "depth")
 def normalize_points(points: np.ndarray) -> np.ndarray:
     """Center at the centroid and scale the farthest point to radius 1.
 
-    Degenerate clouds (all points coincident) stay at the origin; the
-    radius guard avoids dividing by zero.
+    Takes one N x 3 cloud or a B x N x 3 stack, whose clouds come out bit
+    for bit as they would alone (tests/test_data.py pins it).  Degenerate
+    clouds (all points coincident) stay at the origin; the radius guard
+    avoids dividing by zero.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
         raise ShapeError(f"point clouds are N x 3, got {pts.shape}")
-    if pts.shape[0] < 1:
+    if pts.shape[-2] < 1:
         raise InputError("empty point cloud")
-    centered = pts - pts.mean(axis=0, keepdims=True)
-    radius = np.sqrt((centered * centered).sum(axis=1)).max()
-    return centered / max(radius, 1e-12)
+    centered = pts - pts.mean(axis=-2, keepdims=True)
+    radius = np.sqrt((centered * centered).sum(axis=-1, keepdims=True)).max(axis=-2, keepdims=True)
+    centered /= np.maximum(radius, 1e-12)
+    return centered
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +69,8 @@ class PointCloud:
 
     @classmethod
     def from_raw(cls, points) -> "PointCloud":
+        if np.ndim(points) != 2:
+            raise ShapeError(f"point clouds are N x 3, got {np.shape(points)}")
         return cls(normalize_points(points))
 
     @property
@@ -151,11 +157,67 @@ class _Payload:
         return rec
 
 
+class ViewSet(Sequence):
+    """The views of a loaded or generated sample, as a read-only sequence.
+
+    It holds the V grid angles and kinds as tuples, checked before it is
+    built, and where each view's payload comes from: one `_Payload` whose
+    row i view i takes (a view file), or one (payload, row) pair per view.
+    Nothing is built per view until a view is used.  ``views[i]`` builds
+    view i's unread `ViewRecord` on first use and keeps it, so it returns
+    that same record afterwards.  Iteration yields the kept record of each
+    view that has one and builds the others without keeping them: a pass
+    over the views, such as training's frozen preparation, leaves nothing
+    behind but what the views read into their shared payloads.
+    """
+
+    __slots__ = ("_angles", "_kinds", "_source", "_records")
+
+    def __init__(self, angles: tuple[int, ...], kinds: tuple[str, ...], source):
+        self._angles, self._kinds, self._source, self._records = angles, kinds, source, None
+
+    angles = property(lambda self: self._angles)
+    kinds = property(lambda self: self._kinds)
+
+    def __len__(self) -> int:
+        return len(self._angles)
+
+    def _record(self, i: int) -> ViewRecord:
+        src = self._source
+        payload, row = (src, i) if isinstance(src, _Payload) else src[i]
+        return payload.view(self._angles[i], self._kinds[i], row)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self._angles))[i])
+        i = range(len(self._angles))[i]  # IndexError past either end
+        if self._records is None:
+            self._records = [None] * len(self._angles)
+        rec = self._records[i]
+        if rec is None:
+            rec = self._records[i] = self._record(i)
+        return rec
+
+    def __iter__(self):
+        if self._records is None and isinstance(self._source, _Payload):  # view i takes row i
+            return map(self._source.view, self._angles, self._kinds, range(len(self._angles)))
+        return ((self._records and self._records[i]) or self._record(i) for i in range(len(self._angles)))
+
+    def _load(self) -> None:
+        """Read every payload file the views take, as their first use would."""
+        src = self._source
+        for payload, row in [(src, 0)] if isinstance(src, _Payload) else src:
+            payload.take(row)
+
+    def __repr__(self) -> str:
+        return f"ViewSet(angles={self._angles!r}, kinds={self._kinds!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class TripletSample:
     sample_id: str
     cloud: PointCloud
-    views: tuple[ViewRecord, ...]
+    views: Sequence[ViewRecord]  # a ViewSet when loaded or generated
     parent: str
     sub: str | None
     cloud_file: str | None = None  # the cloud's name in its manifest, if loaded from one
@@ -455,14 +517,20 @@ def read_cloud_file(path) -> np.ndarray:
     return np.frombuffer(raw, "<f4", offset=4).reshape(count, 3).astype(np.float64)
 
 
-def payload_cloud(points: np.ndarray) -> PointCloud:
-    """The cloud that a cloud file's points load as: nonempty and finite,
-    re-normalized in float64 after their f32 round trip."""
-    if points.shape[0] < 1:
-        raise InputError("empty cloud")
-    if not np.isfinite(points).all():
-        raise InputError("non-finite cloud coordinates")
-    return PointCloud.from_raw(points)
+def payload_clouds(points) -> list[PointCloud]:
+    """The clouds that checked cloud files' points load as, re-normalized
+    in float64 after their f32 round trip: the clouds of a B x N x 3 stack,
+    or those of a list of N x 3 arrays, where each size's are stacked."""
+    if isinstance(points, np.ndarray):
+        return [PointCloud(normed) for normed in normalize_points(points)]
+    by_size: dict[int, list[int]] = {}
+    for i, pts in enumerate(points):
+        by_size.setdefault(pts.shape[0], []).append(i)
+    clouds = [None] * len(points)
+    for members in by_size.values():
+        for i, cloud in zip(members, payload_clouds(np.stack([points[i] for i in members]))):
+            clouds[i] = cloud
+    return clouds
 
 
 def write_feature_file(path, rows: np.ndarray, atomic: bool = False) -> np.ndarray:
@@ -559,11 +627,18 @@ def _name_problem(name) -> str | None:
     return None
 
 
-def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple | None:
-    """(id, parent, sub, cloud_file, views) of a valid record, each view an
-    unread `ViewRecord` whose `_Payload` reads through `read`; the views
-    that take rows of the view file share one payload.  None once the
-    record's violations are appended to `problems`."""
+def _sample_from_obj(obj: dict, where: str, problems: list[str], read, last: list) -> tuple | None:
+    """(id, parent, sub, cloud_file, views) of a valid record, its views a
+    `ViewSet` whose payloads read through `read`; the views that take rows
+    of the view file share one payload.  None once the record's violations
+    are appended to `problems`.
+
+    `last` is [views list, angles, kinds, positions of angle 0] of the last
+    record whose views all took rows of its view file.  A later record with
+    a view file and a list ``==`` to that one takes its angles and kinds
+    unwalked, unless it spells one of those zero angles ``false``: ``==``
+    holds ``false == 0``, which the walk rejects.
+    """
     ok = True
 
     def bad(msg):
@@ -593,7 +668,10 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
     sample_where = f"sample {obj['id']!r}"
     # the view file's payload, read only if a view takes a row of it
     shared = _Payload(read, obj["view_file"], sample_where, len(views)) if "view_file" in obj else None
-    records = []
+    head = obj["id"], obj["parent"], obj["sub"], obj["cloud_file"]
+    if shared is not None and views == last[0] and all(views[i]["angle"] is not False for i in last[3]):
+        return (*head, ViewSet(last[1], last[2], shared)) if ok else None
+    angles, kinds, sources = [], [], []
     for i, vw in enumerate(views):
         if not isinstance(vw, dict):
             bad(f"view {i} is not an object")
@@ -610,7 +688,7 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
             continue
         feat, img = vw.get("feature_file"), vw.get("image_file")
         if feat is None and img is None and shared is not None:
-            payload, row = shared, i
+            sources.append((shared, i))
         else:
             if (feat is None) == (img is None):
                 bad(f"view {i} needs exactly one of feature_file or image_file")
@@ -619,24 +697,33 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read) -> tuple 
             if problem := _name_problem(name):
                 bad(f"view {i} {'image_file' if feat is None else 'feature_file'} {problem}")
                 continue
-            payload, row = _Payload(read, name, sample_where, None if feat is None else 1), 0
-        records.append(payload.view(int(angle), kind, row))
+            sources.append((_Payload(read, name, sample_where, None if feat is None else 1), 0))
+        angles.append(int(angle))
+        kinds.append(kind)
     if not ok:
         return None
-    return obj["id"], obj["parent"], obj["sub"], obj["cloud_file"], tuple(records)
+    angles, kinds = tuple(angles), tuple(kinds)
+    if any(payload is not shared for payload, _ in sources):
+        return (*head, ViewSet(angles, kinds, tuple(sources)))
+    last[:] = views, angles, kinds, tuple(i for i, a in enumerate(angles) if a == 0)
+    return (*head, ViewSet(angles, kinds, shared))
 
 
 def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     """Parse, validate, and materialize a dataset.
 
     Validation runs to the end and reports every violation at once; payload
-    clouds are re-normalized in float64 after their f32 round-trip.  Each
-    payload file is read once: a view file's rows are shared by the views
-    that take them, as rows of one V x D array.  With ``read_views=False``
-    the manifest and every cloud are still read and checked, but view
-    payloads are read and checked on first use: a view file on the first
-    use of any view that takes a row of it.  A bad file then raises
-    ``ManifestError`` naming the sample, as the full load would.
+    clouds are re-normalized in float64 after their f32 round-trip, those
+    of one size as one stack.  Each sample's views are a `ViewSet`, and a
+    record's views list is walked and checked only when it differs from the
+    last list that took rows of a view file (see `_sample_from_obj`); the
+    violations are those of a walk of every list.  Each payload file is
+    read once: a view file's rows are shared by the views that take them,
+    as rows of one V x D array.  With ``read_views=False`` the manifest and
+    every cloud are still read and checked, but view payloads are read and
+    checked on first use: a view file on the first use of any view that
+    takes a row of it.  A bad file then raises ``ManifestError`` naming the
+    sample, as the full load would.
     """
     path = Path(path)
     if not path.is_file():
@@ -694,6 +781,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
     parsed: list[tuple] = []
     seen_ids: set[str] = set()
+    last_views = [None, (), (), ()]  # see _sample_from_obj
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"line {lineno}"
         try:
@@ -714,30 +802,35 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
                 problems.append(f"{where}: duplicate sample id {sid!r}")
                 continue
             seen_ids.add(sid)
-        sample = _sample_from_obj(obj, where, problems, read_payload)
+        sample = _sample_from_obj(obj, where, problems, read_payload, last_views)
         if sample is not None:
             parsed.append(sample)
 
     # payloads are read after every line is checked, so line violations come first
-    samples: list[TripletSample] = []
+    good, points = [], []
     for sid, parent, sub, cloud_file, views in parsed:
-        where = f"sample {sid!r}"
         try:
-            cloud = payload_cloud(read_cloud_file(payload_path(cloud_file)))
+            pts = read_cloud_file(payload_path(cloud_file))
+            if pts.shape[0] < 1:
+                raise InputError("empty cloud")
+            if not np.isfinite(pts).all():
+                raise InputError("non-finite cloud coordinates")
             if read_views:
-                for vw in views:
-                    vw._load()
+                views._load()
         except (OSError, InputError, ShapeError) as e:
-            problems.append(f"{where}: {e}")
+            problems.append(f"sample {sid!r}: {e}")
             continue
         except ManifestError as e:  # from a view's read, which names the sample
             problems += e.violations
             continue
-        samples.append(TripletSample(sid, cloud, views, parent, sub, cloud_file))
+        good.append((sid, views, parent, sub, cloud_file))
+        points.append(pts)
 
     if problems:
         raise ManifestError(problems)
-    return LoadedDataset.of(dim, samples)
+    return LoadedDataset.of(dim, [TripletSample(sid, cloud, views, parent, sub, cloud_file)
+                                  for (sid, views, parent, sub, cloud_file), cloud
+                                  in zip(good, payload_clouds(points))])
 
 
 def write_manifest(path, dim: int, records: list[dict]) -> None:

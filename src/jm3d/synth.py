@@ -31,9 +31,10 @@ from .data import (
     VIEW_KINDS,
     LoadedDataset,
     TripletSample,
+    ViewSet,
     _Payload,
     normalize_points,
-    payload_cloud,
+    payload_clouds,
     write_cloud_file,
     write_feature_file,
     write_manifest,
@@ -158,13 +159,23 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     ``load_manifest`` reads back, field for field: it is built from the
     arrays as the payload writers report them stored, through the loader's
     own cloud, view and dataset constructors.  A negative seed raises
-    ``ConfigError`` before anything is written; a payload that holds a
-    non-finite value raises ``NumericError`` before the manifest is
-    written.  A manifest already in out_dir is deleted first, with the
+    ``ConfigError`` and a width too large for memory ``MemoryError``
+    before anything is created; a payload that holds a non-finite value
+    raises ``NumericError`` before the manifest is written.  A manifest already in out_dir is deleted first, with the
     payload files it names directly under ``payload/``.
     """
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    P, S, M, K, D = (config.parents, config.subs_per_parent, config.samples_per_sub,
+                     config.latent, config.dim)
+    # drawn and allocated before anything is created, so a size too large
+    # for memory fails with the directory untouched
+    z_parent = rng.normal(size=(P, K))
+    z_sub = z_parent[:, None, :] + config.sub_spread * rng.normal(size=(P, S, K))
+    w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
+    clouds = np.empty((P * S * M, config.points, 3))  # as stored; normalized as one stack
+
     out = Path(out_dir)
     (out / "payload").mkdir(parents=True, exist_ok=True)
     # a run that fails part way must not leave an earlier manifest naming
@@ -173,22 +184,16 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     _remove_named_payloads(out)
     (out / "manifest.jsonl").unlink(missing_ok=True)
     prefix = os.path.join(out, "")  # payload paths as strings: no Path per file
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    P, S, M, K, D = (config.parents, config.subs_per_parent, config.samples_per_sub,
-                     config.latent, config.dim)
-
-    z_parent = rng.normal(size=(P, K))
-    z_sub = z_parent[:, None, :] + config.sub_spread * rng.normal(size=(P, S, K))
-    w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
 
     view_keys = [(a * ANGLE_STEP_DEG, kind) for a in range(config.n_angles) for kind in config.kinds]
+    angles, kinds = (tuple(column) for column in zip(*view_keys))
     # every record's views: they name no file, so they take the view file's rows
     view_objs = [{"angle": angle, "kind": kind} for angle, kind in view_keys]
     # a sample's latent, then per view [cos, sin, depth flag, 1] from libm (np.cos may round otherwise)
     base = np.empty((len(view_keys), K + 4))
     base[:, K:] = [[math.cos(math.radians(angle)), math.sin(math.radians(angle)),
                     1.0 if kind == "depth" else 0.0, 1.0] for angle, kind in view_keys]
-    records, samples = [], []
+    records, view_sets = [], []
     for p in range(P):
         parent_name = f"cat{p:02d}"
         for s in range(S):
@@ -205,7 +210,7 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 pts = superquadric_surface(eta, om, jexps, jaxes)
                 pts = pts + config.cloud_noise * rng.normal(size=pts.shape)
                 cloud_file = f"payload/cloud_{sid}.bin"
-                cloud = write_cloud_file(prefix + cloud_file, normalize_points(pts))
+                cloud = clouds[len(records)] = write_cloud_file(prefix + cloud_file, normalize_points(pts))
                 _check_stored(cloud, f"the cloud of sample {sid!r}")
 
                 # stacked 1 x (K + 4) rows round as lone vector-matrix products; a 2-D one may not
@@ -214,13 +219,12 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 view_file = f"payload/views_{sid}.bin"
                 feats = write_feature_file(prefix + view_file, raw)
                 _check_stored(feats, f"the view features of sample {sid!r}")
-                payload = _Payload(None, view_file, None, len(feats), data=feats)
-                views = tuple(payload.view(angle, kind, i) for i, (angle, kind) in enumerate(view_keys))
-                samples.append(TripletSample(sid, payload_cloud(cloud), views,
-                                             parent_name, sub_name, cloud_file))
+                view_sets.append(ViewSet(angles, kinds, _Payload(None, view_file, None, len(feats), data=feats)))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,
                                 "cloud_file": cloud_file, "view_file": view_file,
                                 "views": view_objs})
 
+    samples = [TripletSample(rec["id"], cloud, views, rec["parent"], rec["sub"], rec["cloud_file"])
+               for rec, cloud, views in zip(records, payload_clouds(clouds), view_sets)]
     write_manifest(out / "manifest.jsonl", D, records)
     return LoadedDataset.of(D, samples)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import struct
 import subprocess
@@ -229,6 +230,52 @@ def test_negative_seed_exits_2_before_writing(tmp_path, capsys, command):
     assert cli.run(argv) == 2
     assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [("gen-data", "synth_generate"), ("pretrain", "train"),
+                                             ("eval-zeroshot", "load_manifest")])
+def test_running_out_of_memory_exits_2_naming_the_command(run_dir, dataset_dir, tmp_path,
+                                                           monkeypatch, command, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    argv = {"gen-data": ["gen-data", "--out", str(tmp_path / "data")],
+            "pretrain": ["pretrain", "--data", str(dataset_dir / "manifest.jsonl"),
+                         "--out", str(tmp_path / "run")],
+            "eval-zeroshot": ["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl")]}
+    code, _, err = run_captured(argv[command])
+    assert (code, err) == (2, f"error: {command}: out of memory\n")
+
+
+def run_with_little_memory(argv) -> subprocess.CompletedProcess:
+    """`python -m jm3d argv` in a child whose address space is capped at
+    2 GiB, so a request for tens of GiB fails there at once."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "jm3d", *argv], preexec_fn=cap, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_gen_data_too_wide_for_memory_exits_2_before_creating_anything(tmp_path):
+    # a 20 x 1e8 projection: 15 GiB
+    out = tmp_path / "data"
+    proc = run_with_little_memory(["gen-data", "--out", str(out), "--parents", "2", "--subs", "1",
+                                   "--per-sub", "2", "--points", "8", "--dim", "100000000"])
+    assert (proc.returncode, proc.stderr) == (2, "error: gen-data: out of memory\n")
+    assert not out.exists()
+
+
+def test_pretrain_too_wide_for_memory_exits_2_writing_nothing(dataset_dir, tmp_path):
+    # point_hidden 100000: one 100000 x 100000 encoder weight, 75 GiB
+    (tmp_path / "wide.cfg").write_text("point_hidden = 100000\nbatch_size = 4\n")
+    proc = run_with_little_memory(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"),
+                                   "--config", str(tmp_path / "wide.cfg"), "--out", str(tmp_path / "run")])
+    assert (proc.returncode, proc.stderr) == (2, "error: pretrain: out of memory\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_pretrain_writes_checkpoint_and_losses(run_dir):

@@ -2,6 +2,7 @@
 enumeration, payload round-trips, and manifest validation."""
 
 import errno
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jm3d import data
+from jm3d.encoders import FrozenEncoderSpec, encode_image_frozen
 from jm3d.errors import (
     ContractError,
     InputError,
@@ -743,7 +745,233 @@ def test_load_manifest_checks_each_angle_once(tmp_path, monkeypatch, read_views)
     real = data.angle_bucket
     monkeypatch.setattr(data, "angle_bucket", lambda a: checked.update([a]) or real(a))
     loaded = data.load_manifest(path, read_views=read_views)
-    assert sum(checked.values()) == sum(len(s.views) for s in loaded.samples) == 8 * 8 + 2
+    # the eight generated records share one views list, checked once
+    distinct = {tuple(zip(s.views.angles, s.views.kinds)) for s in loaded.samples}
+    assert sum(checked.values()) == sum(len(views) for views in distinct) == 8 + 2
+
+
+# ---------------------------------------------------------------------------
+# view sets: each distinct views list checked once
+
+
+A_VIEWS = [{"angle": 0, "kind": "rgb"}, {"angle": 12, "kind": "depth"}, {"angle": 348, "kind": "rgb"}]
+B_VIEWS = [{"angle": 0, "kind": "rgb"}, {"angle": 24, "kind": "depth"}]
+
+
+def views_dataset(root, records) -> Path:
+    """A dim-4 manifest under root of one record per (views, view_file)
+    pair, each with a cloud of its own and, when view_file is set, a view
+    file of one row per view; every view may also name own.bin."""
+    rng = np.random.default_rng(9)
+    data.write_feature_file(root / "own.bin", rng.normal(size=(1, 4)))
+    lines = []
+    for i, (views, view_file) in enumerate(records):
+        data.write_cloud_file(root / f"c{i}.bin", rng.normal(size=(5 + i, 3)))
+        rec = {"id": f"s{i}", "parent": "chair", "sub": None, "cloud_file": f"c{i}.bin", "views": views}
+        if view_file:
+            data.write_feature_file(root / f"v{i}.bin", rng.normal(size=(len(views), 4)))
+            rec["view_file"] = f"v{i}.bin"
+        lines.append(rec)
+    path = root / "m.jsonl"
+    data.write_manifest(path, 4, lines)
+    return path
+
+
+def line_by_line(path, read_views: bool):
+    """(datasets, violations) of each record of path loaded alone, the
+    violations renumbered to the record's line.  A one-record manifest has
+    no earlier views list to reuse, so this is the walk of every list."""
+    header, *records = path.read_text().splitlines()
+    single = path.with_name("single.jsonl")
+    datasets, line_problems, sample_problems = [], [], []
+    for lineno, record in enumerate(records, start=2):
+        single.write_text(header + "\n" + record + "\n")
+        try:
+            loaded = data.load_manifest(single, read_views=read_views)
+        except ManifestError as err:
+            for problem in err.violations:
+                if problem.startswith("line 2: "):
+                    line_problems.append(f"line {lineno}: {problem[len('line 2: '):]}")
+                else:
+                    sample_problems.append(problem)
+            continue
+        datasets.append(loaded)
+    return datasets, line_problems + sample_problems
+
+
+def signatures_of(datasets):
+    return [sig for ds in datasets for sig in dataset_signature(ds)]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_a_false_angle_in_a_list_equal_to_the_last_gets_the_walks_violation(tmp_path, read_views):
+    assert [{"angle": False}] == [{"angle": 0}]  # why `==` alone cannot tell
+    as_false = [dict(A_VIEWS[0], angle=False), *A_VIEWS[1:]]
+    as_float = [dict(A_VIEWS[0], angle=0.0), *A_VIEWS[1:]]
+    path = views_dataset(tmp_path, [(A_VIEWS, True), (as_false, True), (as_float, True)])
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == ["line 3: view 0 angle False is not a multiple of 12 in [0, 348]"]
+    assert line_by_line(path, read_views)[1] == err.value.violations
+    path = views_dataset(tmp_path, [(A_VIEWS, True), (as_float, True)])
+    views = data.load_manifest(path, read_views=read_views).samples[1].views
+    assert (views.angles, type(views[0].angle_deg)) == ((0, 12, 348), int)
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_lists_that_change_and_return_load_as_each_record_alone(tmp_path, monkeypatch, read_views):
+    own = [{"angle": 0, "kind": "rgb", "feature_file": "own.bin"}, {"angle": 12, "kind": "depth"}]
+    records = [(A_VIEWS, True), (B_VIEWS, True), (A_VIEWS, True), (own, True), (own, True),
+               (own[:1], False), (A_VIEWS, True)]
+    path = views_dataset(tmp_path, records)
+    checked = Counter()
+    real = data.angle_bucket
+    monkeypatch.setattr(data, "angle_bucket", lambda a: checked.update([a]) or real(a))
+    loaded = data.load_manifest(path, read_views=read_views)
+    # A, B and A again are walked; a record whose views read files of their
+    # own is walked each time and leaves the last list A, which the final
+    # record reuses
+    assert sum(checked.values()) == 3 + 2 + 3 + 2 + 2 + 1
+    monkeypatch.undo()
+    assert dataset_signature(loaded) == signatures_of(line_by_line(path, read_views)[0])
+    assert [v.payload_file for v in loaded.samples[3].views] == ["own.bin", "v3.bin"]
+
+
+def faulty_manifest(root):
+    """`mixed_dataset` with a fault in most of its generated records, some
+    of them in lists equal to the last good one; returns its path."""
+    path = mixed_dataset(root)
+    header, *lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    records[1]["views"][3]["angle"] = 13
+    records[2]["views"][0]["angle"] = False
+    records[3]["id"] = ""  # views equal to the last good list
+    records[4]["views"][5]["kind"] = "RGB"
+    records[4]["views"][2] = 5
+    records[5]["view_file"] = "a\0b.bin"  # views equal to the last good list
+    records[6]["cloud_file"] = "payload/gone.bin"
+    (root / records[7]["view_file"]).write_bytes(b"\x01\x00")  # truncated
+    # the last good list again, without a view file for its views to read
+    records.append({key: records[0][key] for key in ("parent", "sub", "cloud_file", "views")} | {"id": "nofile"})
+    path.write_text("\n".join([header] + [json.dumps(rec) for rec in records]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("make", [mixed_dataset, faulty_manifest])
+def test_violations_are_those_of_each_record_alone(tmp_path, read_views, make):
+    path = make(tmp_path)
+    singles, expected = line_by_line(path, read_views)
+    if not expected:
+        assert dataset_signature(data.load_manifest(path, read_views=read_views)) == signatures_of(singles)
+        return
+    assert len(expected) == 15 + read_views  # a bad view file shows in a full load only
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == expected
+
+
+def test_view_set_keeps_indexed_records_and_indexes_like_a_tuple(tmp_path):
+    path = mixed_dataset(tmp_path)
+    loads = [data.load_manifest(path, read_views=rv) for rv in (False, True)]
+    generated = synth_generate(SynthConfig(parents=1, subs_per_parent=1, samples_per_sub=1,
+                                           points=8, dim=8, latent=4, n_angles=4), tmp_path / "g", seed=5)
+    for views in [ds.samples[0].views for ds in loads + [generated]] + [loads[0].samples[-1].views]:
+        assert isinstance(views, data.ViewSet)
+        n = len(views)
+        # a pass keeps none of the records it builds
+        assert next(iter(views)) is not next(iter(views))
+        assert views[1] is views[1] is views[1 - n]
+        assert views[-1] is views[n - 1]
+        # ... and yields those that indexing keeps
+        passed = list(views)
+        assert passed[1] is views[1] and passed[-1] is views[-1]
+        assert [(v.angle_deg, v.kind, v.payload_file) for v in passed] == \
+            [(views[i].angle_deg, views[i].kind, views[i].payload_file) for i in range(n)]
+        assert views[1:] == tuple(views[i] for i in range(1, n))
+        assert views[::-2] == tuple(views[i] for i in range(n - 1, -1, -2))
+        for past in (n, -n - 1):
+            with pytest.raises(IndexError):
+                views[past]
+        assert views.angles == tuple(v.angle_deg for v in views)
+        assert views.kinds == tuple(v.kind for v in views)
+        with pytest.raises(AttributeError):
+            views.angles = ()
+
+
+def test_encode_image_frozen_reads_a_view_set_as_a_tuple_of_its_views(tmp_path):
+    spec = FrozenEncoderSpec(seed=0, dim=8)
+    for sample in data.load_manifest(mixed_dataset(tmp_path), read_views=False).samples:
+        got = encode_image_frozen(sample.views, spec)
+        by_hand = tuple(data.ViewRecord(v.angle_deg, v.kind, feature=v.feature, raster=v.raster)
+                        for v in sample.views)
+        assert got.tobytes() == encode_image_frozen(by_hand, spec).tobytes()
+
+
+def signature_digest(ds) -> str:
+    """sha256 of `dataset_signature(ds)`, with the manifest and the tree."""
+    h = hashlib.sha256(repr((ds.manifest, ds.tree)).encode())
+
+    def feed(item):
+        if isinstance(item, (list, tuple)):
+            h.update(b"(%d" % len(item))
+            for x in item:
+                feed(x)
+        else:
+            h.update(item if isinstance(item, bytes) else repr(item).encode())
+            h.update(b"\0")
+
+    feed(dataset_signature(ds))
+    return h.hexdigest()
+
+
+# sha256 of the signature digests of seeds 0-5, generated and loaded alike:
+# the values the loader and generator gave before views became view sets
+SIGNATURE_CONFIGS = {
+    "bench": (SynthConfig(parents=4, subs_per_parent=3, samples_per_sub=20, points=256, dim=32),
+              "0989ee84bac9129f6d20d7df4d39c9baba9b54ff99cb4e75e16bd7c209cf6d93"),
+    "depth-only dim 5, 7 angles": (
+        SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=3, points=40, dim=5, n_angles=7,
+                    kinds=("depth",)),
+        "e1cb2b7f151ed95a774fabceef765d77c9e84ab7405e5e6a79557a3b91302493"),
+    "latent 3, dim 64": (
+        SynthConfig(parents=3, subs_per_parent=2, samples_per_sub=2, points=100, dim=64, latent=3),
+        "bc2678b48e255d22fce2d2b31ca424e2b8d6965bc6bdee27b75c69fa84dc284b"),
+}
+
+
+@pytest.mark.parametrize("name", SIGNATURE_CONFIGS)
+def test_generated_and_loaded_datasets_keep_their_values(tmp_path, name):
+    config, pinned = SIGNATURE_CONFIGS[name]
+    digests = []
+    for seed in range(6):
+        generated = signature_digest(synth_generate(config, tmp_path / str(seed), seed=seed))
+        for read_views in (True, False):
+            loaded = data.load_manifest(tmp_path / str(seed) / "manifest.jsonl", read_views=read_views)
+            assert signature_digest(loaded) == generated
+        digests.append(generated)
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == pinned
+
+
+def ref_normalize_points(pts):
+    """The per-cloud formula: the reference `data.normalize_points` must match."""
+    centered = pts - pts.mean(axis=0, keepdims=True)
+    radius = np.sqrt((centered * centered).sum(axis=1)).max()
+    return centered / max(radius, 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 255, 256, 300, 1024])
+def test_a_stack_of_clouds_normalizes_as_each_cloud_alone(n):
+    # a numpy fact the loader relies on: a mean, sum and max over one axis
+    # of a B x N x 3 stack round as those of each N x 3 cloud
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        stack = rng.normal(rng.normal(size=3) * 5, rng.uniform(0.01, 10, size=(5, 1, 1)), size=(5, n, 3))
+        stack[1] = 2.7  # coincident points
+        stack = stack.astype("<f4").astype(np.float64)  # as a cloud file holds them
+        for cloud, normed in zip(stack, data.normalize_points(stack)):
+            assert normed.tobytes() == data.normalize_points(cloud).tobytes() == \
+                ref_normalize_points(cloud).tobytes()
 
 
 def ref_angle_bucket(angle_deg) -> int:
