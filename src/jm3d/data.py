@@ -78,23 +78,18 @@ class PointCloud:
         return self.points.shape[0]
 
 
-# a lazy record's payload slot before the payload is read
-_UNREAD = object()
-
-
 class ViewRecord:
     """One rendered view: a grid angle, a render kind, and its payload.
 
     Exactly one of ``feature`` (D floats) or ``raster`` (H x W x C uint8)
-    is set.  Records are read-only and compare by identity.
+    is set.  Records are plain read-only values and compare by identity.
     ``payload_file`` is the payload's name in the manifest the record was
     loaded from or written to, or None for a record built by hand.  A
-    record that ``load_manifest(..., read_views=False)`` builds reads its
-    payload file the first time ``feature`` or ``raster`` is used, unless
-    another view of its sample has already read the view file they share.
+    record always holds its payload: a loaded sample's `ViewSet` reads it
+    when the view is indexed or iterated.
     """
 
-    __slots__ = ("_angle", "_kind", "_feature", "_raster", "_file", "_read", "_row")
+    __slots__ = ("_angle", "_kind", "_feature", "_raster", "_file")
 
     def __init__(self, angle_deg: int, kind: str, feature: np.ndarray | None = None,
                  raster: np.ndarray | None = None, payload_file: str | None = None):
@@ -104,28 +99,13 @@ class ViewRecord:
         if (feature is None) == (raster is None):
             raise InputError("view needs exactly one of feature or raster")
         self._angle, self._kind, self._feature, self._raster = angle_deg, kind, feature, raster
-        self._file, self._read, self._row = payload_file, None, None
+        self._file = payload_file
 
     angle_deg = property(lambda self: self._angle)
     kind = property(lambda self: self._kind)
+    feature = property(lambda self: self._feature)
+    raster = property(lambda self: self._raster)
     payload_file = property(lambda self: self._file)
-
-    @property
-    def feature(self) -> np.ndarray | None:
-        if self._feature is _UNREAD:
-            self._load()
-        return self._feature
-
-    @property
-    def raster(self) -> np.ndarray | None:
-        if self._raster is _UNREAD:
-            self._load()
-        return self._raster
-
-    def _load(self) -> None:
-        """Read the payload; after a failed read the next use fails alike."""
-        self._feature, self._raster = self._read.take(self._row)
-        self._read = None
 
     def __repr__(self) -> str:
         return f"ViewRecord(angle_deg={self._angle!r}, kind={self._kind!r})"
@@ -148,14 +128,6 @@ class _Payload:
             self.data = self.read(self.name, self.where, self.rows)
         return (None, self.data) if self.rows is None else (self.data[row], None)
 
-    def view(self, angle: int, kind: str, row: int) -> ViewRecord:
-        """The unread view that takes row `row` (0 for a raster), built past
-        ``ViewRecord.__init__``: every caller has checked the angle and kind."""
-        rec = ViewRecord.__new__(ViewRecord)
-        rec._angle, rec._kind, rec._file, rec._read, rec._row = angle, kind, self.name, self, row
-        rec._feature, rec._raster = (None, _UNREAD) if self.rows is None else (_UNREAD, None)
-        return rec
-
 
 class ViewSet(Sequence):
     """The views of a loaded or generated sample, as a read-only sequence.
@@ -163,18 +135,16 @@ class ViewSet(Sequence):
     It holds the V grid angles and kinds as tuples, checked before it is
     built, and where each view's payload comes from: one `_Payload` whose
     row i view i takes (a view file), or one (payload, row) pair per view.
-    Nothing is built per view until a view is used.  ``views[i]`` builds
-    view i's unread `ViewRecord` on first use and keeps it, so it returns
-    that same record afterwards.  Iteration yields the kept record of each
-    view that has one and builds the others without keeping them: a pass
-    over the views, such as training's frozen preparation, leaves nothing
-    behind but what the views read into their shared payloads.
+    Nothing is read until a view is used: ``views[i]``, a slice or a pass
+    reads the payload file each view takes, once per load, and builds a
+    new `ViewRecord` that holds it, over the payload array the views of a
+    view file share.  A record of a loaded sample is built only here.
     """
 
-    __slots__ = ("_angles", "_kinds", "_source", "_records")
+    __slots__ = ("_angles", "_kinds", "_source")
 
     def __init__(self, angles: tuple[int, ...], kinds: tuple[str, ...], source):
-        self._angles, self._kinds, self._source, self._records = angles, kinds, source, None
+        self._angles, self._kinds, self._source = angles, kinds, source
 
     angles = property(lambda self: self._angles)
     kinds = property(lambda self: self._kinds)
@@ -183,28 +153,25 @@ class ViewSet(Sequence):
         return len(self._angles)
 
     def _record(self, i: int) -> ViewRecord:
+        """View i with its payload, built past ``ViewRecord.__init__``: the
+        set's angles and kinds were checked before it was built."""
         src = self._source
         payload, row = (src, i) if isinstance(src, _Payload) else src[i]
-        return payload.view(self._angles[i], self._kinds[i], row)
+        rec = ViewRecord.__new__(ViewRecord)
+        rec._angle, rec._kind, rec._file = self._angles[i], self._kinds[i], payload.name
+        rec._feature, rec._raster = payload.take(row)
+        return rec
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self._angles))[i])
-        i = range(len(self._angles))[i]  # IndexError past either end
-        if self._records is None:
-            self._records = [None] * len(self._angles)
-        rec = self._records[i]
-        if rec is None:
-            rec = self._records[i] = self._record(i)
-        return rec
+            return tuple(map(self._record, range(len(self._angles))[i]))
+        return self._record(range(len(self._angles))[i])  # IndexError past either end
 
     def __iter__(self):
-        if self._records is None and isinstance(self._source, _Payload):  # view i takes row i
-            return map(self._source.view, self._angles, self._kinds, range(len(self._angles)))
-        return ((self._records and self._records[i]) or self._record(i) for i in range(len(self._angles)))
+        return map(self._record, range(len(self._angles)))
 
     def _load(self) -> None:
-        """Read every payload file the views take, as their first use would."""
+        """Read every payload file the views take, as indexing them would."""
         src = self._source
         for payload, row in [(src, 0)] if isinstance(src, _Payload) else src:
             payload.take(row)
@@ -217,7 +184,7 @@ class ViewSet(Sequence):
 class TripletSample:
     sample_id: str
     cloud: PointCloud
-    views: Sequence[ViewRecord]  # a ViewSet when loaded or generated
+    views: Sequence[ViewRecord]  # a ViewSet, read as its views are indexed, when loaded or generated
     parent: str
     sub: str | None
     cloud_file: str | None = None  # the cloud's name in its manifest, if loaded from one
@@ -720,10 +687,10 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     violations are those of a walk of every list.  Each payload file is
     read once: a view file's rows are shared by the views that take them,
     as rows of one V x D array.  With ``read_views=False`` the manifest and
-    every cloud are still read and checked, but view payloads are read and
-    checked on first use: a view file on the first use of any view that
-    takes a row of it.  A bad file then raises ``ManifestError`` naming the
-    sample, as the full load would.
+    every cloud are still read and checked, but a view payload is read and
+    checked when a view that takes it is first indexed or iterated.  A bad
+    file then raises ``ManifestError`` naming the sample, as the full load
+    would.
     """
     path = Path(path)
     if not path.is_file():

@@ -159,9 +159,10 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     ``load_manifest`` reads back, field for field: it is built from the
     arrays as the payload writers report them stored, through the loader's
     own cloud, view and dataset constructors.  A negative seed raises
-    ``ConfigError`` and a width too large for memory ``MemoryError``
-    before anything is created; a payload that holds a non-finite value
-    raises ``NumericError`` before the manifest is written.  A manifest already in out_dir is deleted first, with the
+    ``ConfigError`` and a size too large for memory, or for numpy to
+    address, ``MemoryError`` before anything is created; a payload that
+    holds a non-finite value raises ``NumericError`` before the manifest is
+    written.  A manifest already in out_dir is deleted first, with the
     payload files it names directly under ``payload/``.
     """
     if seed < 0:
@@ -171,10 +172,13 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                      config.latent, config.dim)
     # drawn and allocated before anything is created, so a size too large
     # for memory fails with the directory untouched
-    z_parent = rng.normal(size=(P, K))
-    z_sub = z_parent[:, None, :] + config.sub_spread * rng.normal(size=(P, S, K))
-    w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
-    clouds = np.empty((P * S * M, config.points, 3))  # as stored; normalized as one stack
+    try:
+        z_parent = rng.normal(size=(P, K))
+        z_sub = z_parent[:, None, :] + config.sub_spread * rng.normal(size=(P, S, K))
+        w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
+        clouds = np.empty((P * S * M, config.points, 3))  # as stored; normalized as one stack
+    except ValueError:  # numpy's refusal of a size beyond its address space
+        raise MemoryError from None
 
     out = Path(out_dir)
     (out / "payload").mkdir(parents=True, exist_ok=True)

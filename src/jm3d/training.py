@@ -177,11 +177,12 @@ def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
         if text is None:
             text = encode_text_frozen(template.instantiate(label), spec)[None, :]
             text_cache[label] = text
-        raw = encode_image_frozen(sample.views, spec)
-        angles = tuple(vw.angle_deg for vw in sample.views)
+        views = tuple(sample.views)  # one pass reads and builds every view
+        raw = encode_image_frozen(views, spec)
+        angles = tuple(vw.angle_deg for vw in views)
         rows = embed_view(raw, angles, tables) if apply_embeddings else ad._layer_norm(raw)[0]
         # without CIS a step sees one view; without the window any v views
-        v = min(config.v_views, len(sample.views)) if config.cis_on else 1
+        v = min(config.v_views, len(views)) if config.cis_on else 1
         prepped.append(_Prepped(
             sample=sample, parent_idx=p_idx, view_rows=rows, text_row=text,
             sampler=window_sampler(angles, v, omega),
@@ -372,10 +373,14 @@ def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
 
 def init_params(config: TrainConfig, dim: int, n_parents: int, rng) -> dict[str, np.ndarray]:
     """Fresh trainable arrays at the config's widths and tau_init, drawn
-    from rng for the point encoder first, then the heads."""
+    from rng for the point encoder first, then the heads.  A width too
+    large for memory, or for numpy to address, raises ``MemoryError``."""
     tape = ad.Tape()
-    init_point_encoder(tape, config.point_hidden, dim, rng)
-    al.init_alignment_heads(tape, dim, n_parents, config.head_hidden, rng, config.tau_init)
+    try:
+        init_point_encoder(tape, config.point_hidden, dim, rng)
+        al.init_alignment_heads(tape, dim, n_parents, config.head_hidden, rng, config.tau_init)
+    except ValueError:  # numpy's refusal of a size beyond its address space
+        raise MemoryError from None
     params = {name: t.values for name, t in tape.parameters.items()}
     tape.parameters.clear()  # free the tape without the cyclic GC, as each step's is
     return params

@@ -278,6 +278,28 @@ def test_pretrain_too_wide_for_memory_exits_2_writing_nothing(dataset_dir, tmp_p
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["gen-data", "--dim", str(10**17)], None),
+    (["gen-data", "--points", str(10**30)], None),
+    (["gen-data", "--parents", str(10**19)], None),
+    (["pretrain", "--hidden", str(10**20)], None),
+    (["pretrain"], f"point_hidden = {10**30}"),
+    (["pretrain"], f"head_hidden = {10**30}"),
+])
+def test_sizes_beyond_numpys_address_space_exit_2_creating_nothing(dataset_dir, tmp_path, argv, config):
+    # numpy refuses such a size with ValueError before it allocates anything
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    if argv[0] == "pretrain":
+        argv += ["--data", str(dataset_dir / "manifest.jsonl"), "--epochs", "1", "--batch", "4"]
+    if config is not None:
+        (tmp_path / "wide.cfg").write_text(config + "\n")
+        argv += ["--config", str(tmp_path / "wide.cfg")]
+    code, _, err = run_captured(argv)
+    assert (code, err) == (2, f"error: {argv[0]}: out of memory\n")
+    assert not out.exists()
+
+
 def test_pretrain_writes_checkpoint_and_losses(run_dir):
     assert (run_dir / "checkpoint.bin").is_file()
     assert (run_dir / "losses.jsonl").is_file()
@@ -856,6 +878,62 @@ def test_fuzzed_checkpoints_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_fa
     code, _, _ = run_captured(["eval-zeroshot", "--set", "data", "--checkpoint", str(path),
                                "--data", str(base / "data" / "manifest.jsonl")])
     assert code in (0, 2, 3), mutation
+
+
+# Numeric inputs: every numeric --config field and every gen-data size flag,
+# set to values no range check may let through silently.  Sizes that pass
+# validation stay at 64 or below and epochs at 2 or below, so nothing drawn
+# allocates much or trains long; 10**19 and above numpy refuses outright.
+
+HUGE = [str(10**19), str(10**30)]
+ODD_CONFIG_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "-0.5", "0", "true", *HUGE]
+NUMERIC_CONFIG_FIELDS = sorted(k for k, kind in cli.CONFIG_FIELD_TYPES.items() if kind in ("int", "float"))
+GEN_DATA_SIZES = {"--parents": 2, "--subs": 2, "--per-sub": 2, "--points": 64, "--dim": 64, "--angles": 64}
+
+
+@st.composite
+def config_field_values(draw, field):
+    small = (st.integers(1, 2 if field == "epochs" else 64).map(str)
+             if cli.CONFIG_FIELD_TYPES[field] == "int" else st.sampled_from(["0.001", "0.5", "2", "64"]))
+    odd = [v for v in ODD_CONFIG_VALUES if field != "epochs" or v not in HUGE]
+    return field, draw(st.one_of(st.sampled_from(odd), small))
+
+
+@st.composite
+def gen_data_flag_values(draw, flag):
+    # flag values are ints, as argparse takes them; a config file takes any text
+    small = st.integers(1, GEN_DATA_SIZES[flag]).map(str)
+    return flag, draw(st.one_of(st.sampled_from(["-1", "0", *HUGE]), small))
+
+
+numeric_inputs = st.one_of(
+    st.tuples(st.just("config"), st.lists(st.sampled_from(NUMERIC_CONFIG_FIELDS).flatmap(config_field_values),
+                                          min_size=1, max_size=3)),
+    st.tuples(st.just("gen-data"), st.lists(st.sampled_from(sorted(GEN_DATA_SIZES)).flatmap(gen_data_flag_values),
+                                            min_size=1, max_size=3)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=numeric_inputs)
+@example(case=("config", [("point_hidden", HUGE[0])]))
+@example(case=("config", [("tau_init", "1e400")]))
+@example(case=("config", [("epochs", "true")]))
+@example(case=("gen-data", [("--dim", HUGE[0])]))
+@example(case=("gen-data", [("--points", HUGE[1]), ("--per-sub", "0")]))
+def test_numeric_inputs_exit_0_2_or_3_and_never_raise(fuzz_base, tmp_path_factory, case):
+    kind, pairs = case
+    root = tmp_path_factory.mktemp("numeric")
+    if kind == "config":
+        lines = ["epochs = 1", "batch_size = 4", "point_hidden = 8", "head_hidden = 8"]
+        (root / "c.cfg").write_text("\n".join(lines + [f"{k} = {v}" for k, v in pairs]) + "\n")
+        argv = ["pretrain", "--data", str(fuzz_base[0] / "data" / "manifest.jsonl"),
+                "--config", str(root / "c.cfg")]
+    else:
+        argv = ["gen-data", "--out", str(root / "data"), "--parents", "1", "--subs", "1", "--per-sub", "2",
+                "--points", "8", "--dim", "4", "--angles", "2"] + [x for pair in pairs for x in pair]
+    code, _, _ = run_captured(argv)
+    assert code in (0, 2, 3), case
 
 
 # ---------------------------------------------------------------------------

@@ -624,11 +624,13 @@ def array_signature(a):
     return (a.dtype.str, a.shape, a.flags.writeable, a.tobytes())
 
 
+def view_signature(v):
+    return (v.angle_deg, v.kind, v.payload_file, array_signature(v.feature if v.raster is None else v.raster))
+
+
 def dataset_signature(ds):
     return [(s.sample_id, s.parent, s.sub, s.cloud_file, array_signature(s.cloud.points),
-             [(v.angle_deg, v.kind, v.payload_file,
-               array_signature(v.feature if v.raster is None else v.raster))
-              for v in s.views])
+             [view_signature(v) for v in s.views])
             for s in ds.samples]
 
 
@@ -724,11 +726,13 @@ def test_lazy_load_reads_each_view_once_on_first_use(tmp_path, monkeypatch):
     loaded = data.load_manifest(path, read_views=False)
     assert {name for name, _ in calls} == {"read_cloud_file"}
     assert sum(calls.values()) == len(loaded.samples) == 9
+    # a pass over the views is their first use: it reads each view's file
     raster_view, feature_view = loaded.samples[-1].views
+    assert sum(calls.values()) == 11
     assert (raster_view.angle_deg, raster_view.kind, feature_view.angle_deg) == (0, "rgb", 12)
-    assert raster_view.feature is None and sum(calls.values()) == 9
     for _ in range(2):
-        assert raster_view.raster.shape == (200, 200, 3)
+        raster_view, feature_view = loaded.samples[-1].views
+        assert raster_view.feature is None and raster_view.raster.shape == (200, 200, 3)
         assert feature_view.feature.shape == (8,)
         assert feature_view.raster is None
     assert calls["read_raster_file", str(tmp_path / "payload" / "r.bin")] == 1
@@ -871,25 +875,24 @@ def test_violations_are_those_of_each_record_alone(tmp_path, read_views, make):
     assert err.value.violations == expected
 
 
-def test_view_set_keeps_indexed_records_and_indexes_like_a_tuple(tmp_path):
+def test_view_set_keeps_indexed_records_and_indexes_like_a_tuple(tmp_path, monkeypatch):
     path = mixed_dataset(tmp_path)
-    loads = [data.load_manifest(path, read_views=rv) for rv in (False, True)]
     generated = synth_generate(SynthConfig(parents=1, subs_per_parent=1, samples_per_sub=1,
                                            points=8, dim=8, latent=4, n_angles=4), tmp_path / "g", seed=5)
+    calls = count_reads(monkeypatch)
+    loads = [data.load_manifest(path, read_views=rv) for rv in (False, True)]
+    calls.clear()
     for views in [ds.samples[0].views for ds in loads + [generated]] + [loads[0].samples[-1].views]:
         assert isinstance(views, data.ViewSet)
         n = len(views)
-        # a pass keeps none of the records it builds
-        assert next(iter(views)) is not next(iter(views))
-        assert views[1] is views[1] is views[1 - n]
-        assert views[-1] is views[n - 1]
-        # ... and yields those that indexing keeps
+        # each index builds a new record, equal in value to the one before
+        assert view_signature(views[1]) == view_signature(views[1]) == view_signature(views[1 - n])
+        assert view_signature(views[-1]) == view_signature(views[n - 1])
         passed = list(views)
-        assert passed[1] is views[1] and passed[-1] is views[-1]
-        assert [(v.angle_deg, v.kind, v.payload_file) for v in passed] == \
-            [(views[i].angle_deg, views[i].kind, views[i].payload_file) for i in range(n)]
-        assert views[1:] == tuple(views[i] for i in range(1, n))
-        assert views[::-2] == tuple(views[i] for i in range(n - 1, -1, -2))
+        assert [view_signature(v) for v in passed] == [view_signature(views[i]) for i in range(n)]
+        assert [view_signature(v) for v in views[1:]] == [view_signature(views[i]) for i in range(1, n)]
+        assert [view_signature(v) for v in views[::-2]] == \
+            [view_signature(views[i]) for i in range(n - 1, -1, -2)]
         for past in (n, -n - 1):
             with pytest.raises(IndexError):
                 views[past]
@@ -897,6 +900,46 @@ def test_view_set_keeps_indexed_records_and_indexes_like_a_tuple(tmp_path):
         assert views.kinds == tuple(v.kind for v in views)
         with pytest.raises(AttributeError):
             views.angles = ()
+    # the lazy load reads each file its used views take, once; the full load read them all
+    lazy = loads[0].samples
+    assert calls == Counter({("read_feature_file" if v.raster is None else "read_raster_file",
+                              str(tmp_path / v.payload_file)) for s in (lazy[0], lazy[-1]) for v in s.views})
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("use", ["index", "slice", "iterate"])
+def test_a_view_is_read_when_indexed_or_iterated_each_file_once(tmp_path, monkeypatch, use):
+    path = mixed_dataset(tmp_path)
+    calls = count_reads(monkeypatch)
+    loaded = data.load_manifest(path, read_views=False)
+    view_file = ("read_feature_file", f"payload/views_{loaded.samples[0].sample_id}.bin")
+    # a view-file sample, and one whose views read a raster and a feature file of their own
+    for sample, files in [(loaded.samples[0], [view_file]),
+                          (loaded.samples[-1], [("read_raster_file", "payload/r.bin"),
+                                                ("read_feature_file", "payload/rf.bin")])]:
+        views = sample.views
+        before = Counter(calls)
+        assert len(views) == len(views.angles) == len(views.kinds) > 1
+        assert calls == before  # nothing is read before the first index
+        for _ in range(2):
+            records = {"index": lambda: [views[i] for i in range(len(views))],
+                       "slice": lambda: list(views[:]), "iterate": lambda: list(views)}[use]()
+        assert calls - before == Counter((name, str(tmp_path / file)) for name, file in files)
+        for i, rec in enumerate(records):
+            # bitwise a record built by hand from its file: row i of a view file, else row 0
+            payload = tmp_path / rec.payload_file
+            if rec.raster is None:
+                own = {"feature": ref_read_feature_file(payload)[i if len(files) == 1 else 0]}
+            else:
+                own = {"raster": ref_read_raster_file(payload)}
+            by_hand = data.ViewRecord(views.angles[i], views.kinds[i], payload_file=rec.payload_file, **own)
+            assert view_signature(rec) == view_signature(by_hand)
+            for name in ("angle_deg", "kind", "feature", "raster", "payload_file"):
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, None)
+        for name in ("angles", "kinds"):
+            with pytest.raises(AttributeError):
+                setattr(views, name, ())
 
 
 def test_encode_image_frozen_reads_a_view_set_as_a_tuple_of_its_views(tmp_path):
@@ -1158,16 +1201,16 @@ def view_file_dataset(root, views=3, rows=3, width=4, view_file="views.bin"):
 
 
 def load_violations(path, read_views: bool) -> list[str]:
-    """The violations of a full load, or those of the first use of each of
-    the first sample's views after a lazy one, which must all agree."""
+    """The violations of a full load, or those of indexing each of the
+    first sample's views after a lazy one, which must all agree."""
     if read_views:
         with pytest.raises(ManifestError) as err:
             data.load_manifest(path)
         return err.value.violations
-    found = []
-    for vw in data.load_manifest(path, read_views=False).samples[0].views:
+    views, found = data.load_manifest(path, read_views=False).samples[0].views, []
+    for i in range(len(views)):
         with pytest.raises(ManifestError) as err:
-            vw.feature
+            views[i]
         found.append(err.value.violations)
     assert all(v == found[0] for v in found)
     return found[0]

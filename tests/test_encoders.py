@@ -162,7 +162,7 @@ def test_image_sequence_reads_lazy_payloads_in_view_order(tmp_path):
     with pytest.raises(ManifestError, match="truncated"):
         encoders.encode_image_frozen(sample.views, SPEC)
     sample = load_manifest(manifest, read_views=False).samples[0]
-    view_file = tmp_path / sample.views[2].payload_file
+    view_file = tmp_path / rec["view_file"]  # indexing a view would read the file before the NaN is written
     blob = bytearray(view_file.read_bytes())
     struct.pack_into("<16f", blob, 8 + 2 * 16 * 4, *[np.nan] * 16)  # view 2's row
     view_file.write_bytes(bytes(blob))

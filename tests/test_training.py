@@ -10,6 +10,7 @@ import resource
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from jm3d import alignment as al
 from jm3d import autodiff as ad
 from jm3d import cli
 from jm3d import training as tr
-from jm3d.data import PointCloud, angle_bucket, load_manifest
+from jm3d.data import PointCloud, ViewSet, angle_bucket, load_manifest
 from jm3d.encoders import (FrozenEncoderSpec, ViewEmbeddingTables, encode_image_frozen,
                            encode_point_cloud, init_point_encoder, point_encoder_from_values)
 from jm3d.errors import ConfigError, ContractError, InputError, ShapeError
@@ -366,6 +367,22 @@ def test_prepared_view_rows_bitwise_equal_the_op_chain(tiny_dataset, flags, monk
     monkeypatch.setattr(ad.Tensor, "__init__", refuse)
     prepped = tr._prepare_frozen(tiny_dataset, config, spec, tables)
     assert [p.view_rows.tobytes() for p in prepped] == [e.tobytes() for e in expected]
+
+
+def test_frozen_prep_walks_each_samples_views_once(tiny_dataset, monkeypatch):
+    passes = Counter()
+    real = ViewSet.__iter__
+
+    def counted(self):
+        passes[id(self)] += 1
+        return real(self)
+
+    monkeypatch.setattr(ViewSet, "__iter__", counted)
+    config = quick_config()
+    dim = tiny_dataset.dim
+    tr._prepare_frozen(tiny_dataset, config, FrozenEncoderSpec(seed=config.frozen_seed, dim=dim),
+                       ViewEmbeddingTables.build(dim))
+    assert passes == Counter({id(s.views): 1 for s in tiny_dataset.samples})
 
 
 def test_point_features_equal_the_taped_encode_without_a_tape(tiny_dataset, monkeypatch):
