@@ -77,21 +77,22 @@ def alignment_head_shapes(dim: int, n_parents: int, hidden: int) -> dict[str, tu
             "cw2": (hidden, n_parents), "cb2": (1, n_parents)}
 
 
-def init_alignment_heads(tape: ad.Tape, dim: int, n_parents: int, hidden: int, rng,
-                         tau_init: float = 0.07) -> AlignmentHeads:
+def init_alignment_heads(dim: int, n_parents: int, hidden: int, rng,
+                         tau_init: float = 0.07) -> dict[str, np.ndarray]:
+    """Fresh "head.*" arrays: temperatures at tau_init, cw1 then cw2 drawn
+    from rng and scaled by 1/sqrt(fan-in), zero biases."""
     shapes = alignment_head_shapes(dim, n_parents, hidden)
     if tau_init <= 0:
         raise ConfigError(f"tau_init must be positive, got {tau_init}")
-    return AlignmentHeads(
-        log_tau=tape.parameter("head.log_tau", np.full(shapes["log_tau"], math.log(tau_init))),
-        cw1=tape.parameter("head.cw1", rng.normal(size=shapes["cw1"]) / math.sqrt(dim)),
-        cb1=tape.parameter("head.cb1", np.zeros(shapes["cb1"])),
-        cw2=tape.parameter("head.cw2", rng.normal(size=shapes["cw2"]) / math.sqrt(hidden)),
-        cb2=tape.parameter("head.cb2", np.zeros(shapes["cb2"])),
-    )
+    return {"head.log_tau": np.full(shapes["log_tau"], math.log(tau_init)),
+            "head.cw1": rng.normal(size=shapes["cw1"]) / math.sqrt(dim),
+            "head.cb1": np.zeros(shapes["cb1"]),
+            "head.cw2": rng.normal(size=shapes["cw2"]) / math.sqrt(hidden),
+            "head.cb2": np.zeros(shapes["cb2"])}
 
 
 def heads_from_values(tape: ad.Tape, values: dict[str, np.ndarray]) -> AlignmentHeads:
+    """Register "head.*" arrays on a tape: the one way onto a tape."""
     return AlignmentHeads(**{name: tape.parameter(f"head.{name}", values[f"head.{name}"])
                              for name in HEAD_PARAM_NAMES})
 

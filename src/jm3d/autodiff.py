@@ -39,16 +39,15 @@ def _as_values(values) -> np.ndarray:
 class Tensor:
     """Array value with an optional slot on a differentiation tape.
 
-    ``node_id`` identifies the tensor inside its tape; constants carry
-    neither tape nor node id and are immutable by convention.
+    ``node_id`` identifies the tensor inside its tape, and a tensor on a
+    tape is differentiable; constants carry neither tape nor node id and
+    are immutable by convention.
     """
 
-    __slots__ = ("values", "requires_grad", "tape", "node_id")
+    __slots__ = ("values", "tape", "node_id")
 
-    def __init__(self, values, requires_grad: bool = False,
-                 tape: "Tape | None" = None, node_id: int | None = None):
+    def __init__(self, values, tape: "Tape | None" = None, node_id: int | None = None):
         self.values = _as_values(values)
-        self.requires_grad = bool(requires_grad)
         self.tape = tape
         self.node_id = node_id
 
@@ -56,39 +55,33 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def grad(self) -> np.ndarray | None:
-        """Gradient from the most recent backward pass, or None."""
-        if self.tape is None or self.node_id is None:
-            return None
-        return self.tape._grads.get(self.node_id)
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.values.reshape(-1)[0])
 
     def __repr__(self):
-        tag = "param" if self.requires_grad else "const"
+        tag = "const" if self.tape is None else "node"
         return f"Tensor({tag}, shape={self.values.shape})"
 
 
 def constant(values) -> Tensor:
     """Tensor not attached to any tape; gradients never flow into it."""
-    return Tensor(values, requires_grad=False)
+    return Tensor(values)
 
 
 class Tape:
-    """Ordered record of operations plus the trainable-parameter registry."""
+    """Ordered record of operations plus the trainable-parameter registry,
+    which maps each name to its (node id, array).  A tape holds no Tensor,
+    so reference counting frees it once its last tensor goes."""
 
     def __init__(self):
         self._records: list[tuple[int, tuple[int | None, ...], Callable]] = []
         self._next_id = 0
-        self._grads: dict[int, np.ndarray] = {}
-        self.parameters: dict[str, Tensor] = {}
+        self.parameters: dict[str, tuple[int, np.ndarray]] = {}
 
-    def _new_node(self, values, requires_grad: bool) -> Tensor:
-        t = Tensor(values, requires_grad=requires_grad, tape=self, node_id=self._next_id)
+    def _new_node(self, values) -> Tensor:
+        t = Tensor(values, tape=self, node_id=self._next_id)
         self._next_id += 1
         return t
 
@@ -96,17 +89,13 @@ class Tape:
         """Register a trainable leaf under a unique name."""
         if name in self.parameters:
             raise ContractError(f"parameter {name!r} already registered")
-        t = self._new_node(values, requires_grad=True)
-        self.parameters[name] = t
+        t = self._new_node(values)
+        self.parameters[name] = (t.node_id, t.values)
         return t
 
-    def watch(self, values) -> Tensor:
-        """Unnamed differentiable leaf."""
-        return self._new_node(values, requires_grad=True)
-
     def _record(self, out_values, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
-        out = self._new_node(out_values, requires_grad=True)
-        ids = tuple(t.node_id if (t.tape is self and t.requires_grad) else None for t in inputs)
+        out = self._new_node(out_values)
+        ids = tuple(t.node_id for t in inputs)  # None for a constant
         self._records.append((out.node_id, ids, backward))
         return out
 
@@ -134,12 +123,8 @@ class Tape:
                     continue
                 acc = grads.get(node_id)
                 grads[node_id] = g if acc is None else acc + g
-        self._grads = grads
-        out = {}
-        for name, p in self.parameters.items():
-            g = grads.get(p.node_id)
-            out[name] = np.zeros_like(p.values) if g is None else g
-        return out
+        return {name: grads[node_id] if node_id in grads else np.zeros_like(values)
+                for name, (node_id, values) in self.parameters.items()}
 
 
 def _tape_of(inputs: Sequence[Tensor]) -> Tape | None:
@@ -156,7 +141,7 @@ def _tape_of(inputs: Sequence[Tensor]) -> Tape | None:
 
 def _apply(out_values, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
     tape = _tape_of(inputs)
-    if tape is None or not any(t.requires_grad for t in inputs):
+    if tape is None:
         return constant(out_values)
     return tape._record(out_values, inputs, backward)
 
@@ -363,10 +348,9 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
     if not clouds:
         raise ShapeError("mlp_max_pool needs at least one cloud")
     tape = _tape_of(params)
-    taped = tape is not None and any(p.requires_grad for p in params)
     cols = np.arange(h)
     out = np.empty((len(clouds), h))
-    if taped:
+    if tape is not None:
         act, pin = np.empty((len(clouds), h, h)), np.empty((len(clouds), h, 3))
     for i, pts in enumerate(clouds):
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
@@ -379,7 +363,7 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         # 300 points), and then the pooled bits would depend on point order
         z = a @ wv2
         z += bv2
-        if not taped:
+        if tape is None:
             z.max(axis=0, out=out[i])
             continue
         idx = z.argmax(axis=0)
@@ -387,7 +371,7 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         a.take(idx, 0, act[i])
         pin[i] = pts[idx]
     np.tanh(out, out=out)
-    if not taped:
+    if tape is None:
         return constant(out)
 
     def backward(g):
@@ -537,15 +521,20 @@ def layer_norm(x: Tensor) -> Tensor:
     return _apply(out, (x,), backward)
 
 
+def _l2_normalize(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``l2_normalize``'s forward on a plain array: (out, row norms clamped
+    up to 1e-12)."""
+    denom = np.maximum(np.sqrt((xv * xv).sum(axis=-1, keepdims=True)), NORMALIZE_EPS)
+    return xv / denom, denom
+
+
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale each row to unit Euclidean norm; rows below 1e-12 stay put."""
     xv = x.values
-    norms = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
-    denom = np.maximum(norms, NORMALIZE_EPS)
-    out = xv / denom
+    out, denom = _l2_normalize(xv)
 
     def backward(g):
-        live = norms > NORMALIZE_EPS
+        live = denom > NORMALIZE_EPS
         proj = (g * xv).sum(axis=-1, keepdims=True) / (denom * denom)
         return (np.where(live, (g - xv * proj) / denom, g / denom),)
 
@@ -581,7 +570,7 @@ def info_nce(a: Tensor, b: Tensor, inv_tau: Tensor, symmetric: bool = True) -> T
     terms = [-log_p[diag, diag].mean() for log_p in logs]
     loss = (terms[0] + terms[1]) * 0.5 if symmetric else terms[0]
     # flags, not the tensors: the record must not hold a tensor of its tape
-    need_a, need_b, need_it = a.requires_grad, b.requires_grad, inv_tau.requires_grad
+    need_a, need_b, need_it = (t.tape is not None for t in (a, b, inv_tau))
 
     def backward(g):
         d_logits = []
@@ -645,19 +634,17 @@ def grad_check(build: Callable[[dict[str, np.ndarray]], tuple[Tape, Tensor]],
         raise ContractError("eps must be positive")
     values = {name: np.array(arr, dtype=np.float64) for name, arr in values.items()}
 
-    def loss_at() -> float:
-        tape, loss = build(values)
-        tape.parameters.clear()  # break the tape<->parameter cycle: free each build on return
-        return loss.item()
-
     tape, loss = build(values)
     if loss.values.size != 1:
         raise ContractError("grad_check needs a scalar loss")
     analytic = tape.backward(loss)
-    tape.parameters.clear()
     missing = sorted(set(values) - set(analytic))
     if missing:
         raise ContractError(f"build did not register parameters {missing}")
+    for name in values:
+        # a NaN would drop out of the max below and pass as agreement
+        if not np.isfinite(analytic[name]).all():
+            raise NumericError(f"analytic gradient of {name!r} is not finite")
     worst, worst_name = 0.0, ""
     for name, arr in values.items():
         flat = arr.reshape(-1)
@@ -665,9 +652,9 @@ def grad_check(build: Callable[[dict[str, np.ndarray]], tuple[Tape, Tensor]],
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            hi = loss_at()
+            hi = build(values)[1].item()
             flat[i] = keep - eps
-            lo = loss_at()
+            lo = build(values)[1].item()
             flat[i] = keep
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise NumericError(f"loss is not finite near {name!r}")

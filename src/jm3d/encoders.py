@@ -24,11 +24,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _RASTER_SIDE = 16  # frozen image path reduces rasters to 16 x 16 grayscale
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.maximum(norms, 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # frozen text / image stubs
 
@@ -77,7 +72,7 @@ def encode_text_frozen(text: str, spec: FrozenEncoderSpec) -> np.ndarray:
         raise InputError(f"text {text!r} has no tokens")
     rows = spec.token_table[[_hash_token(t, spec.vocab_size) for t in tokens]]
     pooled = rows.mean(axis=0)
-    return _unit_rows(pooled @ spec.text_proj)
+    return ad._l2_normalize(pooled @ spec.text_proj)[0]
 
 
 def _block_mean_16(gray: np.ndarray) -> np.ndarray:
@@ -122,10 +117,10 @@ def encode_image_frozen(views, spec: FrozenEncoderSpec) -> np.ndarray:
     their rows are normalized as one stack.
     """
     if not isinstance(views, Sequence):
-        return _unit_rows(_image_row(views, spec))
+        return ad._l2_normalize(_image_row(views, spec))[0]
     if not views:
         raise InputError("no views to encode")
-    return _unit_rows(np.stack([_image_row(vw, spec) for vw in views]))
+    return ad._l2_normalize(np.stack([_image_row(vw, spec) for vw in views]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +169,8 @@ def embed_view(features: np.ndarray, angles, tables: ViewEmbeddingTables) -> np.
 
 @dataclass(frozen=True)
 class PointEncoderParams:
-    """Tape-registered weights: shared per-point MLP 3 -> h -> h, then a
-    projection head h -> D after symmetric pooling."""
+    """Weights as tensors, on a tape or constant: shared per-point MLP
+    3 -> h -> h, then a projection head h -> D after symmetric pooling."""
 
     w1: ad.Tensor
     b1: ad.Tensor
@@ -196,22 +191,16 @@ def point_encoder_shapes(hidden: int, dim: int) -> dict[str, tuple[int, int]]:
             "b2": (1, hidden), "wp": (hidden, dim), "bp": (1, dim)}
 
 
-def init_point_encoder(tape: ad.Tape, hidden: int, dim: int, rng) -> PointEncoderParams:
-    """Register freshly initialized encoder weights on a tape."""
-    shapes = point_encoder_shapes(hidden, dim)
-
-    def make(name, fan_in):
-        return tape.parameter(f"point.{name}", rng.normal(size=shapes[name]) / math.sqrt(fan_in))
-
-    def zeros(name):
-        return tape.parameter(f"point.{name}", np.zeros(shapes[name]))
-
-    return PointEncoderParams(w1=make("w1", 3), b1=zeros("b1"), w2=make("w2", hidden),
-                              b2=zeros("b2"), wp=make("wp", hidden), bp=zeros("bp"))
+def init_point_encoder(hidden: int, dim: int, rng) -> dict[str, np.ndarray]:
+    """Fresh "point.*" arrays: matrices drawn from rng in POINT_PARAM_NAMES
+    order and scaled by 1/sqrt(fan-in), zero biases."""
+    fan_in = {"w1": 3, "w2": hidden, "wp": hidden}
+    return {f"point.{name}": rng.normal(size=shape) / math.sqrt(fan_in[name]) if name in fan_in
+            else np.zeros(shape) for name, shape in point_encoder_shapes(hidden, dim).items()}
 
 
 def point_encoder_from_values(tape: ad.Tape, values: dict[str, np.ndarray]) -> PointEncoderParams:
-    """Register existing weight arrays (e.g. from a checkpoint) on a tape."""
+    """Register "point.*" arrays on a tape: the one way onto a tape."""
     return PointEncoderParams(**{name: tape.parameter(f"point.{name}", values[f"point.{name}"])
                                  for name in POINT_PARAM_NAMES})
 

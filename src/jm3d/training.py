@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .data import (CategoryTree, LoadedDataset, TripletSample, WindowSampler,  # noqa: F401
                    replace_file, resolve_label, sample_within_window, window_sampler)
 from .encoders import (POINT_PARAM_NAMES, FrozenEncoderSpec, PointEncoderParams,
-                       ViewEmbeddingTables, _unit_rows, embed_view, encode_image_frozen,
+                       ViewEmbeddingTables, embed_view, encode_image_frozen,
                        encode_point_cloud, encode_text_frozen, init_point_encoder,
                        point_encoder_from_values, point_encoder_shapes)
 from .errors import ConfigError, ContractError, InputError, NumericError, ShapeError
@@ -213,8 +213,8 @@ def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
         h_joint = np.concatenate([rows.mean(axis=0, keepdims=True) for rows in view_rows])
     h_text = np.concatenate(text_rows)
     if config.normalize_before_nce:
-        h_joint = _unit_rows(h_joint)
-        h_text = _unit_rows(h_text)
+        h_joint = ad._l2_normalize(h_joint)[0]
+        h_text = ad._l2_normalize(h_text)[0]
     loss, parts = al.total_loss(h_point, ad.constant(h_joint), ad.constant(h_text),
                                 parent_idx, heads, config.loss_weights(),
                                 htt_on=config.htt_on, symmetric=config.symmetric_nce)
@@ -375,15 +375,11 @@ def init_params(config: TrainConfig, dim: int, n_parents: int, rng) -> dict[str,
     """Fresh trainable arrays at the config's widths and tau_init, drawn
     from rng for the point encoder first, then the heads.  A width too
     large for memory, or for numpy to address, raises ``MemoryError``."""
-    tape = ad.Tape()
     try:
-        init_point_encoder(tape, config.point_hidden, dim, rng)
-        al.init_alignment_heads(tape, dim, n_parents, config.head_hidden, rng, config.tau_init)
+        return {**init_point_encoder(config.point_hidden, dim, rng),
+                **al.init_alignment_heads(dim, n_parents, config.head_hidden, rng, config.tau_init)}
     except ValueError:  # numpy's refusal of a size beyond its address space
         raise MemoryError from None
-    params = {name: t.values for name, t in tape.parameters.items()}
-    tape.parameters.clear()  # free the tape without the cyclic GC, as each step's is
-    return params
 
 
 def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoint:
@@ -422,9 +418,6 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
                                            [p.text_row for p in batch],
                                            [p.parent_idx for p in batch], config)
             grads = tape.backward(loss)
-            # the tape and its parameter tensors refer to each other; without
-            # this the step's tape would wait for the cyclic garbage collector
-            tape.parameters.clear()
             lr = cosine_lr(opt.step, total_steps, config.base_lr)
             adamw_step(params, grads, opt, lr, config.beta1, config.beta2,
                        config.adam_eps, config.weight_decay)

@@ -40,12 +40,16 @@ def max_rel_vs_fd(build, values, eps=1e-6):
     """Worst relative disagreement between the tape's gradients and central
     differences, over every coordinate of every array in ``values``.
     ``build(values) -> (tape, loss)`` registers each array as the tape
-    parameter of the same name.
+    parameter of the same name.  Any non-finite gradient, analytic or
+    numeric, fails the check: a NaN would otherwise drop out of the max.
     """
     values = {name: np.array(arr, dtype=np.float64) for name, arr in values.items()}
     tape, loss = build(values)
     analytic = tape.backward(loss)
     numeric = fd_grads(lambda vals: build(vals)[1].item(), values, eps)
+    for name in values:
+        assert np.isfinite(analytic[name]).all(), f"analytic gradient of {name!r} is not finite"
+        assert np.isfinite(numeric[name]).all(), f"numeric gradient of {name!r} is not finite"
     return max(max_rel(analytic[name], numeric[name]) for name in values)
 
 
@@ -58,6 +62,4 @@ def fd_grad(f, x, eps=1e-6):
 def analytic_grad(f, x):
     """Tape gradient of ``f(Tensor) -> scalar Tensor`` at x."""
     tape = ad.Tape()
-    leaf = tape.watch(x)
-    tape.backward(f(leaf))
-    return leaf.grad
+    return tape.backward(f(tape.parameter("x", x)))["x"]

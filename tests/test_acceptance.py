@@ -19,7 +19,7 @@ from jm3d import cli
 from jm3d.data import (PointCloud, ViewRecord, circular_distance,
                        sample_within_window)
 from jm3d.encoders import (FrozenEncoderSpec, encode_point_cloud,
-                           init_point_encoder)
+                           init_point_encoder, point_encoder_from_values)
 from jm3d.evaluation import (accuracy_topk, build_label_features,
                              format_records, modelnet_eval_sets,
                              zero_shot_topk)
@@ -239,7 +239,7 @@ def test_5_evaluation_sets_verbatim(capsys):
 def test_9_point_encoder_permutation_invariance(capsys):
     rng = np.random.default_rng(17)
     tape = ad.Tape()
-    enc = init_point_encoder(tape, hidden=16, dim=16, rng=rng)
+    enc = point_encoder_from_values(tape, init_point_encoder(hidden=16, dim=16, rng=rng))
     n_clouds, n_perms = 50, 100
     exact = True
     for _ in range(n_clouds):

@@ -25,14 +25,6 @@ def stable_seed(name):
     return int.from_bytes(hashlib.blake2b(name.encode(), digest_size=4).digest(), "little")
 
 
-def make_tensor(values, requires_grad=False, tape=None, name=None):
-    if tape is not None:
-        return tape.parameter(name, values)
-    if requires_grad:
-        raise AssertionError("requires_grad tensors need a tape")
-    return ad.constant(values)
-
-
 # ---------------------------------------------------------------------------
 # info_nce oracles
 
@@ -268,7 +260,7 @@ def test_fuse_output_in_view_hull_property(v, seed):
 
 def make_heads(tape, dim=4, parents=3, hidden=6, seed="heads"):
     rng = np.random.default_rng(stable_seed(seed))
-    return al.init_alignment_heads(tape, dim, parents, hidden, rng)
+    return al.heads_from_values(tape, al.init_alignment_heads(dim, parents, hidden, rng))
 
 
 def test_heads_tau_roundtrip():
@@ -299,12 +291,11 @@ def test_per_term_temperatures_are_independent():
 
 
 def test_heads_reject_bad_config():
-    tape = ad.Tape()
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        al.init_alignment_heads(tape, 0, 3, 4, rng)
+        al.init_alignment_heads(0, 3, 4, rng)
     with pytest.raises(ConfigError):
-        al.init_alignment_heads(tape, 4, 3, 4, rng, tau_init=0.0)
+        al.init_alignment_heads(4, 3, 4, rng, tau_init=0.0)
 
 
 def test_uniform_classifier_gives_log_p():

@@ -71,18 +71,17 @@ def test_max_pool_value_and_tie_rule():
     np.testing.assert_array_equal(out.values, [[3.0, 5.0]])
     # on ties the first maximal row takes the gradient
     tape = ad.Tape()
-    leaf = tape.watch(x.values)
-    tape.backward(ad.total(ad.max_pool_rows(leaf)))
-    np.testing.assert_array_equal(leaf.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    grads = tape.backward(ad.total(ad.max_pool_rows(tape.parameter("x", x.values))))
+    np.testing.assert_array_equal(grads["x"], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 def test_take_rows_repeats_accumulate():
     tape = ad.Tape()
-    x = tape.watch([[1.0, 2.0], [3.0, 4.0]])
+    x = tape.parameter("x", [[1.0, 2.0], [3.0, 4.0]])
     picked = ad.take_rows(x, [0, 0, 1])
     np.testing.assert_array_equal(picked.values, [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-    tape.backward(ad.total(picked))
-    np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
+    grads = tape.backward(ad.total(picked))
+    np.testing.assert_array_equal(grads["x"], [[2.0, 2.0], [1.0, 1.0]])
 
 
 def test_select_columns_value():
@@ -322,7 +321,6 @@ def test_mlp_max_pool_backward_is_bitwise_per_cloud_reference(hidden, monotone):
             assert np.abs(got[name] - ref[name]).max() <= 1e-12 * np.abs(ref[name]).max(), (trial, name)
             assert again[name].tobytes() == got[name].tobytes(), (trial, name)
         assert {name: closure[name].tobytes() for name in kept} == kept, trial
-    tape.parameters.clear()
 
 
 def test_mlp_max_pool_rejects_bad_shapes():
@@ -377,6 +375,29 @@ def test_grad_check_flags_wrong_gradient():
     assert ad.grad_check(single_input(square), x)[0] < 1e-7  # the correct rule passes tightly
     worst, name = ad.grad_check(single_input(wrong_square), x)
     assert worst > 1e-2 and name == "x"
+
+
+def nan_square(t):
+    """sum(t * t) with a correct forward and an all-NaN backward."""
+    return ad.total(ad._apply(t.values * t.values, (t,), lambda g: (np.full_like(g, np.nan),)))
+
+
+def test_grad_check_raises_on_non_finite_analytic_gradient():
+    # a NaN gradient would drop out of the error's max and pass as agreement
+    values = {"ok": np.array([[1.0]]), "x": np.array([[1.0, 2.0]])}
+
+    def build(vals):
+        tape = ad.Tape()
+        ok, x = tape.parameter("ok", vals["ok"]), tape.parameter("x", vals["x"])
+        return tape, ad.add(ad.total(ad.mul(ok, ok)), nan_square(x))
+
+    with pytest.raises(NumericError, match="'x'"):
+        ad.grad_check(build, values)
+
+
+def test_fd_oracle_fails_on_a_nan_gradient():
+    with pytest.raises(AssertionError, match="analytic gradient of 'x' is not finite"):
+        max_rel_vs_fd(single_input(nan_square), {"x": np.array([[1.0, 2.0]])})
 
 
 def test_grad_check_rejects_unregistered_array():

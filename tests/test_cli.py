@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jm3d import autodiff as ad
 from jm3d import cli, data
 from jm3d.data import load_manifest, read_feature_file
 from jm3d.errors import ConfigError, LabelError
@@ -580,6 +581,20 @@ def test_gradcheck_command_passes(capsys):
     assert labels == ["full", "jma_on=False", "htt_on=False",
                       "normalize_before_nce=False", "symmetric_nce=False"]
     assert lines[-1].startswith("OK")
+
+
+def test_gradcheck_command_exits_3_on_a_nan_gradient(monkeypatch, capsys):
+    # the point encoder's last op with a NaN backward: its weights' analytic
+    # gradients are NaN, which must fail the check, not drop out of it
+    real = ad.l2_normalize
+
+    def nan_backward(x):
+        shape = x.shape
+        return ad._apply(real(x).values, (x,), lambda g: (np.full(shape, np.nan),))
+
+    monkeypatch.setattr(ad, "l2_normalize", nan_backward)
+    assert cli.run(["gradcheck", "--seed", "0"]) == 3
+    assert "numeric failure: analytic gradient of 'point." in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

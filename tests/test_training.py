@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import gc
+import hashlib
 import json
 import math
 import os
@@ -22,8 +23,9 @@ from jm3d import autodiff as ad
 from jm3d import cli
 from jm3d import training as tr
 from jm3d.data import PointCloud, ViewSet, angle_bucket, load_manifest
-from jm3d.encoders import (FrozenEncoderSpec, ViewEmbeddingTables, encode_image_frozen,
-                           encode_point_cloud, init_point_encoder, point_encoder_from_values)
+from jm3d.encoders import (POINT_PARAM_NAMES, FrozenEncoderSpec, ViewEmbeddingTables,
+                           encode_image_frozen, encode_point_cloud, init_point_encoder,
+                           point_encoder_from_values)
 from jm3d.errors import ConfigError, ContractError, InputError, ShapeError
 from jm3d.synth import SynthConfig, synth_generate
 
@@ -181,10 +183,7 @@ def test_jma_off_drops_frozen_only_term():
 def test_batch_loss_follows_every_loss_switch():
     rng = np.random.default_rng(0)
     dim, n = 6, 3
-    tape = ad.Tape()
-    init_point_encoder(tape, 5, dim, rng)
-    al.init_alignment_heads(tape, dim, 2, 4, rng)
-    params = {name: t.values for name, t in tape.parameters.items()}
+    params = {**init_point_encoder(5, dim, rng), **al.init_alignment_heads(dim, 2, 4, rng)}
     clouds = [PointCloud.from_raw(rng.normal(size=(10, 3))) for _ in range(n)]
     view_rows = [rng.normal(size=(2, dim)) for _ in range(n)]
     text_rows = [rng.normal(size=(1, dim)) for _ in range(n)]
@@ -195,6 +194,26 @@ def test_batch_loss_follows_every_loss_switch():
     full = loss(quick_config())
     for switch in ("jma_on", "htt_on", "normalize_before_nce", "symmetric_nce"):
         assert loss(quick_config(**{switch: False})) != full, switch
+
+
+@pytest.mark.parametrize("hidden, head_hidden, dim, n_parents, seed, digest", [
+    # the bench config's widths on the bench data, seeds 0 and 1
+    (64, 64, 32, 4, 0, "62ca6b82fbcc678e03f440d3ac092377b17ab5de9d157056eebebd874809025f"),
+    (64, 64, 32, 4, 1, "4f1f5d99413a2925fbe5e73176e132ca33087fdf8641fa86c2b7ea4f949140f0"),
+    # cli.model_gradient_check's widths
+    (8, 8, 16, 2, 0, "bf25854776f7a0cc6698e5b05323b6c1af48571b0f22616872eb734b01cd0514"),
+])
+def test_init_params_draws_are_pinned(hidden, head_hidden, dim, n_parents, seed, digest):
+    # a change of draw order, scale or shape changes every trained checkpoint
+    config = tr.TrainConfig(point_hidden=hidden, head_hidden=head_hidden)
+    params = tr.init_params(config, dim, n_parents, np.random.default_rng(seed))
+    assert list(params) == ([f"point.{n}" for n in POINT_PARAM_NAMES]
+                            + [f"head.{n}" for n in al.HEAD_PARAM_NAMES])
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_loss_decreases_over_two_epochs(tiny_dataset):
@@ -251,9 +270,8 @@ def cyclic_garbage(call) -> int:
 
 
 def test_training_steps_leave_no_garbage_cycles(tiny_dataset):
-    # a step's tape, and the parameter-init tape, must be freed when they
-    # are done, not when the cyclic garbage collector next runs, so peak
-    # memory does not depend on it
+    # a step's tape must be freed when it is done, not when the cyclic
+    # garbage collector next runs, so peak memory does not depend on it
     def run(epochs):
         return lambda: tr.train(tiny_dataset, quick_config(epochs=epochs))
 
@@ -261,17 +279,26 @@ def test_training_steps_leave_no_garbage_cycles(tiny_dataset):
 
 
 def test_point_features_and_grad_check_leave_no_garbage_cycles(tiny_dataset):
-    # their throwaway tapes, one per call, per loss build or for the
-    # initial weights, are freed on return
-    tape = ad.Tape()
-    init_point_encoder(tape, 8, tiny_dataset.dim, np.random.default_rng(0))
-    params = {name: t.values for name, t in tape.parameters.items()}
+    # their throwaway tapes, one per call or per loss build, are freed on
+    # return, as is a bare batch_loss tape once its loss goes: a tape holds
+    # no tensor, so reference counting alone frees it
+    rng = np.random.default_rng(0)
+    dim = tiny_dataset.dim
+    params = tr.init_params(quick_config(), dim, 2, rng)
+    clouds = [s.cloud for s in tiny_dataset.samples[:3]]
+    view_rows = [rng.normal(size=(2, dim)) for _ in clouds]
+    text_rows = [rng.normal(size=(1, dim)) for _ in clouds]
 
     def build(values):
         t = ad.Tape()
         w = t.parameter("w", values["w"])
         return t, ad.mean(ad.mul(w, w))
 
+    def step():
+        tape, loss, _ = tr.batch_loss(params, clouds, view_rows, text_rows, [0, 1, 1], quick_config())
+        tape.backward(loss)
+
+    assert cyclic_garbage(step) == 0
     assert cyclic_garbage(lambda: tr.point_features(tiny_dataset.samples[:3], params)) == 0
     assert cyclic_garbage(lambda: ad.grad_check(build, {"w": np.ones((2, 3))})) == 0
     assert cyclic_garbage(lambda: cli.model_gradient_check(
@@ -390,7 +417,6 @@ def test_point_features_equal_the_taped_encode_without_a_tape(tiny_dataset, monk
     samples = tiny_dataset.samples[:7]
     tape = ad.Tape()
     taped = encode_point_cloud([s.cloud for s in samples], point_encoder_from_values(tape, ckpt.params))
-    tape.parameters.clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("point_features built a Tape")
