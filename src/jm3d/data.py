@@ -557,8 +557,9 @@ def read_raster_file(path) -> np.ndarray:
 #                 image_file (a raster file)
 # A view that names neither file takes row i of its record's view_file,
 # where i is its index in views; a record without a view_file needs one of
-# them in every view.  Payload names are relative to the manifest's
-# directory, joined as `base / name` joins them.
+# them in every view.  A "views" list in the header is the view grid: its
+# views name no file, and a record without views takes it and needs a
+# view_file.  Payload names join the manifest's directory as `base / name`.
 
 
 @dataclass(frozen=True)
@@ -594,50 +595,16 @@ def _name_problem(name) -> str | None:
     return None
 
 
-def _sample_from_obj(obj: dict, where: str, problems: list[str], read, last: list) -> tuple | None:
-    """(id, parent, sub, cloud_file, views) of a valid record, its views a
-    `ViewSet` whose payloads read through `read`; the views that take rows
-    of the view file share one payload.  None once the record's violations
-    are appended to `problems`.
-
-    `last` is [views list, angles, kinds, positions of angle 0] of the last
-    record whose views all took rows of its view file.  A later record with
-    a view file and a list ``==`` to that one takes its angles and kinds
-    unwalked, unless it spells one of those zero angles ``false``: ``==``
-    holds ``false == 0``, which the walk rejects.
-    """
-    ok = True
-
-    def bad(msg):
-        nonlocal ok
-        problems.append(f"{where}: {msg}")
-        ok = False
-
-    for key in ("id", "parent", "sub", "cloud_file", "views"):
-        if key not in obj:
-            bad(f"missing field {key!r}")
-    if not ok:
-        return None
-    if not isinstance(obj["id"], str) or not obj["id"]:
-        bad("id must be a nonempty string")
-    if not isinstance(obj["parent"], str) or not obj["parent"]:
-        bad("parent must be a nonempty string")
-    if obj["sub"] is not None and (not isinstance(obj["sub"], str) or not obj["sub"]):
-        bad("sub must be null or a nonempty string")
-    if problem := _name_problem(obj["cloud_file"]):
-        bad(f"cloud_file {problem}")
-    if "view_file" in obj and (problem := _name_problem(obj["view_file"])):
-        bad(f"view_file {problem}")
-    views = obj["views"]
+def _walk_views(views, bad, record: dict | None = None, read=None, where=None) -> tuple | None:
+    """(angles, kinds, source) of the views list of `record`, its source as
+    a `ViewSet` takes it, or None once its violations are passed to `bad`.
+    A view that names no file takes row i of the record's view_file; with
+    no record the list is the header's grid, whose views name no file."""
     if not isinstance(views, list) or not views:
         bad("views must be a nonempty list")
         return None
-    sample_where = f"sample {obj['id']!r}"
     # the view file's payload, read only if a view takes a row of it
-    shared = _Payload(read, obj["view_file"], sample_where, len(views)) if "view_file" in obj else None
-    head = obj["id"], obj["parent"], obj["sub"], obj["cloud_file"]
-    if shared is not None and views == last[0] and all(views[i]["angle"] is not False for i in last[3]):
-        return (*head, ViewSet(last[1], last[2], shared)) if ok else None
+    shared = _Payload(read, record["view_file"], where, len(views)) if "view_file" in (record or ()) else None
     angles, kinds, sources = [], [], []
     for i, vw in enumerate(views):
         if not isinstance(vw, dict):
@@ -654,26 +621,61 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read, last: lis
             bad(f"view {i} kind {kind!r} not in {VIEW_KINDS}")
             continue
         feat, img = vw.get("feature_file"), vw.get("image_file")
-        if feat is None and img is None and shared is not None:
+        field, name = ("image_file", img) if feat is None else ("feature_file", feat)
+        if name is None and (shared is not None or record is None):
             sources.append((shared, i))
+        elif record is None:
+            bad(f"view {i} names {field}, but a grid view takes row {i} of its record's view_file")
+            continue
+        elif (feat is None) == (img is None):
+            bad(f"view {i} needs exactly one of feature_file or image_file")
+            continue
+        elif problem := _name_problem(name):
+            bad(f"view {i} {field} {problem}")
+            continue
         else:
-            if (feat is None) == (img is None):
-                bad(f"view {i} needs exactly one of feature_file or image_file")
-                continue
-            name = img if feat is None else feat
-            if problem := _name_problem(name):
-                bad(f"view {i} {'image_file' if feat is None else 'feature_file'} {problem}")
-                continue
-            sources.append((_Payload(read, name, sample_where, None if feat is None else 1), 0))
+            sources.append((_Payload(read, name, where, None if feat is None else 1), 0))
         angles.append(int(angle))
         kinds.append(kind)
-    if not ok:
+    if len(angles) < len(views):
         return None
-    angles, kinds = tuple(angles), tuple(kinds)
-    if any(payload is not shared for payload, _ in sources):
-        return (*head, ViewSet(angles, kinds, tuple(sources)))
-    last[:] = views, angles, kinds, tuple(i for i, a in enumerate(angles) if a == 0)
-    return (*head, ViewSet(angles, kinds, shared))
+    return tuple(angles), tuple(kinds), shared if all(p is shared for p, _ in sources) else tuple(sources)
+
+
+def _sample_from_obj(obj: dict, where: str, problems: list[str], read, grid: tuple | None) -> tuple | None:
+    """(id, parent, sub, cloud_file, views) of a valid record, its views a
+    `ViewSet` whose payloads read through `read`; the views that take rows
+    of the view file share one payload.  None once the record's violations
+    are appended to `problems`.  `grid` is the header's walked grid, () if
+    it has violations, or None if the header has none: a record without
+    views takes it over the rows of its view file, which it must name."""
+    known = len(problems)
+
+    def bad(msg):
+        problems.append(f"{where}: {msg}")
+
+    takes_grid = grid is not None and "views" not in obj
+    for key in ("id", "parent", "sub", "cloud_file", "view_file" if takes_grid else "views"):
+        if key not in obj:
+            bad(f"missing field {key!r}")
+    if len(problems) > known:
+        return None
+    for key in ("id", "parent"):
+        if not isinstance(obj[key], str) or not obj[key]:
+            bad(f"{key} must be a nonempty string")
+    if obj["sub"] is not None and (not isinstance(obj["sub"], str) or not obj["sub"]):
+        bad("sub must be null or a nonempty string")
+    for key in ("cloud_file", "view_file"):  # both name a payload, so both get its checks
+        if key in obj and (problem := _name_problem(obj[key])):
+            bad(f"{key} {problem}")
+    sample_where = f"sample {obj['id']!r}"
+    if takes_grid:
+        walked = grid and (*grid[:2], _Payload(read, obj["view_file"], sample_where, len(grid[0])))
+    else:
+        walked = _walk_views(obj["views"], bad, obj, read, sample_where)
+    if len(problems) > known or not walked:
+        return None
+    return obj["id"], obj["parent"], obj["sub"], obj["cloud_file"], ViewSet(*walked)
 
 
 def load_manifest(path, read_views: bool = True) -> LoadedDataset:
@@ -681,14 +683,13 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
     Validation runs to the end and reports every violation at once; payload
     clouds are re-normalized in float64 after their f32 round-trip, those
-    of one size as one stack.  Each sample's views are a `ViewSet`, and a
-    record's views list is walked and checked only when it differs from the
-    last list that took rows of a view file (see `_sample_from_obj`); the
-    violations are those of a walk of every list.  Each payload file is
-    read once: a view file's rows are shared by the views that take them,
-    as rows of one V x D array.  With ``read_views=False`` the manifest and
+    of one size as one stack.  The header's view grid is walked once, its
+    violations as ``line 1: view i ...``, and each record's own views list
+    in full (see `_sample_from_obj`).  Each sample's views are a `ViewSet`,
+    and each payload file is read once: the views that take a view file's
+    rows share one V x D array.  With ``read_views=False`` the manifest and
     every cloud are still read and checked, but a view payload is read and
-    checked when a view that takes it is first indexed or iterated.  A bad
+    checked when a view that takes it is first indexed or iterated; a bad
     file then raises ``ManifestError`` naming the sample, as the full load
     would.
     """
@@ -732,10 +733,8 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ManifestError([f"line 1: header is not valid JSON ({e.msg})"]) from None
-    except RecursionError:
-        raise ManifestError(["line 1: header is not valid JSON (nested too deeply)"]) from None
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply, no msg
+        raise ManifestError([f"line 1: header is not valid JSON ({getattr(e, 'msg', 'nested too deeply')})"]) from None
     if not isinstance(header, dict):
         raise ManifestError(["line 1: header is not a JSON object"])
     version = header.get("version")
@@ -745,19 +744,18 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         problems.append(f"line 1: dim must be a positive integer, got {dim!r}")
         dim = None
+    grid = None  # see _sample_from_obj
+    if "views" in header:
+        grid = _walk_views(header["views"], lambda msg: problems.append(f"line 1: {msg}")) or ()
 
     parsed: list[tuple] = []
     seen_ids: set[str] = set()
-    last_views = [None, (), (), ()]  # see _sample_from_obj
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"line {lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            problems.append(f"{where}: not valid JSON ({e.msg})")
-            continue
-        except RecursionError:
-            problems.append(f"{where}: not valid JSON (nested too deeply)")
+        except (json.JSONDecodeError, RecursionError) as e:
+            problems.append(f"{where}: not valid JSON ({getattr(e, 'msg', 'nested too deeply')})")
             continue
         if not isinstance(obj, dict):
             problems.append(f"{where}: record is not an object")
@@ -769,7 +767,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
                 problems.append(f"{where}: duplicate sample id {sid!r}")
                 continue
             seen_ids.add(sid)
-        sample = _sample_from_obj(obj, where, problems, read_payload, last_views)
+        sample = _sample_from_obj(obj, where, problems, read_payload, grid)
         if sample is not None:
             parsed.append(sample)
 
@@ -800,10 +798,12 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
                                   in zip(good, payload_clouds(points))])
 
 
-def write_manifest(path, dim: int, records: list[dict]) -> None:
-    """Emit the manifest header plus one JSON record per line, through
-    `replace_file`: a write that fails part way leaves no partial manifest."""
-    lines = [json.dumps({"version": MANIFEST_VERSION, "dim": int(dim)}, sort_keys=True)]
+def write_manifest(path, dim: int, records: list[dict], *, grid: list[dict] | None = None) -> None:
+    """Emit the manifest header, with `grid` as its view grid if given, plus
+    one JSON record per line, through `replace_file`: a write that fails
+    part way leaves no partial manifest."""
+    header = {"version": MANIFEST_VERSION, "dim": int(dim)} | ({} if grid is None else {"views": grid})
+    lines = [json.dumps(header, sort_keys=True)]
     lines += [json.dumps(rec, sort_keys=True) for rec in records]
     replace_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 

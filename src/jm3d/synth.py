@@ -154,12 +154,13 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
 
     Each sample gets two payload files: its cloud, ``payload/cloud_<id>.bin``,
     and its view file, ``payload/views_<id>.bin``, whose V x D rows are the
-    view features in view order; the manifest's view objects name no file
-    and take those rows.  The returned dataset equals what
-    ``load_manifest`` reads back, field for field: it is built from the
-    arrays as the payload writers report them stored, through the loader's
-    own cloud, view and dataset constructors.  A negative seed raises
-    ``ConfigError`` and a size too large for memory, or for numpy to
+    view features in view order.  The manifest's header holds the view
+    grid, whose views name no file, and its records omit views, so each
+    takes the grid over the rows of its view file.  The returned dataset
+    equals what ``load_manifest`` reads back, field for field: it is built
+    from the arrays as the payload writers report them stored, through the
+    loader's own cloud, view and dataset constructors.  A negative seed
+    raises ``ConfigError`` and a size too large for memory, or for numpy to
     address, ``MemoryError`` before anything is created; a payload that
     holds a non-finite value raises ``NumericError`` before the manifest is
     written.  A manifest already in out_dir is deleted first, with the
@@ -191,7 +192,7 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
 
     view_keys = [(a * ANGLE_STEP_DEG, kind) for a in range(config.n_angles) for kind in config.kinds]
     angles, kinds = (tuple(column) for column in zip(*view_keys))
-    # every record's views: they name no file, so they take the view file's rows
+    # the header's view grid: its views name no file, so they take each view file's rows
     view_objs = [{"angle": angle, "kind": kind} for angle, kind in view_keys]
     # a sample's latent, then per view [cos, sin, depth flag, 1] from libm (np.cos may round otherwise)
     base = np.empty((len(view_keys), K + 4))
@@ -225,10 +226,9 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 _check_stored(feats, f"the view features of sample {sid!r}")
                 view_sets.append(ViewSet(angles, kinds, _Payload(None, view_file, None, len(feats), data=feats)))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,
-                                "cloud_file": cloud_file, "view_file": view_file,
-                                "views": view_objs})
+                                "cloud_file": cloud_file, "view_file": view_file})
 
     samples = [TripletSample(rec["id"], cloud, views, rec["parent"], rec["sub"], rec["cloud_file"])
                for rec, cloud, views in zip(records, payload_clouds(clouds), view_sets)]
-    write_manifest(out / "manifest.jsonl", D, records)
+    write_manifest(out / "manifest.jsonl", D, records, grid=view_objs)
     return LoadedDataset.of(D, samples)

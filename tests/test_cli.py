@@ -24,7 +24,7 @@ from jm3d import autodiff as ad
 from jm3d import cli, data
 from jm3d.data import load_manifest, read_feature_file
 from jm3d.errors import ConfigError, LabelError
-from layouts import split_view_files
+from layouts import edited_manifest, split_view_files
 
 HEADER_RE = re.compile(r"^jm3d \d+\.\d+\.\d+ config=[0-9a-f]{12} seed=\d+$")
 
@@ -501,11 +501,9 @@ def test_non_finite_view_feature_exits_3_where_it_is_read(run_dir, dataset_dir, 
 def test_empty_raster_exits_2_naming_the_sample(run_dir, dataset_dir, tmp_path):
     manifest, records = copy_dataset(dataset_dir, tmp_path / "data")
     data.write_raster_file(tmp_path / "data/payload/empty.bin", np.zeros((4, 4, 0), dtype=np.uint8))
-    lines = manifest.read_text().splitlines()
-    obj = json.loads(lines[2])  # line 1 is the header, so this is records[1]
-    obj["views"][0] = {"angle": obj["views"][0]["angle"], "kind": "rgb", "image_file": "payload/empty.bin"}
-    lines[2] = json.dumps(obj)
-    manifest.write_text("\n".join(lines) + "\n")
+    with edited_manifest(manifest) as (_, objs):
+        obj = objs[1]
+        obj["views"][0] = {"angle": obj["views"][0]["angle"], "kind": "rgb", "image_file": "payload/empty.bin"}
     violation = (f"  - sample {records[1].sample_id!r}: raster file "
                  f"{tmp_path / 'data/payload/empty.bin'} declares an empty 4x4x0 raster\n")
     common = serve_args(run_dir, manifest)
@@ -528,11 +526,8 @@ def test_non_utf8_config_and_class_files_exit_2_naming_them(run_dir, dataset_dir
 
 def test_payload_name_with_nul_exits_2_naming_line_and_field(run_dir, dataset_dir, tmp_path):
     manifest, _ = copy_dataset(dataset_dir, tmp_path / "data")
-    lines = manifest.read_text().splitlines()
-    rec = json.loads(lines[2])
-    rec["views"][0]["feature_file"] = "payload/a\0b.bin"
-    lines[2] = json.dumps(rec)
-    manifest.write_text("\n".join(lines) + "\n")
+    with edited_manifest(manifest) as (_, objs):
+        objs[1]["views"][0]["feature_file"] = "payload/a\0b.bin"  # line 3
     code, _, err = run_captured(["eval-zeroshot", *serve_args(run_dir, manifest)])
     assert code == 2
     assert err == ("error: manifest validation failed with 1 problem(s)\n"
@@ -755,27 +750,24 @@ def apply_mutation(root, records, mutation):
     else:
         field, value = mutation[3]
         scope = None
-        if field.startswith("header."):
-            obj = json.loads(lines[0])
-            obj[field[len("header."):]] = value
-            lines[0] = json.dumps(obj)
-            if field == "header.dim" and value == 5:  # every view now has the wrong width
-                scope = {(rec.sample_id, v) for rec in records for v in range(len(rec.views))}
-        else:
-            obj = json.loads(lines[1 + i % 4])
-            if (field, value) == DROPPED_VIEW:  # every view that took a row now fails
-                scope = view_file_readers(obj)
-                del obj["views"][j]
-            elif field.startswith("view."):
-                obj["views"][j][field[len("view."):]] = value
-                if value == "payload/gone.bin":
-                    scope = {(obj["id"], j)}
+        with edited_manifest(manifest) as (header, objs):
+            if field.startswith("header."):
+                header[field[len("header."):]] = value
+                if field == "header.dim" and value == 5:  # every view now has the wrong width
+                    scope = {(rec.sample_id, v) for rec in records for v in range(len(rec.views))}
             else:
-                obj[field] = value
-                if field == "view_file" and value == "payload/gone.bin":
+                obj = objs[i % 4]
+                if (field, value) == DROPPED_VIEW:  # every view that took a row now fails
                     scope = view_file_readers(obj)
-            lines[1 + i % 4] = json.dumps(obj)
-        manifest.write_text("\n".join(lines) + "\n")
+                    del obj["views"][j]
+                elif field.startswith("view."):
+                    obj["views"][j][field[len("view."):]] = value
+                    if value == "payload/gone.bin":
+                        scope = {(obj["id"], j)}
+                else:
+                    obj[field] = value
+                    if field == "view_file" and value == "payload/gone.bin":
+                        scope = view_file_readers(obj)
         return scope
     manifest.write_text("\n".join(lines) + "\n")
     return None

@@ -27,7 +27,7 @@ from jm3d.errors import (
     SamplingError,
 )
 from jm3d.synth import SynthConfig, synth_generate
-from layouts import split_view_files
+from layouts import edited_manifest, split_view_files
 
 
 def feature_view(angle, kind="rgb", dim=4, fill=0.5):
@@ -748,14 +748,15 @@ def test_load_manifest_checks_each_angle_once(tmp_path, monkeypatch, read_views)
     checked = Counter()
     real = data.angle_bucket
     monkeypatch.setattr(data, "angle_bucket", lambda a: checked.update([a]) or real(a))
-    loaded = data.load_manifest(path, read_views=read_views)
-    # the eight generated records share one views list, checked once
-    distinct = {tuple(zip(s.views.angles, s.views.kinds)) for s in loaded.samples}
-    assert sum(checked.values()) == sum(len(views) for views in distinct) == 8 + 2
+    data.load_manifest(path, read_views=read_views)
+    # the header's grid, which the eight generated records take, is checked
+    # once, and a record's own views list once per record
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert sum(checked.values()) == len(header["views"]) + sum(len(r.get("views", ())) for r in records) == 8 + 2
 
 
 # ---------------------------------------------------------------------------
-# view sets: each distinct views list checked once
+# view sets: the header's grid checked once, each record's own views in full
 
 
 A_VIEWS = [{"angle": 0, "kind": "rgb"}, {"angle": 12, "kind": "depth"}, {"angle": 348, "kind": "rgb"}]
@@ -782,9 +783,9 @@ def views_dataset(root, records) -> Path:
 
 
 def line_by_line(path, read_views: bool):
-    """(datasets, violations) of each record of path loaded alone, the
-    violations renumbered to the record's line.  A one-record manifest has
-    no earlier views list to reuse, so this is the walk of every list."""
+    """(datasets, violations) of each record of path loaded alone, under
+    the manifest's header line, view grid included, the violations
+    renumbered to the record's line."""
     header, *records = path.read_text().splitlines()
     single = path.with_name("single.jsonl")
     datasets, line_problems, sample_problems = [], [], []
@@ -832,32 +833,28 @@ def test_lists_that_change_and_return_load_as_each_record_alone(tmp_path, monkey
     real = data.angle_bucket
     monkeypatch.setattr(data, "angle_bucket", lambda a: checked.update([a]) or real(a))
     loaded = data.load_manifest(path, read_views=read_views)
-    # A, B and A again are walked; a record whose views read files of their
-    # own is walked each time and leaves the last list A, which the final
-    # record reuses
-    assert sum(checked.values()) == 3 + 2 + 3 + 2 + 2 + 1
+    # each record's own list is walked in full, A each time it returns
+    assert sum(checked.values()) == 3 + 2 + 3 + 2 + 2 + 1 + 3
     monkeypatch.undo()
     assert dataset_signature(loaded) == signatures_of(line_by_line(path, read_views)[0])
     assert [v.payload_file for v in loaded.samples[3].views] == ["own.bin", "v3.bin"]
 
 
 def faulty_manifest(root):
-    """`mixed_dataset` with a fault in most of its generated records, some
-    of them in lists equal to the last good one; returns its path."""
+    """`mixed_dataset` with a fault in most of its generated records, their
+    views spelled out; returns its path."""
     path = mixed_dataset(root)
-    header, *lines = path.read_text().splitlines()
-    records = [json.loads(line) for line in lines]
-    records[1]["views"][3]["angle"] = 13
-    records[2]["views"][0]["angle"] = False
-    records[3]["id"] = ""  # views equal to the last good list
-    records[4]["views"][5]["kind"] = "RGB"
-    records[4]["views"][2] = 5
-    records[5]["view_file"] = "a\0b.bin"  # views equal to the last good list
-    records[6]["cloud_file"] = "payload/gone.bin"
-    (root / records[7]["view_file"]).write_bytes(b"\x01\x00")  # truncated
-    # the last good list again, without a view file for its views to read
-    records.append({key: records[0][key] for key in ("parent", "sub", "cloud_file", "views")} | {"id": "nofile"})
-    path.write_text("\n".join([header] + [json.dumps(rec) for rec in records]) + "\n")
+    with edited_manifest(path) as (_, records):
+        records[1]["views"][3]["angle"] = 13
+        records[2]["views"][0]["angle"] = False
+        records[3]["id"] = ""
+        records[4]["views"][5]["kind"] = "RGB"
+        records[4]["views"][2] = 5
+        records[5]["view_file"] = "a\0b.bin"
+        records[6]["cloud_file"] = "payload/gone.bin"
+        (root / records[7]["view_file"]).write_bytes(b"\x01\x00")  # truncated
+        # a good record's views again, without a view file for them to read
+        records.append({key: records[0][key] for key in ("parent", "sub", "cloud_file", "views")} | {"id": "nofile"})
     return path
 
 
@@ -1281,6 +1278,102 @@ def test_view_file_is_read_once_and_its_rows_shared(tmp_path, monkeypatch):
         assert (shared.dtype, shared.shape) == (np.float64, (3, 4))
         assert all(v.feature.base is shared for v in views)
         assert [v.payload_file for v in views] == ["views.bin"] * 3
+
+
+# ---------------------------------------------------------------------------
+# the header's view grid, which a record without views takes
+
+
+GRID = [{"angle": 0, "kind": "rgb"}, {"angle": 12, "kind": "depth"}, {"angle": 348, "kind": "rgb"}]
+
+
+def grid_dataset(root, records, grid=GRID) -> Path:
+    """A dim-4 manifest under root whose header holds `grid` (none if it is
+    None), with one record per dict of extra fields, each with a cloud and
+    a 3-row view file of its own."""
+    rng = np.random.default_rng(11)
+    lines = []
+    for i, extra in enumerate(records):
+        data.write_cloud_file(root / f"c{i}.bin", rng.normal(size=(6, 3)))
+        data.write_feature_file(root / f"v{i}.bin", rng.normal(size=(3, 4)))
+        lines.append({"id": f"s{i}", "parent": "chair", "sub": None, "cloud_file": f"c{i}.bin",
+                      "view_file": f"v{i}.bin"} | extra)
+    path = root / "m.jsonl"
+    data.write_manifest(path, 4, lines, grid=grid)
+    return path
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_a_record_without_views_takes_the_grid_over_its_view_file(tmp_path, read_views):
+    path = grid_dataset(tmp_path, [{}, {}])
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header == {"version": data.MANIFEST_VERSION, "dim": 4, "views": GRID}
+    # the same records with the grid spelled out in each load the same values
+    spelled = tmp_path / "spelled"
+    spelled.mkdir()
+    for name in os.listdir(tmp_path):
+        if name.endswith(".bin"):
+            shutil.copy(tmp_path / name, spelled)
+    both = [data.load_manifest(p, read_views=read_views)
+            for p in (path, grid_dataset(spelled, [{"views": GRID}] * 2, grid=None))]
+    assert dataset_signature(both[0]) == dataset_signature(both[1])
+    for sample in both[0].samples:
+        assert (sample.views.angles, sample.views.kinds) == ((0, 12, 348), ("rgb", "depth", "rgb"))
+        assert [v.payload_file for v in sample.views] == [f"v{sample.sample_id[1:]}.bin"] * 3
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("grid, expected", [
+    ([{"angle": False, "kind": "rgb"}, {"angle": 13, "kind": "rgb"}, {"angle": 0, "kind": "RGB"}, 5,
+      {"angle": 12, "kind": "rgb", "feature_file": "v0.bin"}, {"angle": 24, "kind": "depth", "image_file": None},
+      {"angle": 36, "kind": "depth", "image_file": "r.bin"}],
+     ["line 1: view 0 angle False is not a multiple of 12 in [0, 348]",
+      "line 1: view 1 angle 13 is not a multiple of 12 in [0, 348]",
+      "line 1: view 2 kind 'RGB' not in ('rgb', 'depth')",
+      "line 1: view 3 is not an object",
+      "line 1: view 4 names feature_file, but a grid view takes row 4 of its record's view_file",
+      "line 1: view 6 names image_file, but a grid view takes row 6 of its record's view_file"]),
+    ([], ["line 1: views must be a nonempty list"]),
+    ({"angle": 0, "kind": "rgb"}, ["line 1: views must be a nonempty list"]),
+])
+def test_grid_violations_read_line_1_in_walk_order(tmp_path, read_views, grid, expected):
+    # the records that take the bad grid add none of their own; one with
+    # views of its own is walked as without a grid
+    path = grid_dataset(tmp_path, [{}, {"views": GRID[:2] + [{"angle": 13, "kind": "rgb"}]}, {}], grid=grid)
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == expected + ["line 3: view 2 angle 13 is not a multiple of 12 in [0, 348]"]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("grid, missing", [(GRID, "view_file"), (None, "views")])
+def test_a_record_without_views_needs_a_grid_and_a_view_file(tmp_path, read_views, grid, missing):
+    path = grid_dataset(tmp_path, [{}, {}], grid=grid)
+    with edited_manifest(path) as (_, records):
+        del records[1]["view_file"]
+        for rec in records:
+            if grid is not None:
+                del rec["views"]
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    # without a grid the first record lacks views too
+    lacking = [0, 1] if grid is None else [1]
+    assert err.value.violations == [f"line {i + 2}: missing field {missing!r}" for i in lacking]
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_a_records_own_views_override_the_grid(tmp_path, read_views):
+    data.write_feature_file(tmp_path / "own.bin", np.arange(4.0))
+    own = [{"views": [{"angle": 24, "kind": "depth"}, {"angle": 36, "kind": "rgb"},
+                      {"angle": 0, "kind": "rgb", "feature_file": "own.bin"}]},
+           {"views": [{"angle": 48, "kind": "rgb", "feature_file": "own.bin"}]}]
+    # the first record takes the grid, or spells it out where there is none
+    loaded = [data.load_manifest(grid_dataset(tmp_path, [first] + own, grid=grid), read_views=read_views)
+              for first, grid in (({}, GRID), ({"views": GRID}, None))]
+    assert dataset_signature(loaded[0]) == dataset_signature(loaded[1])
+    views = loaded[0].samples[1].views
+    assert (views.angles, [v.payload_file for v in views]) == ((24, 36, 0), ["v1.bin", "v1.bin", "own.bin"])
+    assert loaded[0].samples[2].views.angles == (48,)
 
 
 def test_synth_generate_returns_what_load_manifest_reads(tmp_path):

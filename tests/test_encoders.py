@@ -2,7 +2,6 @@
 table structure, and the trainable point branch (permutation invariance,
 gradients against finite differences)."""
 
-import json
 import struct
 
 import numpy as np
@@ -13,6 +12,7 @@ from jm3d import autodiff as ad
 from jm3d import encoders, synth
 from jm3d.data import PointCloud, ViewRecord, angle_bucket, load_manifest
 from jm3d.errors import InputError, ManifestError, NumericError, ShapeError
+from layouts import edited_manifest
 
 
 SPEC = encoders.FrozenEncoderSpec(seed=0, dim=16)
@@ -153,10 +153,8 @@ def test_image_sequence_reads_lazy_payloads_in_view_order(tmp_path):
     synth.synth_generate(cfg, tmp_path, seed=0)
     # view 5 reads a file of its own; the others take rows of the view file
     manifest = tmp_path / "manifest.jsonl"
-    header, line = manifest.read_text().splitlines()
-    rec = json.loads(line)
-    rec["views"][5]["feature_file"] = "payload/own.bin"
-    manifest.write_text(header + "\n" + json.dumps(rec) + "\n")
+    with edited_manifest(manifest) as (_, (rec,)):
+        rec["views"][5]["feature_file"] = "payload/own.bin"
     (tmp_path / "payload" / "own.bin").write_bytes(b"")  # unreadable
     sample = load_manifest(manifest, read_views=False).samples[0]
     with pytest.raises(ManifestError, match="truncated"):

@@ -15,20 +15,26 @@ from jm3d.errors import ConfigError, NumericError
 from jm3d.training import TrainConfig, save_checkpoint, train
 
 # `tree_hash` of the seed-0 bench dataset (conftest's `bench_dataset`); any
-# change to the generator's draws or the payload format moves it
-BENCH_SEED0_TREE = "d641d78dbccda1703b0a88ffa33f9207c3fba315c180357f45a55efb944521a2"
+# change to the generator's draws, the payload format or the manifest moves it
+BENCH_SEED0_TREE = "5264acbfbfbff41025cd3b6db5c22aba0dbddc6913471415284bf1f7b0347a8d"
+# `tree_hash` of its payload/ directory alone, taken while every manifest
+# record still spelled out its views: it pins the payload files across the
+# change to a view grid in the manifest header
+BENCH_SEED0_PAYLOAD = "597114dbaaff5bd4bd12ca9268a1f08dddc747dc624b685a49c0aba99fed42d0"
 # `values_hash` of the same dataset as loaded; it was taken when gen-data
 # wrote one file per view (tree hash 2afd9c28...), so it pins the values
 # across the change to one view file per sample
 BENCH_SEED0_VALUES = "dee3b863ce112a0eb53588aaccbd96cf1c4e3b337ec57e42af8a1b472c059519"
 # seed-0 `tree_hash` of two configs off the bench path (odd dim, depth only,
-# 7 angles; latent 3 with both kinds), taken while the generator still
-# projected and drew each view on its own
+# 7 angles; latent 3 with both kinds), then that of their payload/ alone,
+# pinned as the bench data's is
 OTHER_SEED0_TREES = {
-    "depth7": ("8973d718ef80857017576b642b384e4e56b0984a17030e05c5444d0f528fea85",
+    "depth7": ("213e01e763d5a4267beb8fd0d3aa20811310a78258bbb3df21292615f5a7c520",
+               "2e935b8392b06d0945576a03d10c01919847bb1eda96b7fa787c7e930f2754d8",
                dict(parents=2, subs_per_parent=2, samples_per_sub=3, points=32, dim=5,
                     n_angles=7, kinds=("depth",))),
-    "latent3": ("9f81e43366b0ca175c62d562aff06eb316317e60193bcec6c0708fe16a4dbed9",
+    "latent3": ("a2454b8bbaf2a4b359c85c852421ccdb831e3de0e49fba10bd1625e54eacdd64",
+                "f36352240aeddb468efc3c3ff5ca2251a1498b26527a72c4c0b2ddc278240095",
                 dict(parents=2, subs_per_parent=2, samples_per_sub=2, points=16, dim=64,
                      latent=3, n_angles=5)),
 }
@@ -130,15 +136,17 @@ def test_generate_builds_no_view_through_its_constructor(tmp_path, monkeypatch):
 
 def test_bench_dataset_bytes_pinned(bench_dataset):
     root, returned = bench_dataset
+    assert tree_hash(root / "payload") == BENCH_SEED0_PAYLOAD
     assert tree_hash(root) == BENCH_SEED0_TREE
     assert values_hash(returned) == values_hash(load_manifest(root / "manifest.jsonl")) == BENCH_SEED0_VALUES
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_SEED0_TREES))
 def test_other_configs_bytes_pinned(tmp_path, name):
-    expected, config = OTHER_SEED0_TREES[name]
+    tree, payload, config = OTHER_SEED0_TREES[name]
     synth.synth_generate(synth.SynthConfig(**config), tmp_path / "d", seed=0)
-    assert tree_hash(tmp_path / "d") == expected
+    assert tree_hash(tmp_path / "d" / "payload") == payload
+    assert tree_hash(tmp_path / "d") == tree
 
 
 # The view features' bytes rest on two numpy facts: a stacked product of
@@ -188,6 +196,18 @@ def test_regenerating_removes_the_earlier_payload_files(tmp_path):
     synth.synth_generate(small_config(), tmp_path / "fresh", seed=0)
     synth.synth_generate(small_config(), out, seed=0)
     assert tree_hash(out) == tree_hash(tmp_path / "fresh")
+
+
+def test_the_manifest_states_the_view_grid_once_and_regenerating_removes_its_payloads(tmp_path):
+    out = tmp_path / "d"
+    synth.synth_generate(small_config(n_angles=2, kinds=("rgb", "depth")), out, seed=0)
+    header, *records = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    assert header["views"] == [{"angle": a, "kind": k} for a in (0, 12) for k in ("rgb", "depth")]
+    assert len(records) == 12 and not any("views" in rec for rec in records)
+    earlier = manifest_names(out)
+    synth.synth_generate(small_config(parents=1), out, seed=1)
+    left = {f"payload/{p.name}" for p in (out / "payload").iterdir()}
+    assert left == manifest_names(out) and len(left) == 12 and earlier - left
 
 
 def test_regenerating_removes_only_direct_payload_children(tmp_path):
