@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ContractError, InputError, Jm3dError, LabelError,
                      ManifestError, NumericError, SamplingError, ShapeError)
-from .autodiff import Tape, Tensor, constant, grad_check
+from .autodiff import Tape, Tensor, constant, grad_check, info_nce
 from .data import (CategoryTree, LoadedDataset, PointCloud, TripletSample,
                    ViewRecord, ViewSet, circular_distance, load_manifest, normalize_points,
                    resolve_label, sample_within_window, stratified_split,
@@ -19,9 +19,8 @@ from .encoders import (FrozenEncoderSpec, PointEncoderParams, ViewEmbeddingTable
                        encode_text_frozen, init_point_encoder,
                        point_encoder_from_values)
 from .alignment import (AlignmentHeads, LossWeights, N_CONTRASTIVE_TERMS,
-                        contrastive_total, heads_from_values, info_nce,
-                        init_alignment_heads, jma_fuse, parent_class_loss,
-                        total_loss)
+                        contrastive_total, heads_from_values, init_alignment_heads,
+                        jma_fuse, parent_class_loss, total_loss)
 from .training import (Checkpoint, OptimizerState, TrainConfig, adamw_step,
                        cosine_lr, load_checkpoint, point_features,
                        save_checkpoint, train)
@@ -33,7 +32,7 @@ __all__ = [
     "__version__",
     "Jm3dError", "ShapeError", "ContractError", "NumericError", "InputError",
     "ConfigError", "SamplingError", "LabelError", "ManifestError",
-    "Tape", "Tensor", "constant", "grad_check",
+    "Tape", "Tensor", "constant", "grad_check", "info_nce",
     "CategoryTree", "LoadedDataset", "PointCloud", "TripletSample", "ViewRecord",
     "ViewSet", "circular_distance", "load_manifest", "normalize_points", "resolve_label",
     "sample_within_window", "stratified_split", "write_manifest",
@@ -42,7 +41,7 @@ __all__ = [
     "embed_view", "encode_image_frozen", "encode_point_cloud",
     "encode_text_frozen", "init_point_encoder", "point_encoder_from_values",
     "AlignmentHeads", "LossWeights", "N_CONTRASTIVE_TERMS", "contrastive_total",
-    "heads_from_values", "info_nce", "init_alignment_heads", "jma_fuse",
+    "heads_from_values", "init_alignment_heads", "jma_fuse",
     "parent_class_loss", "total_loss",
     "Checkpoint", "OptimizerState", "TrainConfig", "adamw_step", "cosine_lr",
     "load_checkpoint", "point_features", "save_checkpoint", "train",

@@ -561,6 +561,8 @@ def info_nce(a: Tensor, b: Tensor, inv_tau: Tensor, symmetric: bool = True) -> T
     if itv.shape != (1, 1):
         raise ShapeError(f"inv_tau must be 1 x 1, got {itv.shape}")
     n = av.shape[0]
+    if n < 2:
+        raise ContractError("contrastive loss needs at least 2 rows (no negatives otherwise)")
     it = itv[0, 0]
     diag = np.arange(n)
     # contiguous transposes, as ``transpose`` makes them: the forward then

@@ -226,6 +226,15 @@ def circular_distance(a_deg: float, b_deg: float) -> float:
 # category tree
 
 
+def _leaf_conflicts(owners: dict[str, str], parent: str, sub: str | None) -> list[str]:
+    """Claim for parent, in owners, the leaves a (parent, sub) declaration
+    makes: its fallback leaf and sub.  Each leaf that another parent
+    already holds is a conflict, returned as a message."""
+    return [f"subcategory {name!r} declared under both {owners[name]!r} and {parent!r}"
+            for name in dict.fromkeys((parent, sub or parent))
+            if owners.setdefault(name, parent) != parent]
+
+
 @dataclass(frozen=True)
 class CategoryTree:
     """Two-level label space with dense, lexicographically ordered indices.
@@ -247,18 +256,15 @@ class CategoryTree:
     def from_pairs(cls, pairs) -> "CategoryTree":
         """Build from (parent, sub-or-None) declarations."""
         by_parent: dict[str, set[str]] = {}
+        owners: dict[str, str] = {}
         for parent, sub in pairs:
             if not parent:
                 raise LabelError("empty parent name")
+            if conflicts := _leaf_conflicts(owners, parent, sub):
+                raise LabelError(conflicts[0])
             by_parent.setdefault(parent, {parent}).add(sub or parent)  # with its fallback leaf
         if not by_parent:
             raise LabelError("no categories declared")
-        owner: dict[str, str] = {}
-        for parent in sorted(by_parent):
-            for sub in by_parent[parent]:
-                if sub in owner:
-                    raise LabelError(f"subcategory {sub!r} declared under both {owner[sub]!r} and {parent!r}")
-                owner[sub] = parent
         parents = tuple(sorted(by_parent))
         children = {p: tuple(sorted(by_parent[p])) for p in parents}
         parent_index = {p: i for i, p in enumerate(parents)}
@@ -691,7 +697,8 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     every cloud are still read and checked, but a view payload is read and
     checked when a view that takes it is first indexed or iterated; a bad
     file then raises ``ManifestError`` naming the sample, as the full load
-    would.
+    would.  A leaf name declared under a second parent (see
+    `CategoryTree.from_pairs`) is a violation of the line that does so.
     """
     path = Path(path)
     if not path.is_file():
@@ -750,6 +757,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
     parsed: list[tuple] = []
     seen_ids: set[str] = set()
+    owners: dict[str, str] = {}  # leaf name -> its parent, as in CategoryTree.from_pairs
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"line {lineno}"
         try:
@@ -770,6 +778,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
         sample = _sample_from_obj(obj, where, problems, read_payload, grid)
         if sample is not None:
             parsed.append(sample)
+            problems += [f"{where}: {msg}" for msg in _leaf_conflicts(owners, sample[1], sample[2])]
 
     # payloads are read after every line is checked, so line violations come first
     good, points = [], []

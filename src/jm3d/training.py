@@ -286,9 +286,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint.
 
-    Malformed metadata, a config key `TrainConfig` does not know, or a
-    parameter set whose names or shapes differ from `point_encoder_shapes`
-    and `alignment_head_shapes` for the stored config, dim and tree raise
+    Malformed metadata, an array name that appears twice, bytes after the
+    last array, a config key `TrainConfig` does not know, or a parameter
+    set whose names or shapes differ from `point_encoder_shapes` and
+    `alignment_head_shapes` for the stored config, dim and tree raise
     `InputError`; a non-finite parameter raises `NumericError`.  No
     reference weights are built, so declared widths cost no memory.
     """
@@ -326,11 +327,15 @@ def load_checkpoint(path) -> Checkpoint:
             name = take(name_len, f"array {i} name").decode()
         except UnicodeDecodeError:
             raise InputError(f"{path}: array {i} name is not UTF-8") from None
+        if name in params:
+            raise InputError(f"{path}: array {name!r} appears twice")
         (ndim,) = u32s(1, f"array {name!r} rank")
         shape = u32s(ndim, f"array {name!r} shape")
         n_items = math.prod(shape)
         data = take(8 * n_items, f"array {name!r}")
         params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    if off != len(raw):
+        raise InputError(f"{path}: {len(raw) - off} bytes after the last array")
     try:
         for key, least in (("dim", 1), ("step", 0)):
             if type(meta[key]) is not int or meta[key] < least:  # JSON true is an int

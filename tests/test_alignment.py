@@ -25,6 +25,11 @@ def stable_seed(name):
     return int.from_bytes(hashlib.blake2b(name.encode(), digest_size=4).digest(), "little")
 
 
+def inv(tau):
+    """1/tau as the 1x1 constant the losses take."""
+    return ad.constant([[1.0 / tau]])
+
+
 # ---------------------------------------------------------------------------
 # info_nce oracles
 
@@ -32,7 +37,7 @@ def stable_seed(name):
 def test_identity_logits_oracle():
     a = ad.constant(np.eye(2))
     b = ad.constant(np.eye(2))
-    loss = al.info_nce(a, b, tau=1.0)
+    loss = ad.info_nce(a, b, inv(1.0))
     assert abs(loss.item() - IDENTITY_2X2_LOSS) < 1e-9
 
 
@@ -40,7 +45,7 @@ def test_identical_rows_give_log_n():
     # every logit equal: softmax uniform, loss = ln N regardless of tau
     for n in (2, 3, 7):
         row = np.full((n, 4), 0.31)
-        loss = al.info_nce(ad.constant(row), ad.constant(row), tau=0.07)
+        loss = ad.info_nce(ad.constant(row), ad.constant(row), inv(0.07))
         assert abs(loss.item() - math.log(n)) < 1e-12
 
 
@@ -53,7 +58,7 @@ def test_asymmetric_direction_matches_hand_softmax():
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_soft = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     expected = -np.mean(np.diag(log_soft))
-    got = al.info_nce(ad.constant(a), ad.constant(b), tau=tau, symmetric=False)
+    got = ad.info_nce(ad.constant(a), ad.constant(b), inv(tau), symmetric=False)
     assert abs(got.item() - expected) < 1e-12
 
 
@@ -61,9 +66,9 @@ def test_symmetric_is_mean_of_directions():
     rng = np.random.default_rng(stable_seed("nce-sym"))
     a = ad.constant(rng.normal(size=(4, 6)))
     b = ad.constant(rng.normal(size=(4, 6)))
-    fwd = al.info_nce(a, b, tau=0.5, symmetric=False).item()
-    rev = al.info_nce(b, a, tau=0.5, symmetric=False).item()
-    sym = al.info_nce(a, b, tau=0.5).item()
+    fwd = ad.info_nce(a, b, inv(0.5), symmetric=False).item()
+    rev = ad.info_nce(b, a, inv(0.5), symmetric=False).item()
+    sym = ad.info_nce(a, b, inv(0.5)).item()
     assert abs(sym - 0.5 * (fwd + rev)) < 1e-12
 
 
@@ -72,25 +77,26 @@ def test_swap_symmetry_is_bitwise():
     for trial in range(20):
         a = ad.constant(rng.normal(size=(5, 8)))
         b = ad.constant(rng.normal(size=(5, 8)))
-        ab = al.info_nce(a, b, tau=0.07).values
-        ba = al.info_nce(b, a, tau=0.07).values
+        ab = ad.info_nce(a, b, inv(0.07)).values
+        ba = ad.info_nce(b, a, inv(0.07)).values
         assert ab.tobytes() == ba.tobytes()
 
 
 def test_loss_decreases_as_diagonal_sharpens():
     base = np.eye(3)
-    losses = [al.info_nce(ad.constant(s * base), ad.constant(base), tau=1.0).item()
+    losses = [ad.info_nce(ad.constant(s * base), ad.constant(base), inv(1.0)).item()
               for s in (1.0, 2.0, 4.0, 8.0)]
     assert all(x > y for x, y in zip(losses, losses[1:]))
 
 
 def test_inv_tau_tensor_path_matches_float_path():
+    # a constant 1/tau and a trainable one on a tape give the same bits
     rng = np.random.default_rng(stable_seed("nce-invtau"))
     a = ad.constant(rng.normal(size=(3, 4)))
     b = ad.constant(rng.normal(size=(3, 4)))
-    via_float = al.info_nce(a, b, tau=0.07).item()
-    via_tensor = al.info_nce(a, b, inv_tau=ad.constant([[1.0 / 0.07]])).item()
-    assert abs(via_float - via_tensor) < 1e-12
+    via_constant = ad.info_nce(a, b, inv(0.07)).values
+    via_tape = ad.info_nce(a, b, ad.Tape().parameter("inv_tau", [[1.0 / 0.07]])).values
+    assert via_constant.tobytes() == via_tape.tobytes()
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
@@ -99,30 +105,26 @@ def test_info_nce_nonnegative(n, seed):
     rng = np.random.default_rng(seed)
     a = ad.constant(rng.normal(size=(n, 5)))
     b = ad.constant(rng.normal(size=(n, 5)))
-    assert al.info_nce(a, b, tau=0.3).item() >= 0.0
+    assert ad.info_nce(a, b, inv(0.3)).item() >= 0.0
 
 
 def test_info_nce_rejects_single_row():
     one = ad.constant(np.ones((1, 4)))
     with pytest.raises(ContractError):
-        al.info_nce(one, one, tau=1.0)
+        ad.info_nce(one, one, inv(1.0))
 
 
 def test_info_nce_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
-        al.info_nce(ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 5))), tau=1.0)
+        ad.info_nce(ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 5))), inv(1.0))
 
 
 def test_temperature_argument_contract():
+    # the one temperature form is a 1x1 tensor of 1/tau per term
     a = ad.constant(np.eye(2))
-    with pytest.raises(ContractError):
-        al.info_nce(a, a)
-    with pytest.raises(ContractError):
-        al.info_nce(a, a, tau=1.0, inv_tau=ad.constant([[1.0]]))
-    with pytest.raises(ContractError):
-        al.info_nce(a, a, tau=0.0)
-    with pytest.raises(ContractError):
-        al.info_nce(a, a, tau=ad.constant([[1.0]]))
+    for wrong in (np.ones((1, 2)), np.ones((2, 1)), np.ones((2, 2))):
+        with pytest.raises(ShapeError):
+            ad.info_nce(a, a, ad.constant(wrong))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,7 @@ def test_heads_tau_roundtrip():
     inv_taus = heads.inv_taus()
     assert len(inv_taus) == al.N_CONTRASTIVE_TERMS
     for term in range(al.N_CONTRASTIVE_TERMS):
-        assert abs(heads.tau_value(term) - 0.07) < 1e-12
+        assert abs(math.exp(heads.log_tau.values[0, term]) - 0.07) < 1e-12
         assert abs(inv_taus[term].item() - 1.0 / 0.07) < 1e-9
 
 
@@ -286,7 +288,7 @@ def test_per_term_temperatures_are_independent():
         cb2=tape.parameter("head.cb2", np.zeros((1, 3))),
     )
     for term, tau in enumerate(taus):
-        assert abs(heads.tau_value(term) - tau) < 1e-12
+        assert abs(math.exp(heads.log_tau.values[0, term]) - tau) < 1e-12
         assert abs(heads.inv_taus()[term].item() - 1.0 / tau) < 1e-9
 
 
@@ -329,16 +331,19 @@ def test_contrastive_total_identity_oracle():
     # single-pair value
     eye = ad.constant(np.eye(2))
     w = al.LossWeights(1.0, 1.0, 1.0)
-    total, _ = al.contrastive_total(eye, eye, eye, w, tau=1.0)
+    total, _ = al.contrastive_total(eye, eye, eye, w, [inv(1.0)] * 3)
     assert abs(total.item() - 3.0 * IDENTITY_2X2_LOSS) < 1e-9
 
 
 def test_contrastive_total_skips_zero_terms():
+    # the skipped terms' misshapen features and missing 1/tau go unread
     rng = np.random.default_rng(stable_seed("ct-skip"))
     hp = ad.constant(rng.normal(size=(3, 4)))
     ht = ad.constant(rng.normal(size=(3, 4)))
-    only_pt, _ = al.contrastive_total(hp, None, ht, al.LossWeights(0.0, 2.0, 0.0), tau=0.5)
-    direct = al.info_nce(hp, ht, tau=0.5)
+    unread = ad.constant(np.ones((2, 9)))
+    only_pt, _ = al.contrastive_total(hp, unread, ht, al.LossWeights(0.0, 2.0, 0.0),
+                                      [None, inv(0.5), None])
+    direct = ad.info_nce(hp, ht, inv(0.5))
     assert abs(only_pt.item() - 2.0 * direct.item()) < 1e-12
 
 
@@ -349,11 +354,10 @@ def test_contrastive_total_per_term_temperatures():
     ht = ad.constant(rng.normal(size=(3, 4)))
     w = al.LossWeights(1.0, 1.0, 1.0)
     taus = (0.07, 0.2, 1.5)
-    total, _ = al.contrastive_total(
-        hp, hj, ht, w, inv_tau=[ad.constant([[1.0 / t]]) for t in taus])
-    by_hand = (al.info_nce(hp, hj, tau=taus[0]).item()
-               + al.info_nce(hp, ht, tau=taus[1]).item()
-               + al.info_nce(ht, hj, tau=taus[2]).item())
+    total, _ = al.contrastive_total(hp, hj, ht, w, [inv(t) for t in taus])
+    by_hand = (ad.info_nce(hp, hj, inv(taus[0])).item()
+               + ad.info_nce(hp, ht, inv(taus[1])).item()
+               + ad.info_nce(ht, hj, inv(taus[2])).item())
     assert abs(total.item() - by_hand) < 1e-12
 
 
@@ -361,18 +365,22 @@ def test_contrastive_total_rejects_bad_temperature_sequences():
     hp = ad.constant(np.eye(2))
     w = al.LossWeights(1.0, 1.0, 1.0)
     one = ad.constant([[1.0]])
-    with pytest.raises(ContractError):
-        al.contrastive_total(hp, hp, hp, w, tau=1.0, inv_tau=[one, one, one])
-    with pytest.raises(ContractError):
-        al.contrastive_total(hp, hp, hp, w, inv_tau=[one, one])
+    for count in (0, 1, 2, 4):
+        with pytest.raises(ContractError):
+            al.contrastive_total(hp, hp, hp, w, [one] * count)
 
 
 def test_contrastive_total_requires_joint_when_weighted():
+    # a joint feature that does not match the rows is read, and refused,
+    # exactly when a term that pairs with it has weight
     hp = ad.constant(np.eye(2))
-    with pytest.raises(ContractError):
-        al.contrastive_total(hp, None, hp, al.LossWeights(1.0, 1.0, 0.0), tau=1.0)
-    with pytest.raises(ContractError):
-        al.contrastive_total(hp, None, hp, al.LossWeights(0.0, 1.0, 1.0), tau=1.0)
+    misshapen = ad.constant(np.eye(3))
+    inv_taus = [inv(1.0)] * 3
+    for weights in (al.LossWeights(1.0, 1.0, 0.0), al.LossWeights(0.0, 1.0, 1.0)):
+        with pytest.raises(ShapeError):
+            al.contrastive_total(hp, misshapen, hp, weights, inv_taus)
+    total, _ = al.contrastive_total(hp, misshapen, hp, al.LossWeights(0.0, 1.0, 0.0), inv_taus)
+    assert abs(total.item() - IDENTITY_2X2_LOSS) < 1e-9
 
 
 def test_loss_weights_validation():
@@ -392,7 +400,7 @@ def test_total_loss_composition():
     idx = [0, 1, 2]
     w = al.LossWeights(1.0, 0.5, 0.25)
     full, _ = al.total_loss(hp, hj, ht, idx, heads, w, htt_on=True)
-    contrast, _ = al.contrastive_total(hp, hj, ht, w, inv_tau=heads.inv_taus())
+    contrast, _ = al.contrastive_total(hp, hj, ht, w, heads.inv_taus())
     parent = al.parent_class_loss(hp, idx, heads)
     assert abs(full.item() - (contrast.item() + parent.item())) < 1e-12
     bare, _ = al.total_loss(hp, hj, ht, idx, heads, w, htt_on=False)
@@ -413,7 +421,7 @@ def test_fuse_gradients_match_fd():
         tape = ad.Tape()
         views = tape.parameter("views", vals["views"])
         text = tape.parameter("text", vals["text"])
-        fused = al.jma_fuse(views, text)
+        fused, _ = chain_jma_fuse(views, text)
         return tape, ad.total(ad.mul(fused, ad.constant(probe)))
 
     worst = max_rel_vs_fd(build, {"views": views0, "text": text0})
@@ -432,7 +440,7 @@ def test_info_nce_gradients_match_fd():
         b = tape.parameter("b", vals["b"])
         log_tau = tape.parameter("log_tau", vals["log_tau"])
         inv_tau = ad.exp(ad.scale(log_tau, -1.0))
-        return tape, al.info_nce(a, b, inv_tau=inv_tau)
+        return tape, ad.info_nce(a, b, inv_tau)
 
     worst = max_rel_vs_fd(build, {"a": a0, "b": b0, "log_tau": lt0})
     assert worst < 1e-5
@@ -534,12 +542,12 @@ def test_info_nce_record_matches_fd(symmetric, b_trainable):
 
 
 def test_info_nce_record_with_constant_temperature():
-    # a float tau is a constant: no gradient flows to it, the a and b
-    # gradients equal the trainable-temperature case
+    # a constant 1/tau takes no gradient, and the a and b gradients equal
+    # the trainable-temperature case
     values, _ = nce_case("nce-const-tau", b_trainable=True)
     tape = ad.Tape()
     a, b = tape.parameter("a", values["a"]), tape.parameter("b", values["b"])
-    grads = tape.backward(al.info_nce(a, b, tau=1.0 / values["inv_tau"][0, 0]))
+    grads = tape.backward(ad.info_nce(a, b, ad.constant(values["inv_tau"])))
     ref_tape, ref = nce_build(ad.info_nce, True)(values)
     ref_grads = ref_tape.backward(ref)
     for name in ("a", "b"):
@@ -601,26 +609,43 @@ def test_total_loss_parts_are_the_unweighted_terms():
     pairs = {"point_view": (hp, hj), "point_text": (hp, ht), "text_view": (ht, hj)}
     assert list(parts) == [*al.TERM_NAMES, "parent"]
     for k, name in enumerate(al.TERM_NAMES):
-        want = al.info_nce(*pairs[name], inv_tau=heads.inv_taus()[k]).item()
+        want = ad.info_nce(*pairs[name], heads.inv_taus()[k]).item()
         assert abs(parts[name] - want) < 1e-12, name
     assert parts["parent"] == al.parent_class_loss(hp, idx, heads).item()
     by_parts = sum(lam * parts[name] for lam, name in zip((1.0, 0.5, 0.25), al.TERM_NAMES))
     assert abs(loss.item() - (by_parts + parts["parent"])) < 1e-12
-    _, bare = al.total_loss(hp, None, ht, idx, heads, al.LossWeights(0.0, 1.0, 0.0),
+    _, bare = al.total_loss(hp, hj, ht, idx, heads, al.LossWeights(0.0, 1.0, 0.0),
                             htt_on=False)
     assert list(bare) == ["point_text"]
 
 
 # ---------------------------------------------------------------------------
-# numpy batch fusion against jma_fuse
+# the fusion kernel against the taped op chain it replaced
+
+
+def chain_jma_fuse(view_feats, text_feat):
+    """Reference for the fusion kernel: the op chain that fused one sample
+    on the tape, as ``(fused 1 x D, weights V x 1)``, weight i on input
+    view i.  Its gradients are the ones the fusion would have."""
+    order = al._byte_order(view_feats.values)
+    ordered = ad.take_rows(view_feats, order)
+    scores = ad.matmul(ordered, ad.transpose(text_feat))  # V x 1
+    weights = ad.softmax(scores, axis=0)
+    fused = ad.matmul(ad.transpose(weights), ordered)  # 1 x D
+    return fused, ad.take_rows(weights, np.argsort(order))
 
 
 def assert_fuse_views_matches_jma_fuse(view_rows, text_rows):
+    # both public fusions against the chain, bit for bit, weights included
     fused = al.fuse_views(view_rows, text_rows)
     assert fused.shape == (len(view_rows), text_rows[0].shape[1])
     for i, (views, text) in enumerate(zip(view_rows, text_rows)):
-        ref = al.jma_fuse(ad.constant(views), ad.constant(text)).values
-        assert fused[i:i + 1].tobytes() == ref.tobytes(), i
+        ref, ref_weights = chain_jma_fuse(ad.constant(views), ad.constant(text))
+        one, weights = al.jma_fuse(ad.constant(views), ad.constant(text), return_weights=True)
+        assert fused[i:i + 1].tobytes() == ref.values.tobytes(), i
+        assert one.values.tobytes() == ref.values.tobytes(), i
+        assert weights.values.shape == ref_weights.values.shape, i
+        assert weights.values.tobytes() == ref_weights.values.tobytes(), i
 
 
 def test_fuse_views_is_bitwise_jma_fuse_on_ragged_batches():
@@ -677,3 +702,14 @@ def test_fuse_views_is_bitwise_jma_fuse_on_ties_and_single_views():
 def test_fuse_views_rejects_non_finite_scores():
     with pytest.raises(NumericError):
         al.fuse_views([np.array([[np.inf, 0.0], [0.0, 1.0]])], [np.array([[1.0, 1.0]])])
+
+
+def test_jma_fuse_refuses_inputs_on_a_tape():
+    # fusion runs on frozen features only: it has no gradient to give
+    views, text = np.eye(3), np.ones((1, 3))
+    tape = ad.Tape()
+    for args in ((tape.parameter("views", views), ad.constant(text)),
+                 (ad.constant(views), tape.parameter("text", text))):
+        with pytest.raises(ContractError):
+            al.jma_fuse(*args)
+    assert not tape._records

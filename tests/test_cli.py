@@ -64,6 +64,17 @@ def run_dir(workdir, dataset_dir):
 
 
 # ---------------------------------------------------------------------------
+# the package's names
+
+
+def test_every_exported_name_resolves():
+    import jm3d
+    assert [name for name in jm3d.__all__ if not hasattr(jm3d, name)] == []
+    assert len(set(jm3d.__all__)) == len(jm3d.__all__)
+    assert jm3d.info_nce is ad.info_nce
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jm3d import data
+from jm3d import cli, data
 from jm3d.encoders import FrozenEncoderSpec, encode_image_frozen
 from jm3d.errors import (
     ContractError,
@@ -546,6 +546,27 @@ def test_load_manifest_collects_all_violations(tmp_path):
     text = "\n".join(err.value.violations)
     assert len(err.value.violations) >= 3
     assert "sketch" in text and "missing.bin" in text and "duplicate" in text
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_load_manifest_lists_a_label_conflict_with_its_line(tmp_path, read_views, capsys):
+    # line 4 declares s0's subcategory "armchair" as a parent, and line 3
+    # holds a bad angle: both are listed, and with the angle mended the
+    # conflict is still a violation of line 4
+    path = write_dataset(tmp_path, break_angle=True)
+    with edited_manifest(path) as (_, records):
+        records[2].update(parent="armchair", sub=None)
+    conflict = "line 4: subcategory 'armchair' declared under both 'chair' and 'armchair'"
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == ["line 3: view 1 angle 13 is not a multiple of 12 in [0, 348]", conflict]
+    with edited_manifest(path) as (_, records):
+        records[1]["views"][1]["angle"] = 12
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == [conflict]
+    assert cli.run(["pretrain", "--data", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert conflict in capsys.readouterr().err
 
 
 def test_load_manifest_rejects_wrong_version(tmp_path):

@@ -543,6 +543,24 @@ def with_metadata(raw: bytes, meta) -> bytes:
     return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + blob_len:]
 
 
+def with_extra_array(raw: bytes, name: str) -> bytes:
+    """A checkpoint's bytes with a second copy of array `name` after the
+    last array and the array count raised by one."""
+    (blob_len,) = struct.unpack_from("<I", raw, 12)
+    count_at = 16 + blob_len
+    (count,) = struct.unpack_from("<I", raw, count_at)
+    off, copy = count_at + 4, None
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, off)
+        (ndim,) = struct.unpack_from("<I", raw, off + 4 + name_len)
+        shape = struct.unpack_from(f"<{ndim}I", raw, off + 8 + name_len)
+        end = off + 8 + name_len + 4 * ndim + 8 * math.prod(shape)
+        if raw[off + 4:off + 4 + name_len] == name.encode():
+            copy = raw[off:end]
+        off = end
+    return raw[:count_at] + struct.pack("<I", count + 1) + raw[count_at + 4:] + copy
+
+
 def test_malformed_checkpoint_exits_2_and_non_finite_exits_3(tiny_dir, tiny_dataset, tmp_path, capsys):
     ckpt = tr.train(tiny_dataset, quick_config(epochs=1), out_dir=tmp_path)
     raw = (tmp_path / "checkpoint.bin").read_bytes()
@@ -571,6 +589,8 @@ def test_malformed_checkpoint_exits_2_and_non_finite_exits_3(tiny_dir, tiny_data
         (with_metadata(raw, {**meta, "step": -1}), 2, "step must be an integer >= 0, got -1"),
         (with_metadata(raw, {**meta, "config": {**meta["config"], "tau_init": math.nan}}), 2,
          "tau_init must not be NaN"),
+        (raw + bytes(8), 2, "8 bytes after the last array"),
+        (with_extra_array(raw, "point.w1"), 2, "array 'point.w1' appears twice"),
     ]
     bad = tmp_path / "bad.bin"
     for blob, code, message in cases:
