@@ -331,6 +331,15 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
     pre-activations round to one tanh value, and then the pooled value is
     the same.
 
+    Each bias is added where it costs least, with the same bits.  b1 is
+    spread once over the largest cloud's rows, and each cloud adds the
+    leading rows of that block: the same elementwise add as the broadcast
+    one, without its slow broadcast loop.  On a tape, b2 is spread and
+    added the same way before the argmax, so the tie rule holds.  On
+    constants, b2 is added once to the B x h pooled maxima: rounding is
+    monotone, so max_i fl(z_i + b) = fl(max_i z_i + b) for any finite b
+    (checkpoints hold finite values only).
+
     On a tape, the forward keeps, for each cloud and column, its winner's
     point and layer-1 activation (B x h x 3 and B x h x h), and the
     backward is one batch-wide pass over those (cloud, column) pairs: it
@@ -347,32 +356,40 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
                          f"w2 {wv2.shape}, b2 {bv2.shape}")
     if not clouds:
         raise ShapeError("mlp_max_pool needs at least one cloud")
-    tape = _tape_of(params)
-    cols = np.arange(h)
-    out = np.empty((len(clouds), h))
-    if tape is not None:
-        act, pin = np.empty((len(clouds), h, h)), np.empty((len(clouds), h, 3))
     for i, pts in enumerate(clouds):
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ShapeError(f"cloud {i} must be N x 3 with N >= 1, got {pts.shape}")
+    tape = _tape_of(params)
+    # one block per bias, sized for the largest cloud: a block per size
+    # would hold B x n x h floats on a ragged batch
+    n_max = max(pts.shape[0] for pts in clouds)
+    rows1 = np.repeat(bv1, n_max, 0)
+    out = np.empty((len(clouds), h))
+    if tape is not None:
+        rows2 = np.repeat(bv2, n_max, 0)
+        cols = np.arange(h)
+        act, pin = np.empty((len(clouds), h, h)), np.empty((len(clouds), h, 3))
+    for i, pts in enumerate(clouds):
+        n = pts.shape[0]
         a = pts @ wv1
-        a += bv1
+        a += rows1[:n]
         np.tanh(a, out=a)
         # keep this GEMM's layout: the transposed product wv2.T @ a.T rounds
         # some points differently from others (on OpenBLAS, clouds of 255 or
         # 300 points), and then the pooled bits would depend on point order
         z = a @ wv2
-        z += bv2
         if tape is None:
             z.max(axis=0, out=out[i])
             continue
+        z += rows2[:n]
         idx = z.argmax(axis=0)
         out[i] = z[idx, cols]
         a.take(idx, 0, act[i])
         pin[i] = pts[idx]
-    np.tanh(out, out=out)
     if tape is None:
-        return constant(out)
+        out += bv2
+        return constant(np.tanh(out, out=out))
+    np.tanh(out, out=out)
 
     def backward(g):
         g2 = g * (1.0 - out * out)

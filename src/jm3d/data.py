@@ -50,15 +50,30 @@ def normalize_points(points: np.ndarray) -> np.ndarray:
     for bit as they would alone (tests/test_data.py pins it).  Degenerate
     clouds (all points coincident) stay at the origin; the radius guard
     avoids dividing by zero.
+
+    The sums round as numpy's ``mean(axis=-2)`` and size-3 ``sum(axis=-1)``
+    do, without their 3-wide strided loops: the centroid adds the points in
+    order, over the rows of a points-first copy, and a squared radius is
+    (x*x + y*y) + z*z, built from the coordinate planes.  The max is taken
+    before the square root, which is monotone.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
         raise ShapeError(f"point clouds are N x 3, got {pts.shape}")
-    if pts.shape[-2] < 1:
+    n = pts.shape[-2]
+    if n < 1:
         raise InputError("empty point cloud")
-    centered = pts - pts.mean(axis=-2, keepdims=True)
-    radius = np.sqrt((centered * centered).sum(axis=-1, keepdims=True)).max(axis=-2, keepdims=True)
-    centered /= np.maximum(radius, 1e-12)
+    mean = np.ascontiguousarray(np.moveaxis(pts, -2, 0)).sum(axis=0)
+    mean /= n
+    centered = pts - mean[..., None, :]
+    x, y, z = np.moveaxis(centered, -1, 0)
+    sq, term = x * x, y * y
+    sq += term
+    np.multiply(z, z, out=term)
+    sq += term
+    radius = np.sqrt(sq.max(axis=-1, keepdims=True))
+    np.maximum(radius, 1e-12, out=radius)
+    centered /= radius[..., None]
     return centered
 
 

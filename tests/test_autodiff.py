@@ -215,21 +215,61 @@ def test_mlp_max_pool_matches_op_chain():
         assert max_rel(fused[name], chain[name]) < 1e-12, name
 
 
+def constant_pool_peak(clouds, hidden, seed):
+    """Peak bytes traced while ``mlp_max_pool`` encodes clouds on constants."""
+    values = mlp_pool_values(seed, hidden)
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    tracemalloc.start()
+    try:
+        ad.mlp_max_pool(clouds, *consts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_mlp_max_pool_on_constants_keeps_no_winner_activations():
     # inference encodes every cloud at once: 240 bench-size clouds must not
     # cost the B x h x h winner activations a taped forward keeps
     rng = np.random.default_rng(10)
     clouds = [rng.normal(size=(256, 3)) for _ in range(240)]
     hidden = 64
-    values = mlp_pool_values(11, hidden)
-    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
-    tracemalloc.start()
-    try:
-        ad.mlp_max_pool(clouds, *consts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < len(clouds) * hidden * hidden * 8
+    assert constant_pool_peak(clouds, hidden, 11) < len(clouds) * hidden * hidden * 8
+
+
+def encoder_path_clouds(seed):
+    rng = np.random.default_rng(seed)
+    alone = [[rng.normal(size=(n, 3))] for n in (1, 2, 255, 256, 300)]
+    ragged = [rng.normal(size=(n, 3)) for n in (300, 1, 256, 2, 255, 7, 300)]
+    return alone + [ragged]
+
+
+@pytest.mark.parametrize("bias", ["drawn", "+0.0", "-0.0"])
+@pytest.mark.parametrize("hidden", [1, 6, 64])
+def test_mlp_max_pool_paths_give_the_same_bytes(hidden, bias):
+    # the constant path adds b2 after the max, the taped one before it, and
+    # both add b1 from rows spread over the largest cloud: the op chain's
+    # broadcast adds must give the same bits, signed zero biases included
+    values = mlp_pool_values(hidden, hidden)
+    if bias != "drawn":
+        values["b1"] = np.full((1, hidden), float(bias))
+        values["b2"] = np.full((1, hidden), float(bias))
+    names = ("w1", "b1", "w2", "b2")
+    for clouds in encoder_path_clouds(hidden + 1):
+        consts = [ad.constant(values[k]) for k in names]
+        fused = ad.mlp_max_pool(clouds, *consts).values.tobytes()
+        tape = ad.Tape()
+        taped = ad.mlp_max_pool(clouds, *(tape.parameter(k, values[k]) for k in names))
+        assert taped.values.tobytes() == fused
+        assert mlp_pool_chain(clouds, *consts).values.tobytes() == fused
+
+
+def test_mlp_max_pool_on_a_ragged_batch_keeps_no_block_per_size():
+    # the spread bias rows are one block for the largest cloud: 240
+    # distinct sizes must not cost a block each
+    rng = np.random.default_rng(12)
+    clouds = [rng.normal(size=(n, 3)) for n in rng.permutation(np.arange(1, 401))[:240]]
+    hidden = 64
+    assert constant_pool_peak(clouds, hidden, 13) < len(clouds) * hidden * hidden * 8
 
 
 def test_mlp_max_pool_saturated_columns_match_op_chain():

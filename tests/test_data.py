@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import struct
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -1033,6 +1034,40 @@ def test_a_stack_of_clouds_normalizes_as_each_cloud_alone(n):
         for cloud, normed in zip(stack, data.normalize_points(stack)):
             assert normed.tobytes() == data.normalize_points(cloud).tobytes() == \
                 ref_normalize_points(cloud).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 255, 256, 300, 1024])
+def test_far_and_tiny_clouds_in_a_stack_normalize_as_each_cloud_alone(n):
+    # scales from 1e-8 to 1e8 and offsets up to 1e9: the centroid's last
+    # bits then depend on the order its points are added in
+    rng = np.random.default_rng(n + 1)
+    for _ in range(10):
+        scales = 10.0 ** rng.uniform(-8, 8, size=(5, 1, 1))
+        offsets = rng.uniform(-1, 1, size=(5, 1, 3)) * 10.0 ** rng.uniform(0, 9, size=(5, 1, 1))
+        stack = offsets + scales * rng.normal(size=(5, n, 3))
+        stack[1] = offsets[1]  # coincident points
+        stack = stack.astype("<f4").astype(np.float64)
+        for cloud, normed in zip(stack, data.normalize_points(stack)):
+            assert normed.tobytes() == data.normalize_points(cloud).tobytes() == \
+                ref_normalize_points(cloud).tobytes()
+
+
+def test_a_cloud_normalizes_alike_in_any_memory_layout():
+    cloud = np.random.default_rng(4).normal(size=(300, 3)) * 3.0 + 1e3
+    expected = ref_normalize_points(cloud).tobytes()
+    for layout in (np.asfortranarray(cloud), np.ascontiguousarray(cloud.T).T, cloud.tolist()):
+        assert data.normalize_points(layout).tobytes() == expected
+
+
+def test_normalize_points_peaks_under_twice_the_stack():
+    stack = np.random.default_rng(5).normal(size=(240, 256, 3))
+    tracemalloc.start()
+    try:
+        data.normalize_points(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stack.nbytes
 
 
 def ref_angle_bucket(angle_deg) -> int:
