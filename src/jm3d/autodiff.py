@@ -17,6 +17,9 @@ deterministically; replaying the same tape twice is bit-identical.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -317,6 +320,72 @@ def max_pool_rows(x: Tensor) -> Tensor:
     return _apply(out, (x,), backward)
 
 
+def _worker_count() -> int:
+    """Threads that numpy work may use beside BLAS's own: max(1, CPUs //
+    BLAS threads).
+
+    CPUs are those this process may run on.  BLAS threads is what OpenBLAS
+    reads: the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that holds a positive integer, else the CPU count.
+    Unpinned, OpenBLAS already splits a 256 x 64 x 64 GEMM over the CPUs,
+    and Python threads on top of it gain nothing, so the count is then 1.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas = n
+            break
+    return max(1, cpus // blas)
+
+
+def _run_parts(body: Callable[[int, int], None], sizes: Sequence[int]) -> None:
+    """Run ``body(lo, hi)`` over ``range(len(sizes))`` in contiguous parts,
+    one per worker, cut at equal shares of ``sum(sizes)``; there are
+    min(len(sizes), ``_worker_count()``) workers.
+
+    The calling thread runs the first part and a new thread each other
+    part, under a copy of the caller's context (numpy keeps ``np.errstate``
+    there).  Every thread is joined before this returns or raises, even
+    when the caller's own part failed; then the error of the
+    lowest-numbered failing part, which is that of its lowest-numbered
+    failing task, is raised.
+    """
+    workers = min(len(sizes), _worker_count())
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    for k in range(1, workers):
+        cut = int(np.searchsorted(ends, ends[-1] * k / workers)) + 1
+        # every part keeps at least one task
+        cuts.append(min(max(cut, cuts[-1] + 1), len(sizes) - workers + k))
+    cuts.append(len(sizes))
+    errors = [None] * workers
+
+    def part(k):
+        try:
+            body(cuts[k], cuts[k + 1])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(part, k))
+            thread.start()
+            threads.append(thread)
+        part(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
                  w2: Tensor, b2: Tensor) -> Tensor:
     """Shared two-layer tanh MLP on each cloud's rows, then a column-wise
@@ -347,6 +416,18 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
     row's columns.  A row that wins several columns gets the sum of its
     per-column terms.  On constants nothing is kept, and each column's max
     is taken without locating its winner.
+
+    On constants the per-cloud loop is split over threads by
+    ``_run_parts``: contiguous parts cut at equal shares of the points, the
+    calling thread taking the first, with max(1, min(B, CPUs // BLAS
+    threads)) workers (``_worker_count``).  So a run with BLAS pinned to one
+    thread encodes on every CPU, and an unpinned one, whose OpenBLAS
+    already splits each GEMM, stays serial.  The bits cannot depend on the
+    split: each cloud's forward reads only shared read-only arrays and
+    writes only its own row of the pooled maxima, numpy releases the GIL in
+    each of its ops, and the b2 add and the final tanh run after the join.
+    The taped forward stays serial: at a training batch of 16 clouds the
+    threads cost more than they save.
     """
     params = (w1, b1, w2, b2)
     wv1, bv1, wv2, bv2 = (p.values for p in params)
@@ -369,26 +450,33 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         rows2 = np.repeat(bv2, n_max, 0)
         cols = np.arange(h)
         act, pin = np.empty((len(clouds), h, h)), np.empty((len(clouds), h, 3))
-    for i, pts in enumerate(clouds):
-        n = pts.shape[0]
-        a = pts @ wv1
-        a += rows1[:n]
-        np.tanh(a, out=a)
-        # keep this GEMM's layout: the transposed product wv2.T @ a.T rounds
-        # some points differently from others (on OpenBLAS, clouds of 255 or
-        # 300 points), and then the pooled bits would depend on point order
-        z = a @ wv2
-        if tape is None:
-            z.max(axis=0, out=out[i])
-            continue
-        z += rows2[:n]
-        idx = z.argmax(axis=0)
-        out[i] = z[idx, cols]
-        a.take(idx, 0, act[i])
-        pin[i] = pts[idx]
+
+    def encode(lo, hi):
+        for i in range(lo, hi):
+            pts = clouds[i]
+            n = pts.shape[0]
+            a = pts @ wv1
+            a += rows1[:n]
+            np.tanh(a, out=a)
+            # keep this GEMM's layout: the transposed product wv2.T @ a.T
+            # rounds some points differently from others (on OpenBLAS, clouds
+            # of 255 or 300 points), and then the pooled bits would depend on
+            # point order
+            z = a @ wv2
+            if tape is None:
+                z.max(axis=0, out=out[i])
+                continue
+            z += rows2[:n]
+            idx = z.argmax(axis=0)
+            out[i] = z[idx, cols]
+            a.take(idx, 0, act[i])
+            pin[i] = pts[idx]
+
     if tape is None:
+        _run_parts(encode, [pts.shape[0] for pts in clouds])
         out += bv2
         return constant(np.tanh(out, out=out))
+    encode(0, len(clouds))
     np.tanh(out, out=out)
 
     def backward(g):

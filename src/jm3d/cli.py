@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -425,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", type=int, default=32)
     g.add_argument("--angles", type=int, default=30)
     g.add_argument("--seed", type=int, default=0)
-    g.set_defaults(func=_cmd_gen_data)
 
     def add_train_flags(p):
         p.add_argument("--data", required=True)
@@ -450,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("pretrain", help="train the point encoder and heads")
     add_train_flags(t)
-    t.set_defaults(func=_cmd_pretrain)
 
     e = sub.add_parser("eval-zeroshot", help="zero-shot classification from a checkpoint")
     e.add_argument("--checkpoint", required=True)
@@ -459,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="data, all, medium, hard, or custom:FILE")
     e.add_argument("--topk", type=int, default=5)
     e.add_argument("--out", default=None)
-    e.set_defaults(func=_cmd_eval_zeroshot)
 
     r = sub.add_parser("retrieve", help="image-to-point-cloud retrieval")
     r.add_argument("--checkpoint", required=True)
@@ -468,11 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--view", type=int, default=0)
     r.add_argument("--topk", type=int, default=3)
     r.add_argument("--out", default=None)
-    r.set_defaults(func=_cmd_retrieve)
 
     c = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(func=_cmd_gradcheck)
 
     a = sub.add_parser("ablate", help="train with switches off and compare")
     add_train_flags(a)
@@ -480,28 +476,33 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", *ABLATION_AXES])
     a.add_argument("--held", type=float, default=0.2)
     a.add_argument("--topk", type=int, default=5)
-    a.set_defaults(func=_cmd_ablate)
 
     x = sub.add_parser("export-features", help="dump trained features for a dataset")
     x.add_argument("--checkpoint", required=True)
     x.add_argument("--data", required=True)
     x.add_argument("--out", required=True)
-    x.set_defaults(func=_cmd_export_features)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
         # a top-k below 1 ranks nothing; one above the candidates is clamped
         if getattr(ns, "topk", 1) < 1:
             raise ConfigError(f"--topk must be >= 1, got {ns.topk}")
-        return ns.func(ns)
+        # looked up by name at each call, so a handler replaced on this
+        # module after the parser was built is the one that runs
+        return globals()["_cmd_" + ns.command.replace("-", "_")](ns)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

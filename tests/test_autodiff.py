@@ -6,6 +6,9 @@ forward function, never by a second copy of the backward rule.
 
 import hashlib
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -270,6 +273,111 @@ def test_mlp_max_pool_on_a_ragged_batch_keeps_no_block_per_size():
     clouds = [rng.normal(size=(n, 3)) for n in rng.permutation(np.arange(1, 401))[:240]]
     hidden = 64
     assert constant_pool_peak(clouds, hidden, 13) < len(clouds) * hidden * hidden * 8
+
+
+@pytest.mark.parametrize("hidden", [1, 64])
+@pytest.mark.parametrize("shape", ["equal", "ragged"])
+def test_mlp_max_pool_bits_do_not_depend_on_the_worker_count(monkeypatch, hidden, shape):
+    # each cloud writes only its own pooled row, whichever thread runs it
+    rng = np.random.default_rng(14)
+    sizes = [256] * 240 if shape == "equal" else rng.integers(1, 401, size=240)
+    clouds = [rng.normal(size=(n, 3)) for n in sizes]
+    values = mlp_pool_values(15, hidden)
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    chain = mlp_pool_chain(clouds, *consts).values.tobytes()
+    for workers in (1, 2, 3, 7, len(clouds) + 5):
+        monkeypatch.setattr(ad, "_worker_count", lambda workers=workers: workers)
+        assert ad.mlp_max_pool(clouds, *consts).values.tobytes() == chain, workers
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_run_parts_cuts_contiguous_parts_at_equal_shares_of_the_points(monkeypatch, workers):
+    monkeypatch.setattr(ad, "_worker_count", lambda: workers)
+    sizes = [400] * 10 + [1] * 390
+    parts = []
+    ad._run_parts(lambda lo, hi: parts.append((lo, hi)), sizes)
+    parts.sort()
+    assert len(parts) == workers and all(lo < hi for lo, hi in parts)
+    assert [lo for lo, _ in parts] + [len(sizes)] == [0] + [hi for _, hi in parts]
+    share = sum(sizes) / workers
+    assert all(abs(sum(sizes[lo:hi]) - share) <= max(sizes) for lo, hi in parts)
+
+
+@pytest.mark.parametrize("workers, cloud_count", [(2, 3), (3, 30), (7, 240)])
+def test_mlp_max_pool_traps_overflow_in_a_worker_thread(monkeypatch, workers, cloud_count):
+    # numpy keeps np.errstate in a context variable, which a plain thread
+    # starts without: each part runs under a copy of the caller's context
+    monkeypatch.setattr(ad, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(16)
+    clouds = [rng.normal(size=(64, 3)) for _ in range(cloud_count - 1)]
+    clouds.append(np.full((64, 3), 1e308))
+    values = mlp_pool_values(17, 64)
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    threads = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ad.mlp_max_pool(clouds, *consts)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", [{0}, {2}, {1, 2}, {0, 1, 2}])
+def test_mlp_max_pool_joins_every_part_and_raises_the_first_failure(monkeypatch, failing):
+    # three parts of 10 equal clouds each; the caller runs part 0
+    monkeypatch.setattr(ad, "_worker_count", lambda: 3)
+    done = []
+    run_parts = ad._run_parts
+
+    def injecting(body, sizes):
+        def faulty(lo, hi):
+            part = lo // 10
+            if part in failing:
+                raise MemoryError(f"part {part}")
+            time.sleep(0.05)
+            body(lo, hi)
+            done.append(part)
+        run_parts(faulty, sizes)
+
+    monkeypatch.setattr(ad, "_run_parts", injecting)
+    rng = np.random.default_rng(18)
+    clouds = [rng.normal(size=(32, 3)) for _ in range(30)]
+    values = mlp_pool_values(19, 8)
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match=f"part {min(failing)}"):
+        ad.mlp_max_pool(clouds, *consts)
+    assert threading.active_count() == threads
+    assert sorted(done) == sorted({0, 1, 2} - failing)
+
+
+def four_cpus_and_no_blas_setting(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.mark.parametrize("openblas, expected", [(None, 1), ("1", 4), ("2", 2), ("0", 1),
+                                                ("abc", 1), ("3", 1), ("8", 1)])
+def test_worker_count_divides_the_cpus_by_the_blas_threads(monkeypatch, openblas, expected):
+    four_cpus_and_no_blas_setting(monkeypatch)
+    if openblas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+    assert ad._worker_count() == expected
+
+
+def test_worker_count_reads_the_blas_variables_in_openblas_order(monkeypatch):
+    four_cpus_and_no_blas_setting(monkeypatch)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert ad._worker_count() == 4
+    monkeypatch.setenv("GOTO_NUM_THREADS", "2")
+    assert ad._worker_count() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "abc")
+    assert ad._worker_count() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert ad._worker_count() == 1
+    # without an affinity mask, the CPU count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert ad._worker_count() == 3
 
 
 def test_mlp_max_pool_saturated_columns_match_op_chain():

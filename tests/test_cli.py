@@ -437,6 +437,36 @@ def serve_args(run_dir, manifest):
     return ["--checkpoint", str(run_dir / "checkpoint.bin"), "--data", str(manifest)]
 
 
+def test_run_calls_the_handler_bound_to_the_module_at_call_time(run_dir, dataset_dir, monkeypatch):
+    # the parser is built once per process; tracing wraps a handler by
+    # replacing it on the module, after that parser exists
+    argv = ["retrieve", *serve_args(run_dir, dataset_dir / "manifest.jsonl"), "--query", "nope"]
+    assert run_captured(argv)[0] == 2
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_retrieve", lambda ns: seen.append(ns.query) or 0)
+    assert cli.run(argv) == 0
+    assert seen == ["nope"]
+
+
+def test_a_flag_given_to_one_command_does_not_leak_into_the_next(run_dir, dataset_dir, workdir):
+    # every leaf, fallbacks included, so the default top-5 is not clamped to
+    # the 4 observed classes
+    leaves = load_manifest(dataset_dir / "manifest.jsonl").tree.leaf_names
+    assert len(leaves) > 5
+    listing = workdir / "all_leaves.txt"
+    listing.write_text("\n".join(leaves) + "\n")
+    argv = ["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl"),
+            "--set", f"custom:{listing}"]
+
+    def reported_k(argv):
+        code, out, _ = run_captured(argv)
+        assert code == 0
+        return [line.split()[1] for line in out.splitlines() if line.startswith("all_leaves ")]
+
+    assert reported_k([*argv, "--topk", "1"]) == ["1"]
+    assert reported_k(argv) == ["1", "5"]
+
+
 def test_serve_commands_read_only_the_payloads_they_use(run_dir, dataset_dir, workdir, monkeypatch):
     manifest = dataset_dir / "manifest.jsonl"
     samples = load_manifest(manifest).samples
