@@ -129,19 +129,20 @@ class ViewRecord:
 class _Payload:
     """A payload file that views of one sample read: a raster (``rows`` is
     None) or a feature file of exactly ``rows`` rows, one per view that
-    reads it.  It is read on the first ``take`` and then held, so each file
-    is read once per load; a failed read is tried again on the next take."""
+    reads it.  It is read on the first ``load`` and then held, so each file
+    is read once per load of the manifest; a failed read is tried again on
+    the next ``load``."""
 
     __slots__ = ("read", "name", "where", "rows", "data")
 
     def __init__(self, read, name: str, where: str | None, rows: int | None, data=None):
         self.read, self.name, self.where, self.rows, self.data = read, name, where, rows, data
 
-    def take(self, row: int) -> tuple:
-        """(feature, raster) of the view that reads row `row`."""
+    def load(self) -> np.ndarray:
+        """The file's array: the raster, or its rows x dim features."""
         if self.data is None:
             self.data = self.read(self.name, self.where, self.rows)
-        return (None, self.data) if self.rows is None else (self.data[row], None)
+        return self.data
 
 
 class ViewSet(Sequence):
@@ -153,7 +154,8 @@ class ViewSet(Sequence):
     Nothing is read until a view is used: ``views[i]``, a slice or a pass
     reads the payload file each view takes, once per load, and builds a
     new `ViewRecord` that holds it, over the payload array the views of a
-    view file share.  A record of a loaded sample is built only here.
+    view file share; `feature_block` reads that array and builds none.  A
+    record of a loaded sample is built only here.
     """
 
     __slots__ = ("_angles", "_kinds", "_source")
@@ -174,7 +176,8 @@ class ViewSet(Sequence):
         payload, row = (src, i) if isinstance(src, _Payload) else src[i]
         rec = ViewRecord.__new__(ViewRecord)
         rec._angle, rec._kind, rec._file = self._angles[i], self._kinds[i], payload.name
-        rec._feature, rec._raster = payload.take(row)
+        data = payload.load()
+        rec._feature, rec._raster = (None, data) if payload.rows is None else (data[row], None)
         return rec
 
     def __getitem__(self, i):
@@ -185,11 +188,18 @@ class ViewSet(Sequence):
     def __iter__(self):
         return map(self._record, range(len(self._angles)))
 
+    def feature_block(self) -> np.ndarray | None:
+        """The V x D rows of the view file whose row i view i takes, read
+        once per load as indexing a view would read it; None when the views
+        read payloads of their own."""
+        src = self._source
+        return src.load() if isinstance(src, _Payload) else None
+
     def _load(self) -> None:
         """Read every payload file the views take, as indexing them would."""
         src = self._source
-        for payload, row in [(src, 0)] if isinstance(src, _Payload) else src:
-            payload.take(row)
+        for payload, _ in [(src, 0)] if isinstance(src, _Payload) else src:
+            payload.load()
 
     def __repr__(self) -> str:
         return f"ViewSet(angles={self._angles!r}, kinds={self._kinds!r})"

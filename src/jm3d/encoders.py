@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import N_ANGLE_BUCKETS, PointCloud, ViewRecord, angle_bucket
+from .data import N_ANGLE_BUCKETS, PointCloud, ViewRecord, ViewSet, angle_bucket
 from .errors import ConfigError, InputError, NumericError, ShapeError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -85,15 +85,19 @@ def _block_mean_16(gray: np.ndarray) -> np.ndarray:
     return sums / np.maximum(areas, 1)
 
 
+def _checked_features(feats: np.ndarray, spec: FrozenEncoderSpec) -> np.ndarray:
+    """A D-vector or V x D rows of view features, their dim and values checked."""
+    if feats.shape[-1] != spec.dim:
+        raise ShapeError(f"view feature has dim {feats.shape[-1]}, spec expects {spec.dim}")
+    if not np.isfinite(feats).all():
+        raise NumericError("encode_image_frozen: view feature holds non-finite values")
+    return feats
+
+
 def _image_row(view: ViewRecord, spec: FrozenEncoderSpec) -> np.ndarray:
     """A view's D-vector before normalization, its payload checked."""
     if view.feature is not None:
-        feat = np.asarray(view.feature, dtype=np.float64).reshape(-1)
-        if feat.shape[0] != spec.dim:
-            raise ShapeError(f"view feature has dim {feat.shape[0]}, spec expects {spec.dim}")
-        if not np.isfinite(feat).all():
-            raise NumericError("encode_image_frozen: view feature holds non-finite values")
-        return feat
+        return _checked_features(np.asarray(view.feature, dtype=np.float64).reshape(-1), spec)
     if view.raster is None:
         raise InputError("view has no payload")
     raster = np.asarray(view.raster, dtype=np.float64)
@@ -112,15 +116,21 @@ def encode_image_frozen(views, spec: FrozenEncoderSpec) -> np.ndarray:
     """Unit-norm V x D rows for a sequence of views (a D-vector for a
     single view); all-zero inputs stay at zero.
 
-    Each row is bitwise what the view gives alone: views are checked and
-    projected one by one, so the first bad view in view order raises, and
-    their rows are normalized as one stack.
+    Each row is bitwise what the view gives alone.  A `ViewSet` whose
+    views take the rows of one view file is checked and normalized as
+    that V x D block, with no view record built: its rows share one dim,
+    so one check raises what the first bad view would.  Other views are
+    checked and projected one by one, so the first bad view in view order
+    raises, and their rows are normalized as one stack.
     """
     if not isinstance(views, Sequence):
         return ad._l2_normalize(_image_row(views, spec))[0]
     if not views:
         raise InputError("no views to encode")
-    return ad._l2_normalize(np.stack([_image_row(vw, spec) for vw in views]))[0]
+    block = views.feature_block() if isinstance(views, ViewSet) else None
+    if block is None:
+        return ad._l2_normalize(np.stack([_image_row(vw, spec) for vw in views]))[0]
+    return ad._l2_normalize(_checked_features(block, spec))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from . import alignment as al
 from . import autodiff as ad
 # sample_within_window is not called here, but bench/workloads.py traces it
 # under this module's name
-from .data import (CategoryTree, LoadedDataset, TripletSample, WindowSampler,  # noqa: F401
-                   replace_file, resolve_label, sample_within_window, window_sampler)
+from .data import (CategoryTree, LoadedDataset, TripletSample, ViewSet,  # noqa: F401
+                   WindowSampler, replace_file, resolve_label, sample_within_window,
+                   window_sampler)
 from .encoders import (POINT_PARAM_NAMES, FrozenEncoderSpec, PointEncoderParams,
                        ViewEmbeddingTables, embed_view, encode_image_frozen,
                        encode_point_cloud, encode_text_frozen, init_point_encoder,
@@ -177,12 +178,14 @@ def _prepare_frozen(dataset: LoadedDataset, config: TrainConfig,
         if text is None:
             text = encode_text_frozen(template.instantiate(label), spec)[None, :]
             text_cache[label] = text
-        views = tuple(sample.views)  # one pass reads and builds every view
+        # a view set's view-file rows are encoded as one block, its other
+        # views in one pass; only hand-built records are walked for angles
+        views = sample.views
         raw = encode_image_frozen(views, spec)
-        angles = tuple(vw.angle_deg for vw in views)
+        angles = views.angles if isinstance(views, ViewSet) else tuple(vw.angle_deg for vw in views)
         rows = embed_view(raw, angles, tables) if apply_embeddings else ad._layer_norm(raw)[0]
         # without CIS a step sees one view; without the window any v views
-        v = min(config.v_views, len(views)) if config.cis_on else 1
+        v = min(config.v_views, len(angles)) if config.cis_on else 1
         prepped.append(_Prepped(
             sample=sample, parent_idx=p_idx, view_rows=rows, text_row=text,
             sampler=window_sampler(angles, v, omega),

@@ -2,13 +2,18 @@
 states the view grid once, in the manifest header.  `edited_manifest` hands
 a test its records with their views spelled out, to change them, and
 `split_view_files` rewrites such a dataset in the per-view layout, where
-each view names a one-row feature file of its own."""
+each view names a one-row feature file of its own.  `mixed_dataset` adds a
+sample whose views read a raster and a feature file of their own."""
 
 import contextlib
 import copy
 import json
 
+import numpy as np
+
+from jm3d import data
 from jm3d.data import read_feature_file, write_feature_file
+from jm3d.synth import SynthConfig, synth_generate
 
 
 @contextlib.contextmanager
@@ -41,3 +46,21 @@ def split_view_files(root) -> None:
                 vw["feature_file"] = f"payload/feat_{rec['id']}_{vw['angle']:03d}_{vw['kind']}.bin"
                 write_feature_file(root / vw["feature_file"], row)
             view_file.unlink()
+
+
+def mixed_dataset(root):
+    """A synthetic dataset plus one sample whose views are a 120,000-byte
+    raster and a feature; returns the manifest path."""
+    synth_generate(SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=2, points=24,
+                               dim=8, latent=4, n_angles=4), root, seed=5)
+    rng = np.random.default_rng(6)
+    data.write_cloud_file(root / "payload" / "rc.bin", rng.normal(size=(30, 3)))
+    data.write_raster_file(root / "payload" / "r.bin",
+                           rng.integers(0, 256, size=(200, 200, 3), dtype=np.uint8))
+    data.write_feature_file(root / "payload" / "rf.bin", rng.normal(size=(1, 8)))
+    path = root / "manifest.jsonl"
+    with open(path, "a") as fh:
+        fh.write(json.dumps({"id": "r0", "parent": "cat00", "sub": None, "cloud_file": "payload/rc.bin",
+                             "views": [{"angle": 0, "kind": "rgb", "image_file": "payload/r.bin"},
+                                       {"angle": 12, "kind": "depth", "feature_file": "payload/rf.bin"}]}) + "\n")
+    return path

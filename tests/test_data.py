@@ -28,7 +28,7 @@ from jm3d.errors import (
     SamplingError,
 )
 from jm3d.synth import SynthConfig, synth_generate
-from layouts import edited_manifest, split_view_files
+from layouts import edited_manifest, mixed_dataset, split_view_files
 
 
 def feature_view(angle, kind="rgb", dim=4, fill=0.5):
@@ -622,24 +622,6 @@ def test_load_manifest_raster_view(tmp_path):
     }])
     loaded = data.load_manifest(tmp_path / "m.jsonl")
     assert loaded.samples[0].views[0].raster.shape == (8, 8, 1)
-
-
-def mixed_dataset(root):
-    """A synthetic dataset plus one sample whose views are a 120,000-byte
-    raster and a feature; returns the manifest path."""
-    synth_generate(SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=2, points=24,
-                               dim=8, latent=4, n_angles=4), root, seed=5)
-    rng = np.random.default_rng(6)
-    data.write_cloud_file(root / "payload" / "rc.bin", rng.normal(size=(30, 3)))
-    data.write_raster_file(root / "payload" / "r.bin",
-                           rng.integers(0, 256, size=(200, 200, 3), dtype=np.uint8))
-    data.write_feature_file(root / "payload" / "rf.bin", rng.normal(size=(1, 8)))
-    path = root / "manifest.jsonl"
-    with open(path, "a") as fh:
-        fh.write(json.dumps({"id": "r0", "parent": "cat00", "sub": None, "cloud_file": "payload/rc.bin",
-                             "views": [{"angle": 0, "kind": "rgb", "image_file": "payload/r.bin"},
-                                       {"angle": 12, "kind": "depth", "feature_file": "payload/rf.bin"}]}) + "\n")
-    return path
 
 
 def array_signature(a):

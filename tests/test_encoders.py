@@ -9,8 +9,8 @@ import pytest
 
 from fdtools import max_rel_vs_fd
 from jm3d import autodiff as ad
-from jm3d import encoders, synth
-from jm3d.data import PointCloud, ViewRecord, angle_bucket, load_manifest
+from jm3d import data, encoders, synth
+from jm3d.data import PointCloud, ViewRecord, ViewSet, _Payload, angle_bucket, load_manifest
 from jm3d.errors import InputError, ManifestError, NumericError, ShapeError
 from layouts import edited_manifest
 
@@ -129,6 +129,62 @@ def test_image_sequence_rows_are_bitwise_the_per_view_vectors():
                 per_view = np.stack([encoders.encode_image_frozen(v, spec) for v in views])
                 assert rows.shape == (n, dim)
                 assert rows.tobytes() == per_view.tobytes()
+
+
+def view_file_set(views, rows=None):
+    """A `ViewSet` of the views' angles and kinds over one view file that
+    holds `rows` (their features by default), as `synth_generate` builds one."""
+    rows = np.stack([v.feature for v in views]) if rows is None else rows
+    return ViewSet(tuple(v.angle_deg for v in views), tuple(v.kind for v in views),
+                   _Payload(None, "payload/views_s.bin", None, len(rows), data=rows))
+
+
+def test_view_file_block_rows_are_bitwise_the_per_view_rows():
+    rng = np.random.default_rng(1)
+    for dim in (2, 16, 32, 33):
+        spec = encoders.FrozenEncoderSpec(seed=1, dim=dim)
+        for n in (1, 2, 7, 60, 257):
+            views = random_views(rng, n, dim, with_rasters=False)
+            view_set = view_file_set(views)
+            rows = encoders.encode_image_frozen(view_set, spec)
+            assert rows.shape == (n, dim)
+            assert rows.tobytes() == encoders.encode_image_frozen(tuple(view_set), spec).tobytes()
+            assert rows.tobytes() == np.stack([encoders.encode_image_frozen(v, spec) for v in views]).tobytes()
+
+
+def test_view_file_block_raises_what_its_first_bad_view_would():
+    views = random_views(np.random.default_rng(2), 7, 16, with_rasters=False)
+    rows = np.stack([v.feature for v in views])
+    nan_rows = rows.copy()
+    nan_rows[3, 5] = np.nan
+    for view_set, spec in [(view_file_set(views, nan_rows), SPEC),
+                           (view_file_set(views), encoders.FrozenEncoderSpec(seed=0, dim=15)),
+                           (view_file_set(views), encoders.FrozenEncoderSpec(seed=0, dim=17))]:
+        with pytest.raises((NumericError, ShapeError)) as per_view:
+            encoders.encode_image_frozen(tuple(view_set), spec)
+        with pytest.raises(per_view.type) as block:
+            encoders.encode_image_frozen(view_set, spec)
+        assert str(block.value) == str(per_view.value)
+
+
+def test_unreadable_view_file_block_names_its_sample_and_is_read_again(tmp_path, monkeypatch):
+    cfg = synth.SynthConfig(parents=1, subs_per_parent=1, samples_per_sub=1, points=8, dim=16, n_angles=4)
+    generated = synth.synth_generate(cfg, tmp_path, seed=0).samples[0]
+    view_file = tmp_path / "payload" / f"views_{generated.sample_id}.bin"
+    blob = view_file.read_bytes()
+    reads = []
+    real = data.read_feature_file
+    monkeypatch.setattr(data, "read_feature_file", lambda path: reads.append(path) or real(path))
+    views = load_manifest(tmp_path / "manifest.jsonl", read_views=False).samples[0].views
+    view_file.write_bytes(blob[:-4])
+    for _ in range(2):
+        with pytest.raises(ManifestError, match=f"sample {generated.sample_id!r}: .*declares"):
+            encoders.encode_image_frozen(views, SPEC)
+    view_file.write_bytes(blob)
+    rows = encoders.encode_image_frozen(views, SPEC)
+    assert rows.tobytes() == encoders.encode_image_frozen(tuple(generated.views), SPEC).tobytes()
+    encoders.encode_image_frozen(views, SPEC)
+    assert reads == [str(view_file)] * 3
 
 
 def test_image_sequence_first_bad_view_decides_the_error():

@@ -20,7 +20,7 @@ import pytest
 import jm3d
 from jm3d import alignment as al
 from jm3d import autodiff as ad
-from jm3d import cli
+from jm3d import cli, data
 from jm3d import training as tr
 from jm3d.data import PointCloud, ViewSet, angle_bucket, load_manifest
 from jm3d.encoders import (POINT_PARAM_NAMES, FrozenEncoderSpec, ViewEmbeddingTables,
@@ -28,6 +28,7 @@ from jm3d.encoders import (POINT_PARAM_NAMES, FrozenEncoderSpec, ViewEmbeddingTa
                            point_encoder_from_values)
 from jm3d.errors import ConfigError, ContractError, InputError, ShapeError
 from jm3d.synth import SynthConfig, synth_generate
+from layouts import mixed_dataset
 
 
 @pytest.fixture(scope="module")
@@ -396,20 +397,55 @@ def test_prepared_view_rows_bitwise_equal_the_op_chain(tiny_dataset, flags, monk
     assert [p.view_rows.tobytes() for p in prepped] == [e.tobytes() for e in expected]
 
 
-def test_frozen_prep_walks_each_samples_views_once(tiny_dataset, monkeypatch):
-    passes = Counter()
-    real = ViewSet.__iter__
+def test_frozen_prep_walks_each_samples_views_once(tiny_dir, tmp_path, monkeypatch):
+    """A view-file sample's rows are read as one block, its file once, and
+    no view record is built; other views are walked in one pass."""
+    reads, passes, records = Counter(), Counter(), Counter()
+    real_read, real_iter, real_record = data.read_feature_file, ViewSet.__iter__, ViewSet._record
 
-    def counted(self):
+    def counted_read(path):
+        reads[str(path)] += 1
+        return real_read(path)
+
+    def counted_iter(self):
         passes[id(self)] += 1
-        return real(self)
+        return real_iter(self)
 
-    monkeypatch.setattr(ViewSet, "__iter__", counted)
+    def counted_record(self, i):
+        records[id(self)] += 1
+        return real_record(self, i)
+
+    monkeypatch.setattr(data, "read_feature_file", counted_read)
+    monkeypatch.setattr(ViewSet, "__iter__", counted_iter)
+    monkeypatch.setattr(ViewSet, "_record", counted_record)
     config = quick_config()
+    for manifest in (tiny_dir / "manifest.jsonl", mixed_dataset(tmp_path)):
+        dataset = load_manifest(manifest, read_views=False)
+        reads.clear(), passes.clear(), records.clear()
+        tr._prepare_frozen(dataset, config, FrozenEncoderSpec(seed=config.frozen_seed, dim=dataset.dim),
+                           ViewEmbeddingTables.build(dataset.dim))
+        own = [s for s in dataset.samples if s.sample_id == "r0"]  # a raster and a feature file
+        assert passes == Counter({id(s.views): 1 for s in own})
+        assert records == Counter({id(s.views): len(s.views) for s in own})
+        view_files = [str(manifest.parent / f"payload/views_{s.sample_id}.bin")
+                      for s in dataset.samples if s not in own]
+        assert reads == Counter(view_files + [str(tmp_path / "payload/rf.bin")] * len(own))
+
+
+def test_frozen_prep_calls_the_traced_encoders_once_per_sample(tiny_dataset, monkeypatch):
+    calls = Counter()
+    for name in ("encode_image_frozen", "embed_view"):
+        def counted(*args, _real=getattr(tr, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(tr, name, counted)
+    config = quick_config()
+    assert config.embeddings_on and config.cis_on
     dim = tiny_dataset.dim
     tr._prepare_frozen(tiny_dataset, config, FrozenEncoderSpec(seed=config.frozen_seed, dim=dim),
                        ViewEmbeddingTables.build(dim))
-    assert passes == Counter({id(s.views): 1 for s in tiny_dataset.samples})
+    n = len(tiny_dataset.samples)
+    assert calls == Counter(encode_image_frozen=n, embed_view=n)
 
 
 def test_point_features_equal_the_taped_encode_without_a_tape(tiny_dataset, monkeypatch):
