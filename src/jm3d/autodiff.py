@@ -343,18 +343,10 @@ def _worker_count() -> int:
     return max(1, cpus // blas)
 
 
-def _run_parts(body: Callable[[int, int], None], sizes: Sequence[int]) -> None:
-    """Run ``body(lo, hi)`` over ``range(len(sizes))`` in contiguous parts,
-    one per worker, cut at equal shares of ``sum(sizes)``; there are
-    min(len(sizes), ``_worker_count()``) workers.
-
-    The calling thread runs the first part and a new thread each other
-    part, under a copy of the caller's context (numpy keeps ``np.errstate``
-    there).  Every thread is joined before this returns or raises, even
-    when the caller's own part failed; then the error of the
-    lowest-numbered failing part, which is that of its lowest-numbered
-    failing task, is raised.
-    """
+def _part_cuts(sizes: Sequence[int]) -> list[int]:
+    """The bounds of ``_run_parts``' parts: part k is ``range(cuts[k],
+    cuts[k + 1])``, cut at equal shares of ``sum(sizes)``, one part per
+    worker, min(len(sizes), ``_worker_count()``) of them."""
     workers = min(len(sizes), _worker_count())
     ends = np.cumsum(sizes)
     cuts = [0]
@@ -363,6 +355,22 @@ def _run_parts(body: Callable[[int, int], None], sizes: Sequence[int]) -> None:
         # every part keeps at least one task
         cuts.append(min(max(cut, cuts[-1] + 1), len(sizes) - workers + k))
     cuts.append(len(sizes))
+    return cuts
+
+
+def _run_parts(body: Callable[[int, int], None], sizes: Sequence[int]) -> None:
+    """Run ``body(lo, hi)`` over ``range(len(sizes))`` in the contiguous
+    parts of ``_part_cuts(sizes)``, one per worker.
+
+    The calling thread runs the first part and a new thread each other
+    part, under a copy of the caller's context (numpy keeps ``np.errstate``
+    there).  Every thread is joined before this returns or raises, even
+    when the caller's own part failed; then the error of the
+    lowest-numbered failing part, which is that of its lowest-numbered
+    failing task, is raised.
+    """
+    cuts = _part_cuts(sizes)
+    workers = len(cuts) - 1
     errors = [None] * workers
 
     def part(k):
@@ -424,10 +432,14 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
     thread encodes on every CPU, and an unpinned one, whose OpenBLAS
     already splits each GEMM, stays serial.  The bits cannot depend on the
     split: each cloud's forward reads only shared read-only arrays and
-    writes only its own row of the pooled maxima, numpy releases the GIL in
-    each of its ops, and the b2 add and the final tanh run after the join.
-    The taped forward stays serial: at a training batch of 16 clouds the
-    threads cost more than they save.
+    writes only its own row of the pooled maxima and its part's buffers,
+    numpy releases the GIL in each of its ops, and the b2 add and the final
+    tanh run after the join.  Each part's two layer buffers, sized for its
+    largest cloud, are allocated by the calling thread before any worker
+    starts, and every op of a part writes into them with ``out=``: a worker
+    thread allocates no array, so glibc gives it no malloc arena of its
+    own.  The taped forward stays serial: at a training batch of 16 clouds
+    the threads cost more than they save.
     """
     params = (w1, b1, w2, b2)
     wv1, bv1, wv2, bv2 = (p.values for p in params)
@@ -441,42 +453,51 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ShapeError(f"cloud {i} must be N x 3 with N >= 1, got {pts.shape}")
     tape = _tape_of(params)
+    sizes = [pts.shape[0] for pts in clouds]
     # one block per bias, sized for the largest cloud: a block per size
     # would hold B x n x h floats on a ragged batch
-    n_max = max(pts.shape[0] for pts in clouds)
+    n_max = max(sizes)
     rows1 = np.repeat(bv1, n_max, 0)
     out = np.empty((len(clouds), h))
-    if tape is not None:
-        rows2 = np.repeat(bv2, n_max, 0)
-        cols = np.arange(h)
-        act, pin = np.empty((len(clouds), h, h)), np.empty((len(clouds), h, 3))
-
-    def encode(lo, hi):
-        for i in range(lo, hi):
-            pts = clouds[i]
-            n = pts.shape[0]
-            a = pts @ wv1
-            a += rows1[:n]
-            np.tanh(a, out=a)
-            # keep this GEMM's layout: the transposed product wv2.T @ a.T
-            # rounds some points differently from others (on OpenBLAS, clouds
-            # of 255 or 300 points), and then the pooled bits would depend on
-            # point order
-            z = a @ wv2
-            if tape is None:
-                z.max(axis=0, out=out[i])
-                continue
-            z += rows2[:n]
-            idx = z.argmax(axis=0)
-            out[i] = z[idx, cols]
-            a.take(idx, 0, act[i])
-            pin[i] = pts[idx]
-
     if tape is None:
-        _run_parts(encode, [pts.shape[0] for pts in clouds])
+        # each part's two layer buffers, sized for its largest cloud and
+        # allocated here, before any worker starts
+        cuts = _part_cuts(sizes)
+        bufs = {lo: (np.empty((max(sizes[lo:hi]), h)), np.empty((max(sizes[lo:hi]), h)))
+                for lo, hi in zip(cuts, cuts[1:])}
+
+        def encode(lo, hi):
+            a_buf, z_buf = bufs[lo]
+            for i in range(lo, hi):
+                n = sizes[i]
+                a, z = a_buf[:n], z_buf[:n]
+                np.matmul(clouds[i], wv1, out=a)
+                a += rows1[:n]
+                np.tanh(a, out=a)
+                np.matmul(a, wv2, out=z)  # the taped forward's GEMM layout
+                z.max(axis=0, out=out[i])
+
+        _run_parts(encode, sizes)
         out += bv2
         return constant(np.tanh(out, out=out))
-    encode(0, len(clouds))
+    rows2 = np.repeat(bv2, n_max, 0)
+    cols = np.arange(h)
+    act, pin = np.empty((len(clouds), h, h)), np.empty((len(clouds), h, 3))
+    for i, pts in enumerate(clouds):
+        n = pts.shape[0]
+        a = pts @ wv1
+        a += rows1[:n]
+        np.tanh(a, out=a)
+        # keep this GEMM's layout: the transposed product wv2.T @ a.T
+        # rounds some points differently from others (on OpenBLAS, clouds
+        # of 255 or 300 points), and then the pooled bits would depend on
+        # point order
+        z = a @ wv2
+        z += rows2[:n]
+        idx = z.argmax(axis=0)
+        out[i] = z[idx, cols]
+        a.take(idx, 0, act[i])
+        pin[i] = pts[idx]
     np.tanh(out, out=out)
 
     def backward(g):

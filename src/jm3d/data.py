@@ -129,9 +129,9 @@ class ViewRecord:
 class _Payload:
     """A payload file that views of one sample read: a raster (``rows`` is
     None) or a feature file of exactly ``rows`` rows, one per view that
-    reads it.  It is read on the first ``load`` and then held, so each file
-    is read once per load of the manifest; a failed read is tried again on
-    the next ``load``."""
+    reads it, held as the float32 array the file stores.  It is read on the
+    first ``load`` and then held, so each file is read once per load of the
+    manifest; a failed read is tried again on the next ``load``."""
 
     __slots__ = ("read", "name", "where", "rows", "data")
 
@@ -139,7 +139,7 @@ class _Payload:
         self.read, self.name, self.where, self.rows, self.data = read, name, where, rows, data
 
     def load(self) -> np.ndarray:
-        """The file's array: the raster, or its rows x dim features."""
+        """The file's array: the raster, or its rows x dim float32 features."""
         if self.data is None:
             self.data = self.read(self.name, self.where, self.rows)
         return self.data
@@ -153,9 +153,10 @@ class ViewSet(Sequence):
     row i view i takes (a view file), or one (payload, row) pair per view.
     Nothing is read until a view is used: ``views[i]``, a slice or a pass
     reads the payload file each view takes, once per load, and builds a
-    new `ViewRecord` that holds it, over the payload array the views of a
-    view file share; `feature_block` reads that array and builds none.  A
-    record of a loaded sample is built only here.
+    new `ViewRecord` that holds it, its feature row widened to float64 from
+    the float32 payload array the views of a view file share;
+    `feature_block` reads that array and builds none.  A record of a loaded
+    sample is built only here.
     """
 
     __slots__ = ("_angles", "_kinds", "_source")
@@ -177,7 +178,10 @@ class ViewSet(Sequence):
         rec = ViewRecord.__new__(ViewRecord)
         rec._angle, rec._kind, rec._file = self._angles[i], self._kinds[i], payload.name
         data = payload.load()
-        rec._feature, rec._raster = (None, data) if payload.rows is None else (data[row], None)
+        if payload.rows is None:
+            rec._feature, rec._raster = None, data
+        else:
+            rec._feature, rec._raster = data[row].astype(np.float64), None
         return rec
 
     def __getitem__(self, i):
@@ -190,10 +194,10 @@ class ViewSet(Sequence):
 
     def feature_block(self) -> np.ndarray | None:
         """The V x D rows of the view file whose row i view i takes, read
-        once per load as indexing a view would read it; None when the views
-        read payloads of their own."""
+        once per load as indexing a view would read it and widened to
+        float64; None when the views read payloads of their own."""
         src = self._source
-        return src.load() if isinstance(src, _Payload) else None
+        return src.load().astype(np.float64) if isinstance(src, _Payload) else None
 
     def _load(self) -> None:
         """Read every payload file the views take, as indexing them would."""
@@ -718,12 +722,13 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     violations as ``line 1: view i ...``, and each record's own views list
     in full (see `_sample_from_obj`).  Each sample's views are a `ViewSet`,
     and each payload file is read once: the views that take a view file's
-    rows share one V x D array.  With ``read_views=False`` the manifest and
-    every cloud are still read and checked, but a view payload is read and
-    checked when a view that takes it is first indexed or iterated; a bad
-    file then raises ``ManifestError`` naming the sample, as the full load
-    would.  A leaf name declared under a second parent (see
-    `CategoryTree.from_pairs`) is a violation of the line that does so.
+    rows share one V x D array, held in float32 as the file stores it.
+    With ``read_views=False`` the manifest and every cloud are still read
+    and checked, but a view payload is read and checked when a view that
+    takes it is first indexed or iterated; a bad file then raises
+    ``ManifestError`` naming the sample, as the full load would.  A leaf
+    name declared under a second parent (see `CategoryTree.from_pairs`) is
+    a violation of the line that does so.
     """
     path = Path(path)
     if not path.is_file():
@@ -741,7 +746,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
     def read_payload(name: str, where: str, rows: int | None) -> np.ndarray:
         """A raster when rows is None, else a feature file's rows, which
-        must be exactly rows x dim."""
+        must be exactly rows x dim, narrowed back to the float32 it stores."""
         file = payload_path(name)
         try:
             if rows is None:
@@ -752,7 +757,7 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
                                  f"expected {rows}x{dim}")
         except (OSError, InputError, ShapeError) as e:
             raise ManifestError([f"{where}: {e}"]) from None
-        return feats
+        return feats.astype(np.float32)
 
     problems: list[str] = []
     try:

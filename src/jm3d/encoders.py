@@ -8,11 +8,12 @@ sinusoidal angle/depth tables to frozen image features and re-normalize.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,29 +33,33 @@ _RASTER_SIDE = 16  # frozen image path reduces rasters to 16 x 16 grayscale
 class FrozenEncoderSpec:
     """Fixed tables and projections for the frozen branches.
 
-    Everything is derived from (seed, dim, vocab_size) at construction;
-    encoding is a pure function of (spec, input).
+    Everything is derived from (seed, dim, vocab_size); encoding is a pure
+    function of (spec, input).  The three tables are drawn together, on
+    the first use of any of them, so a spec that encodes only feature
+    views draws none.
     """
 
     seed: int
     dim: int
     vocab_size: int = 4096
-    token_table: np.ndarray = field(init=False, repr=False)
-    text_proj: np.ndarray = field(init=False, repr=False)
-    image_proj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 2:
             raise ConfigError(f"feature dim must be >= 2, got {self.dim}")
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(token_table, text_proj, image_proj), drawn in that order."""
         rng = np.random.Generator(np.random.PCG64(int(self.seed)))
-        object.__setattr__(self, "token_table",
-                           rng.normal(size=(self.vocab_size, self.dim)) / math.sqrt(self.dim))
-        object.__setattr__(self, "text_proj",
-                           rng.normal(size=(self.dim, self.dim)) / math.sqrt(self.dim))
-        object.__setattr__(self, "image_proj",
-                           rng.normal(size=(_RASTER_SIDE * _RASTER_SIDE, self.dim)) / _RASTER_SIDE)
+        return (rng.normal(size=(self.vocab_size, self.dim)) / math.sqrt(self.dim),
+                rng.normal(size=(self.dim, self.dim)) / math.sqrt(self.dim),
+                rng.normal(size=(_RASTER_SIDE * _RASTER_SIDE, self.dim)) / _RASTER_SIDE)
+
+    token_table = property(lambda self: self._tables[0])
+    text_proj = property(lambda self: self._tables[1])
+    image_proj = property(lambda self: self._tables[2])
 
 
 def _hash_token(token: str, vocab_size: int) -> int:

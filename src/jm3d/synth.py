@@ -222,7 +222,7 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
                 raw = np.matmul(base[:, None, :], w_feat)[:, 0]
                 raw += config.feature_noise * rng.normal(size=(len(view_keys), D))
                 view_file = f"payload/views_{sid}.bin"
-                feats = write_feature_file(prefix + view_file, raw)
+                feats = write_feature_file(prefix + view_file, raw).astype(np.float32)  # as stored
                 _check_stored(feats, f"the view features of sample {sid!r}")
                 view_sets.append(ViewSet(angles, kinds, _Payload(None, view_file, None, len(feats), data=feats)))
                 records.append({"id": sid, "parent": parent_name, "sub": sub_name,

@@ -319,6 +319,42 @@ def test_mlp_max_pool_traps_overflow_in_a_worker_thread(monkeypatch, workers, cl
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_mlp_max_pool_worker_parts_write_only_into_buffers_allocated_before_them(monkeypatch, workers):
+    # each part's layer buffers are allocated by the calling thread before
+    # any worker starts, so no part allocates an array, whichever thread
+    # runs it, and a worker thread never needs a malloc arena of its own.
+    # Parts run one at a time here, each traced from its start: a part that
+    # allocated one cloud's layer activations (256 KiB) would show them.
+    monkeypatch.setattr(ad, "_worker_count", lambda: workers)
+    run_parts, lock = ad._run_parts, threading.Lock()
+    grown, threads = [], set()
+
+    def measured(body, sizes):
+        def part(lo, hi):
+            with lock:
+                threads.add(threading.current_thread())
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                body(lo, hi)
+                grown.append(tracemalloc.get_traced_memory()[1] - start)
+        run_parts(part, sizes)
+
+    monkeypatch.setattr(ad, "_run_parts", measured)
+    rng = np.random.default_rng(22)
+    clouds = [rng.normal(size=(n, 3)) for n in [512] * 20 + [7]]
+    values = mlp_pool_values(23, 64)
+    consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
+    tracemalloc.start()
+    try:
+        pooled = ad.mlp_max_pool(clouds, *consts).values.tobytes()
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == len(threads) == workers
+    assert max(grown) < 32 * 1024
+    assert pooled == mlp_pool_chain(clouds, *consts).values.tobytes()
+
+
 @pytest.mark.parametrize("failing", [{0}, {2}, {1, 2}, {0, 1, 2}])
 def test_mlp_max_pool_joins_every_part_and_raises_the_first_failure(monkeypatch, failing):
     # three parts of 10 equal clouds each; the caller runs part 0

@@ -1,6 +1,7 @@
 """Dataset model tests: tree indexing, window sampling against brute-force
 enumeration, payload round-trips, and manifest validation."""
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jm3d import cli, data
-from jm3d.encoders import FrozenEncoderSpec, encode_image_frozen
+from jm3d.encoders import FrozenEncoderSpec, ViewEmbeddingTables, encode_image_frozen
 from jm3d.errors import (
     ContractError,
     InputError,
@@ -28,6 +29,7 @@ from jm3d.errors import (
     SamplingError,
 )
 from jm3d.synth import SynthConfig, synth_generate
+from jm3d.training import TrainConfig, _prepare_frozen
 from layouts import edited_manifest, mixed_dataset, split_view_files
 
 
@@ -1312,10 +1314,81 @@ def test_view_file_is_read_once_and_its_rows_shared(tmp_path, monkeypatch):
     assert [v.feature.tobytes() for v in lazy] == [row.tobytes() for row in stored]
     assert calls == Counter([cloud, views_file])
     for views in (full, lazy):
-        shared = views[0].feature.base
-        assert (shared.dtype, shared.shape) == (np.float64, (3, 4))
-        assert all(v.feature.base is shared for v in views)
+        # the file's one float32 payload, which every view's row widens
+        shared = view_file_payload(views)
+        assert (shared.dtype, shared.shape) == (np.float32, (3, 4))
+        assert [v.feature.tobytes() for v in views] == [row.astype(np.float64).tobytes() for row in shared]
         assert [v.payload_file for v in views] == ["views.bin"] * 3
+    assert calls == Counter([cloud, views_file])
+
+
+def view_file_payload(views) -> np.ndarray:
+    """The payload array that the views of a view-file sample share: the
+    same array on every use, read at most once."""
+    payload = views._source
+    assert isinstance(payload, data._Payload) and payload.load() is payload.load()
+    return payload.load()
+
+
+def payload_rows(views) -> list[tuple]:
+    """(payload, row) per view of a view set, as its source names them."""
+    src = views._source
+    return [(src, i) for i in range(len(views))] if isinstance(src, data._Payload) else list(src)
+
+
+def float64_views(views, root) -> tuple:
+    """The views as records built by hand from the reference readers'
+    float64 arrays: the values every record held when payloads were kept
+    in float64."""
+    records = []
+    for (payload, row), angle, kind in zip(payload_rows(views), views.angles, views.kinds):
+        file = root / payload.name
+        own = ({"raster": ref_read_raster_file(file)} if payload.rows is None
+               else {"feature": ref_read_feature_file(file)[row]})
+        records.append(data.ViewRecord(angle, kind, payload_file=payload.name, **own))
+    return tuple(records)
+
+
+def test_payloads_keep_their_stored_precision_and_every_row_its_bits(tmp_path):
+    generated = synth_generate(SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=2, points=24,
+                                           dim=8, latent=4, n_angles=4), tmp_path / "a", seed=5)
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    split_view_files(tmp_path / "b")
+    mixed = mixed_dataset(tmp_path / "c")  # adds a sample of a raster and a one-row feature file
+    cases = [(generated, tmp_path / "a")]
+    cases += [(data.load_manifest(path, read_views=read_views), path.parent)
+              for path in (mixed, tmp_path / "b" / "manifest.jsonl") for read_views in (True, False)]
+    config, spec, tables = TrainConfig(), FrozenEncoderSpec(seed=7, dim=8), ViewEmbeddingTables.build(8)
+    layouts = set()
+    for ds, root in cases:
+        for s in ds.samples:
+            payloads = {id(p): p for p, _ in payload_rows(s.views)}.values()
+            assert all(p.load().dtype == (np.uint8 if p.rows is None else np.float32) for p in payloads)
+            by_hand = float64_views(s.views, root)
+            assert [view_signature(v) for v in s.views] == [view_signature(v) for v in by_hand]
+            block = s.views.feature_block()
+            if isinstance(s.views._source, data._Payload):
+                assert block.tobytes() == np.stack([v.feature for v in by_hand]).tobytes()
+            else:
+                assert block is None
+            layouts.add((block is None, len(payloads)))
+        # the frozen side prepared from them is bitwise that of the float64 records
+        by_hand = data.LoadedDataset(ds.manifest, tuple(
+            dataclasses.replace(s, views=float64_views(s.views, root)) for s in ds.samples), ds.tree)
+        for prep, ref in zip(_prepare_frozen(ds, config, spec, tables),
+                             _prepare_frozen(by_hand, config, spec, tables), strict=True):
+            assert prep.view_rows.tobytes() == ref.view_rows.tobytes()
+            assert prep.text_row.tobytes() == ref.text_row.tobytes()
+    # view-file samples, per-view-file samples, and the raster sample's two files
+    assert layouts == {(False, 1), (True, 8), (True, 2)}
+
+
+def test_bench_dataset_holds_its_view_payloads_in_float32(tmp_path):
+    config = SIGNATURE_CONFIGS["bench"][0]
+    for ds in (synth_generate(config, tmp_path, seed=0), data.load_manifest(tmp_path / "manifest.jsonl")):
+        payloads = [view_file_payload(s.views) for s in ds.samples]
+        assert len({id(p) for p in payloads}) == 240
+        assert sum(p.nbytes for p in payloads) == 240 * 60 * 32 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -1424,8 +1497,10 @@ def test_synth_generate_returns_what_load_manifest_reads(tmp_path):
         assert dataset_signature(loaded) == dataset_signature(returned)
         for ds in (returned, loaded):
             for s in ds.samples:
-                shared = s.views[0].feature.base
-                assert shared.shape == (6, 4) and all(v.feature.base is shared for v in s.views)
+                shared = view_file_payload(s.views)
+                assert (shared.dtype, shared.shape) == (np.float32, (6, 4))
+                assert [v.feature.tobytes() for v in s.views] == \
+                    [row.astype(np.float64).tobytes() for row in shared]
                 assert {v.payload_file for v in s.views} == {f"payload/views_{s.sample_id}.bin"}
 
 

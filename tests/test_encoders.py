@@ -22,6 +22,20 @@ SPEC = encoders.FrozenEncoderSpec(seed=0, dim=16)
 # frozen text
 
 
+def test_spec_draws_its_three_tables_together_on_first_use():
+    spec = encoders.FrozenEncoderSpec(seed=3, dim=16)
+    encoders.encode_image_frozen(ViewRecord(0, "rgb", feature=np.arange(16.0)), spec)
+    assert "_tables" not in vars(spec)  # a feature view needs no table
+    rng = np.random.Generator(np.random.PCG64(3))
+    drawn = [rng.normal(size=(4096, 16)) / 4.0, rng.normal(size=(16, 16)) / 4.0,
+             rng.normal(size=(256, 16)) / 16.0]
+    text_proj = spec.text_proj  # any one of them draws all three, in this order
+    tables = (spec.token_table, spec.text_proj, spec.image_proj)
+    assert [t.tobytes() for t in tables] == [d.tobytes() for d in drawn]
+    assert spec.text_proj is text_proj
+    assert spec == encoders.FrozenEncoderSpec(seed=3, dim=16)
+
+
 def test_text_deterministic_unit_norm():
     a = encoders.encode_text_frozen("a point cloud of chair", SPEC)
     b = encoders.encode_text_frozen("a point cloud of chair", SPEC)
