@@ -306,6 +306,41 @@ def test_point_features_and_grad_check_leave_no_garbage_cycles(tiny_dataset):
         n_samples=2, dim=4, points=4, hidden=2, head_hidden=2)) == 0
 
 
+@pytest.fixture(scope="module")
+def pin_dataset(tmp_path_factory):
+    # 20 samples of 45 points: a cloud size that is no multiple of 8
+    cfg = SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=5,
+                      points=45, dim=16, latent=8, n_angles=10, kinds=("rgb",))
+    return synth_generate(cfg, tmp_path_factory.mktemp("pin"), seed=5)
+
+
+# sha256 prefixes of the checkpoint that train() writes, by batch size (4
+# divides the 20 samples, 6 leaves a ragged tail of 2) and switch turned off
+CHECKPOINT_PINS = {
+    (4, None): "7ef36092464dca70",
+    (4, "cis_on"): "ed02b8ef5936cb6b",
+    (4, "htt_on"): "a0bbae4dd7630c0b",
+    (4, "jma_on"): "2b86ec4ab7a9bc34",
+    (4, "embeddings_on"): "0c4b297fb19dc6c7",
+    (4, "within_view_on"): "c416d4a6820ad602",
+    (6, None): "de7654520998c5d8",
+    (6, "cis_on"): "a209cbf61e282e93",
+    (6, "htt_on"): "1c28ab0a9abe6550",
+    (6, "jma_on"): "f964744b44f02f10",
+    (6, "embeddings_on"): "7ff1ad6f62e2c4ac",
+    (6, "within_view_on"): "1fec02ac1393b950",
+}
+
+
+@pytest.mark.parametrize("batch, off", sorted(CHECKPOINT_PINS, key=str))
+def test_checkpoint_bytes_are_pinned(pin_dataset, tmp_path, batch, off):
+    # any bit a training step computes differently changes these bytes
+    flags = {off: False} if off else {}
+    tr.train(pin_dataset, quick_config(batch_size=batch, **flags), out_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "checkpoint.bin").read_bytes()).hexdigest()
+    assert digest[:16] == CHECKPOINT_PINS[batch, off]
+
+
 def test_seed_changes_trajectory(tiny_dataset):
     a = tr.train(tiny_dataset, quick_config(seed=0))
     b = tr.train(tiny_dataset, quick_config(seed=1))
