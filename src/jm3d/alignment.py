@@ -190,10 +190,9 @@ def contrastive_total(h_point: ad.Tensor, h_joint: ad.Tensor, h_text: ad.Tensor,
 
 
 def parent_class_loss(h_point: ad.Tensor, parent_idx, heads: AlignmentHeads) -> ad.Tensor:
-    """Mean negative log-likelihood of the true parent class, as one
-    ``autodiff.cross_entropy`` record on the classifier logits."""
-    hidden = ad.tanh(ad.add(ad.matmul(h_point, heads.cw1), heads.cb1))
-    return ad.cross_entropy(ad.add(ad.matmul(hidden, heads.cw2), heads.cb2), parent_idx)
+    """Mean negative log-likelihood of the true parent class under the
+    classifier, as one ``autodiff.mlp_cross_entropy`` record."""
+    return ad.mlp_cross_entropy(h_point, heads.cw1, heads.cb1, heads.cw2, heads.cb2, parent_idx)
 
 
 def total_loss(h_point: ad.Tensor, h_joint: ad.Tensor, h_text: ad.Tensor,

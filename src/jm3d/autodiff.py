@@ -3,9 +3,9 @@
 The engine is deliberately small: it implements exactly the kernels the
 alignment losses and encoders need (matrix product, softmax family, row
 normalizations, pooling, the point encoder's fused MLP and max pool, the
-contrastive and cross-entropy losses as one record each, gather/concat
-plumbing) and nothing else.  All values are 64-bit floats
-so finite-difference checks can run at tight tolerances.
+contrastive loss and the parent classifier with its cross-entropy as one
+record each, gather/concat plumbing) and nothing else.  All values are
+64-bit floats so finite-difference checks can run at tight tolerances.
 
 A :class:`Tape` records every differentiable operation in execution order.
 Constants are never recorded, and a tape is built only where a gradient is
@@ -169,7 +169,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may broadcast up to ``a``'s shape."""
     av, bv = a.values, b.values
     try:
-        out = av + np.broadcast_to(bv, av.shape)
+        out = av + bv
+        if out.shape != av.shape:
+            raise ValueError
     except ValueError:
         raise ShapeError(f"cannot add {bv.shape} to {av.shape}") from None
 
@@ -394,6 +396,18 @@ def _run_parts(body: Callable[[int, int], None], sizes: Sequence[int]) -> None:
             raise exc
 
 
+def _first_max_rows(z: np.ndarray) -> np.ndarray:
+    """``z.argmax(axis=0)`` of an m x h array, m a multiple of 8, ties and
+    NaN included, found by blocks: each column's 8-row block maxima, the
+    first block that holds the column's maximum (or its first NaN), then
+    the first such row inside that block.  ``argmax(axis=0)`` copies the
+    array's transpose; this reads m x h values in place and copies h x 8.
+    """
+    blocks = z.reshape(-1, 8, z.shape[1])
+    first = blocks.max(axis=1).argmax(axis=0)
+    return first * 8 + blocks[first, :, np.arange(z.shape[1])].argmax(axis=1)
+
+
 def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
                  w2: Tensor, b2: Tensor) -> Tensor:
     """Shared two-layer tanh MLP on each cloud's rows, then a column-wise
@@ -488,14 +502,19 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         a = pts @ wv1
         a += rows1[:n]
         np.tanh(a, out=a)
+        # the layer-2 pre-activations, padded with -inf rows to a multiple
+        # of 8 for the winner search
+        z = np.empty((-(-n // 8) * 8, h))
+        z[n:] = -np.inf
+        zn = z[:n]
         # keep this GEMM's layout: the transposed product wv2.T @ a.T
         # rounds some points differently from others (on OpenBLAS, clouds
         # of 255 or 300 points), and then the pooled bits would depend on
         # point order
-        z = a @ wv2
-        z += rows2[:n]
-        idx = z.argmax(axis=0)
-        out[i] = z[idx, cols]
+        np.matmul(a, wv2, out=zn)
+        zn += rows2[:n]
+        idx = _first_max_rows(z)
+        out[i] = zn[idx, cols]
         a.take(idx, 0, act[i])
         pin[i] = pts[idx]
     np.tanh(out, out=out)
@@ -720,26 +739,41 @@ def info_nce(a: Tensor, b: Tensor, inv_tau: Tensor, symmetric: bool = True) -> T
     return _apply(np.array([[loss]]), (a, b, inv_tau), backward)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean over rows of -log_softmax(logits)[i, targets[i]], as one 1x1
-    record; backward is (softmax - one-hot) / n."""
-    xv = logits.values
-    if xv.ndim != 2:
-        raise ShapeError(f"cross_entropy needs 2-D logits, got {xv.shape}")
+def mlp_cross_entropy(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                      targets) -> Tensor:
+    """Mean over rows of -log_softmax(tanh(x @ w1 + b1) @ w2 + b2)[i, targets[i]],
+    a one-hidden-layer tanh classifier's cross-entropy, as one 1x1 record.
+
+    Bitwise the same loss and gradients as the chain it fuses, ``matmul ->
+    add -> tanh -> matmul -> add`` and a cross-entropy on the logits: the
+    same numpy expressions, in the same order.  Backward is that chain's
+    closed form, (softmax - one-hot) / n back through both layers.
+    """
+    xv, wv1, bv1, wv2, bv2 = (t.values for t in (x, w1, b1, w2, b2))
+    h, p = wv1.shape[1], wv2.shape[1]
+    if (xv.ndim != 2 or xv.shape[1] != wv1.shape[0] or bv1.shape != (1, h)
+            or wv2.shape[0] != h or bv2.shape != (1, p)):
+        raise ShapeError(f"mlp_cross_entropy weights do not chain: x {xv.shape}, w1 {wv1.shape}, "
+                         f"b1 {bv1.shape}, w2 {wv2.shape}, b2 {bv2.shape}")
+    n = xv.shape[0]
     idx = np.asarray(targets, dtype=np.intp)
-    if idx.shape != (xv.shape[0],):
-        raise ShapeError(f"target vector {idx.shape} does not match {xv.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= xv.shape[1]):
-        raise ContractError(f"target index out of range for width {xv.shape[1]}")
-    rows = np.arange(xv.shape[0])
-    log_p = _log_softmax(xv, 1)
+    if idx.shape != (n,):
+        raise ShapeError(f"target vector {idx.shape} does not match {n} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= p):
+        raise ContractError(f"target index out of range for width {p}")
+    rows = np.arange(n)
+    hidden = np.tanh(xv @ wv1 + bv1)
+    log_p = _log_softmax(hidden @ wv2 + bv2, 1)
 
     def backward(g):
         d = np.exp(log_p)
         d[rows, idx] -= 1.0
-        return (d * (g[0, 0] / xv.shape[0]),)
+        g2 = d * (g[0, 0] / n)
+        g1 = (g2 @ wv2.T) * (1.0 - hidden * hidden)
+        return (g1 @ wv1.T, xv.T @ g1, _unbroadcast(g1, bv1.shape),
+                hidden.T @ g2, _unbroadcast(g2, bv2.shape))
 
-    return _apply(np.array([[-log_p[rows, idx].mean()]]), (logits,), backward)
+    return _apply(np.array([[-log_p[rows, idx].mean()]]), (x, w1, b1, w2, b2), backward)
 
 
 # ---------------------------------------------------------------------------

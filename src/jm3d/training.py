@@ -11,6 +11,7 @@ draw per sample in shuffle order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -114,39 +115,61 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """AdamW's state for one flat parameter vector: its moments ``m`` and
+    ``v``, the step count, and each named array's (name, end offset) in the
+    vector, by which a bad update names its array."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
+    layout: tuple[tuple[str, int], ...] = ()
 
     @classmethod
     def fresh(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()},
-                   step=0)
+        """Zero moments for ``params``' arrays laid end to end, in order."""
+        sizes = [p.size for p in params.values()]
+        return cls(m=np.zeros(sum(sizes)), v=np.zeros(sum(sizes)),
+                   layout=tuple(zip(params, itertools.accumulate(sizes))))
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: OptimizerState, lr: float, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.01) -> None:
-    """One decoupled-weight-decay update, in place on params and state."""
+    """One decoupled-weight-decay update, in place on params and state, as
+    one pass over the flat vector.
+
+    ``params`` holds that vector (any shape, its size that of ``state``'s
+    moments) under one name, and ``grads`` its gradient under the same
+    name.  An update that leaves a second moment non-finite raises
+    ``NumericError`` naming the step and the array of ``state.layout``
+    that holds the first bad value.
+    """
+    if len(params) != 1:
+        raise ContractError(f"adamw_step updates one flat vector, got {len(params)} arrays")
+    ((name, p),) = params.items()
+    g = grads[name]
+    if g.shape != p.shape or p.size != state.m.size:
+        raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {p.shape}, "
+                         f"optimizer state holds {state.m.size} values")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {p.shape}")
-        if weight_decay:
-            p *= 1.0 - lr * weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m = state.m.reshape(p.shape)
+    v = state.v.reshape(p.shape)
+    if weight_decay:
+        p *= 1.0 - lr * weight_decay
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    finite = np.isfinite(state.v)
+    if not finite.all():
+        first = int(finite.argmin())
+        bad = next((n for n, end in state.layout if first < end), name)
+        raise NumericError(f"adamw_step: step {t}: the update of {bad!r} is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +413,25 @@ def init_params(config: TrainConfig, dim: int, n_parents: int, rng) -> dict[str,
         raise MemoryError from None
 
 
+def _flat_views(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One float64 vector holding ``arrays`` end to end, in order, and each
+    array as a view of it under its name."""
+    flat = np.concatenate(list(arrays.values()), axis=None)
+    views, start = {}, 0
+    for name, arr in arrays.items():
+        views[name] = flat[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return flat, views
+
+
 def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoint:
     """Full pretraining run; returns (and optionally writes) a checkpoint.
 
     Frozen-side features are encoded once up front; each optimizer step
     re-registers the trainable arrays on a fresh tape, so frozen work is
-    plain-numpy and never recorded.
+    plain-numpy and never recorded.  The trainable arrays are named views
+    into one flat vector, and AdamW updates it in one pass from the
+    gradients laid end to end in the same order.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -408,7 +444,7 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
     prepped = _prepare_frozen(dataset, config, spec, tables)
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(config, dim, dataset.tree.n_parents, rng)
+    flat, params = _flat_views(init_params(config, dim, dataset.tree.n_parents, rng))
     opt = OptimizerState.fresh(params)
 
     bounds = _batch_bounds(n, config.batch_size)
@@ -427,8 +463,9 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
                                            [p.parent_idx for p in batch], config)
             grads = tape.backward(loss)
             lr = cosine_lr(opt.step, total_steps, config.base_lr)
-            adamw_step(params, grads, opt, lr, config.beta1, config.beta2,
-                       config.adam_eps, config.weight_decay)
+            flat_grad = np.concatenate([grads[name] for name in params], axis=None)
+            adamw_step({"params": flat}, {"params": flat_grad}, opt, lr, config.beta1,
+                       config.beta2, config.adam_eps, config.weight_decay)
             step_losses.append(loss.item())
             step_parts.append(parts)
         epoch_losses.append(float(np.mean(step_losses)))

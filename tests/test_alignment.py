@@ -496,8 +496,32 @@ def chain_info_nce(a, b, inv_tau, symmetric=True):
 
 
 def chain_cross_entropy(logits, idx):
-    """Reference for ``ad.cross_entropy``: the parent loss's old chain."""
+    """Reference for the cross-entropy inside ``ad.mlp_cross_entropy``: the
+    parent loss's op chain before its cross-entropy became one record."""
     return ad.scale(ad.mean(ad.select_columns(ad.log_softmax(logits, axis=-1), idx)), -1.0)
+
+
+def record_cross_entropy(logits, idx):
+    """The parent loss's cross-entropy record before the classifier was
+    fused into it: mean over rows of -log_softmax(logits)[i, idx[i]], its
+    backward (softmax - one-hot) / n."""
+    xv = logits.values
+    rows = np.arange(xv.shape[0])
+    log_p = ad._log_softmax(xv, 1)
+
+    def backward(g):
+        d = np.exp(log_p)
+        d[rows, idx] -= 1.0
+        return (d * (g[0, 0] / xv.shape[0]),)
+
+    return ad._apply(np.array([[-log_p[rows, idx].mean()]]), (logits,), backward)
+
+
+def chain_classifier_loss(x, w1, b1, w2, b2, idx, cross_entropy=record_cross_entropy):
+    """Reference for ``ad.mlp_cross_entropy``: the six records it replaces,
+    matmul -> add -> tanh -> matmul -> add -> ``cross_entropy``."""
+    hidden = ad.tanh(ad.add(ad.matmul(x, w1), b1))
+    return cross_entropy(ad.add(ad.matmul(hidden, w2), b2), idx)
 
 
 def nce_case(seed, b_trainable, inv_tau=1.0 / 0.07, n=5, d=7):
@@ -562,40 +586,68 @@ def test_info_nce_record_rejects_bad_shapes():
         ad.info_nce(a, a, ad.constant([[1.0, 2.0]]))
 
 
-def cross_entropy_values(seed, n=6, p=4):
+CLASSIFIER_NAMES = ("x", "w1", "b1", "w2", "b2")
+
+
+def classifier_values(seed, n=6, d=5, h=7, p=4):
+    """(values, targets): a batch of n rows of width d, a d -> h -> p
+    classifier with nonzero biases, and n targets in [0, p)."""
     rng = np.random.default_rng(stable_seed(seed))
-    return {"logits": rng.normal(size=(n, p)) * 2.0}, rng.integers(p, size=n)
+    values = {"x": rng.normal(size=(n, d)), "w1": rng.normal(size=(d, h)) / math.sqrt(d),
+              "b1": rng.normal(size=(1, h)) * 0.1, "w2": rng.normal(size=(h, p)) * 2.0 / math.sqrt(h),
+              "b2": rng.normal(size=(1, p)) * 0.1}
+    return values, rng.integers(p, size=n)
+
+
+def classifier_build(loss_fn, idx):
+    def build(vals):
+        tape = ad.Tape()
+        return tape, loss_fn(*(tape.parameter(k, vals[k]) for k in CLASSIFIER_NAMES), idx)
+    return build
+
+
+@pytest.mark.parametrize("n, d, h, p", [(1, 3, 2, 2), (2, 4, 5, 3), (16, 32, 64, 4), (9, 6, 1, 7)])
+@pytest.mark.parametrize("seed", range(3))
+def test_classifier_record_is_bitwise_the_six_record_chain(n, d, h, p, seed):
+    values, idx = classifier_values(f"clf-bits-{n}-{seed}", n, d, h, p)
+    record_tape, record = classifier_build(ad.mlp_cross_entropy, idx)(values)
+    chain_tape, chain = classifier_build(chain_classifier_loss, idx)(values)
+    assert (len(record_tape._records), len(chain_tape._records)) == (1, 6)
+    assert record.values.tobytes() == chain.values.tobytes()
+    got, want = record_tape.backward(record), chain_tape.backward(chain)
+    for name in CLASSIFIER_NAMES:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_cross_entropy_record_matches_op_chain():
-    values, idx = cross_entropy_values("ce-chain")
+    values, idx = classifier_values("ce-chain")
     results = []
-    for loss_fn in (ad.cross_entropy, chain_cross_entropy):
-        tape = ad.Tape()
-        loss = loss_fn(tape.parameter("logits", values["logits"]), idx)
-        results.append((loss.values, tape.backward(loss)["logits"], len(tape._records)))
-    (value, grad, n_records), (ref_value, ref_grad, _) = results
+    for loss_fn in (ad.mlp_cross_entropy,
+                    lambda *args: chain_classifier_loss(*args, cross_entropy=chain_cross_entropy)):
+        tape, loss = classifier_build(loss_fn, idx)(values)
+        results.append((loss.values, tape.backward(loss), len(tape._records)))
+    (value, grads, n_records), (ref_value, ref_grads, _) = results
     assert n_records == 1
     assert max_rel(value, ref_value) < 1e-12
-    assert max_rel(grad, ref_grad) < 1e-12
+    for name in CLASSIFIER_NAMES:
+        assert max_rel(grads[name], ref_grads[name]) < 1e-12, name
 
 
 def test_cross_entropy_record_matches_fd():
-    values, idx = cross_entropy_values("ce-fd")
-
-    def build(vals):
-        tape = ad.Tape()
-        return tape, ad.cross_entropy(tape.parameter("logits", vals["logits"]), idx)
-
-    assert max_rel_vs_fd(build, values) < 1e-5
+    values, idx = classifier_values("ce-fd")
+    assert max_rel_vs_fd(classifier_build(ad.mlp_cross_entropy, idx), values) < 1e-5
 
 
 def test_cross_entropy_record_rejects_bad_targets():
-    logits = ad.constant(np.zeros((2, 3)))
-    with pytest.raises(ContractError):
-        ad.cross_entropy(logits, [0, 3])
-    with pytest.raises(ShapeError):
-        ad.cross_entropy(logits, [0])
+    values, _ = classifier_values("ce-bad", n=2, p=3)
+    args = [ad.constant(values[k]) for k in CLASSIFIER_NAMES]
+    with pytest.raises(ContractError, match="target index out of range for width 3"):
+        ad.mlp_cross_entropy(*args, [0, 3])
+    with pytest.raises(ShapeError, match=r"target vector \(1,\) does not match 2 rows"):
+        ad.mlp_cross_entropy(*args, [0])
+    with pytest.raises(ShapeError, match="weights do not chain"):
+        ad.mlp_cross_entropy(*args[:2], args[3], *args[3:], [0, 1])
 
 
 def test_total_loss_parts_are_the_unweighted_terms():

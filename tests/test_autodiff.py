@@ -266,6 +266,28 @@ def test_mlp_max_pool_paths_give_the_same_bytes(hidden, bias):
         assert mlp_pool_chain(clouds, *consts).values.tobytes() == fused
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 255, 256, 300])
+def test_blocked_winner_search_is_argmax_along_rows(n):
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(n, 11))
+    rows = lambda k: rng.integers(n, size=k)  # noqa: E731
+    z[:, 1] = rng.integers(3, size=n)  # ties
+    z[rows(2), 2] = np.nan
+    z[rows(2), 3] = np.inf
+    z[:, 4] = -np.inf
+    z[rows(1), 5] = np.inf
+    z[rows(1), 5] = np.nan
+    z[:, 6] = np.where(rng.random(n) < 0.5, 0.0, -0.0)  # signed-zero ties
+    z[:, 7] = np.nan
+    z[:, 8] = -np.inf
+    z[-1, 8] = -1e300
+    z[[k for k in (7, 8) if k < n], 9] = 5.0  # a tie across a block boundary
+    z[:, 10] = np.inf
+    padded = np.full((-(-n // 8) * 8, z.shape[1]), -np.inf)
+    padded[:n] = z
+    assert ad._first_max_rows(padded).tolist() == z.argmax(axis=0).tolist()
+
+
 def test_mlp_max_pool_on_a_ragged_batch_keeps_no_block_per_size():
     # the spread bias rows are one block for the largest cloud: 240
     # distinct sizes must not cost a block each
@@ -662,6 +684,8 @@ def test_matmul_shape_mismatch():
 def test_add_incompatible_shapes():
     with pytest.raises(ShapeError):
         ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 2))))
+    with pytest.raises(ShapeError):  # b broadcasts, but not to a's shape
+        ad.add(ad.constant(np.ones((1, 3))), ad.constant(np.ones((2, 3))))
 
 
 def test_backward_rejects_non_scalar():

@@ -146,6 +146,22 @@ def test_infinite_temperature_is_validation_error(dataset_dir, workdir, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("flag, value, names", [
+    # gradients near 1e300 overflow AdamW's second moment, which would
+    # otherwise freeze the model silently
+    ("--lambda1", "1e300", r"adamw_step: step 1: the update of 'point\.w1' is not finite"),
+    ("--tau", "1e-300", r"adamw_step: step 1: the update of 'point\.w1' is not finite"),
+    ("--lr", "1e300", "loss is not finite"),
+])
+def test_overflowing_training_exits_3_writing_no_checkpoint(dataset_dir, workdir, flag, value, names):
+    out = workdir / f"overflow{flag}"
+    code, _, err = run_captured(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"),
+                                 "--epochs", "1", "--batch", "4", "--out", str(out), flag, value])
+    assert code == 3
+    assert re.search(f"^numeric failure: {names}$", err, re.MULTILINE), err
+    assert not (out / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("command,extra", [("eval-zeroshot", ["--checkpoint", "missing.bin"]),
                                            ("retrieve", ["--checkpoint", "missing.bin", "--query", "s0"]),
                                            ("ablate", [])])
