@@ -220,6 +220,21 @@ def point_encoder_from_values(tape: ad.Tape, values: dict[str, np.ndarray]) -> P
                                  for name in POINT_PARAM_NAMES})
 
 
+# The last constant-path point encode: (key, private copy of its B x D
+# result), replaced as one tuple, so a reader sees a whole entry or None.
+_last_point_encode: tuple[bytes, np.ndarray] | None = None
+
+
+def _point_encode_key(pts: list[np.ndarray], weights: list[ad.Tensor]) -> bytes:
+    """sha256 over numpy's floating-point error settings, then each
+    weight's and each cloud's shape and float64 bytes, in order."""
+    digest = hashlib.sha256(repr(sorted(np.geterr().items())).encode())
+    for arr in [*(w.values for w in weights), *pts]:
+        digest.update(repr(arr.shape).encode())
+        digest.update(np.ascontiguousarray(arr))
+    return digest.digest()
+
+
 def encode_point_cloud(clouds, params: PointEncoderParams) -> ad.Tensor:
     """Unit-norm B x D features for a sequence of clouds (or 1 x D for a
     single ``PointCloud``); each row is exactly invariant to its cloud's
@@ -230,12 +245,35 @@ def encode_point_cloud(clouds, params: PointEncoderParams) -> ad.Tensor:
     Clouds may differ in size.  The projection head runs once on the
     stacked pooled rows, so a row's last bit can depend on which batch it
     was encoded in.
+
+    When all six weights are constants, the last such encode is memoised
+    by content: its key is a sha256 over each weight's and each cloud's
+    shape and float64 bytes, in order, so the order and the set of clouds
+    are part of it, and over numpy's floating-point error settings, so a
+    call that would trap an overflow the stored encode only warned of runs
+    again.  A call with the same key returns a fresh copy of the stored
+    result and runs no encoder op.  That is bitwise the encode it skips,
+    since the constant encode is a pure function of those inputs whatever
+    the thread counts.  Only an all-finite result is stored, so a
+    non-finite or trapped encode always runs again.  A taped encode
+    neither reads nor fills the memo.
     """
+    global _last_point_encode
     if isinstance(clouds, PointCloud):
         clouds = [clouds]
     pts = [np.asarray(c.points, dtype=np.float64) for c in clouds]
     if any(p.shape[0] < 1 for p in pts):
         raise InputError("empty point cloud")
+    weights = [getattr(params, name) for name in POINT_PARAM_NAMES]
+    key = None
+    if all(w.tape is None for w in weights):
+        key = _point_encode_key(pts, weights)
+        last = _last_point_encode
+        if last is not None and last[0] == key:
+            return ad.constant(last[1].copy())
     pooled = ad.mlp_max_pool(pts, params.w1, params.b1, params.w2, params.b2)
     projected = ad.add(ad.matmul(pooled, params.wp), params.bp)
-    return ad.l2_normalize(projected)
+    out = ad.l2_normalize(projected)
+    if key is not None and np.isfinite(out.values).all():
+        _last_point_encode = (key, out.values.copy())
+    return out

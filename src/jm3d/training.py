@@ -141,9 +141,11 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
     ``params`` holds that vector (any shape, its size that of ``state``'s
     moments) under one name, and ``grads`` its gradient under the same
-    name.  An update that leaves a second moment non-finite raises
-    ``NumericError`` naming the step and the array of ``state.layout``
-    that holds the first bad value.
+    name.  An update that leaves a second moment or a parameter
+    non-finite raises ``NumericError`` naming the step and the array of
+    ``state.layout`` that holds the first bad value.  That check reports
+    the failure, so the update itself runs with numpy's overflow and
+    invalid warnings off.
     """
     if len(params) != 1:
         raise ContractError(f"adamw_step updates one flat vector, got {len(params)} arrays")
@@ -158,18 +160,20 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc2 = 1.0 - beta2 ** t
     m = state.m.reshape(p.shape)
     v = state.v.reshape(p.shape)
-    if weight_decay:
-        p *= 1.0 - lr * weight_decay
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    finite = np.isfinite(state.v)
-    if not finite.all():
-        first = int(finite.argmin())
-        bad = next((n for n, end in state.layout if first < end), name)
-        raise NumericError(f"adamw_step: step {t}: the update of {bad!r} is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if weight_decay:
+            p *= 1.0 - lr * weight_decay
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for updated in (state.v, p):
+        finite = np.isfinite(updated)
+        if not finite.all():
+            first = int(finite.argmin())
+            bad = next((n for n, end in state.layout if first < end), name)
+            raise NumericError(f"adamw_step: step {t}: the update of {bad!r} is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +496,12 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
 
 def point_features(samples, params: dict) -> np.ndarray:
     """N x D trained-encoder features for a list of samples (inference
-    path: the weights are constants, so no tape is built)."""
+    path: the weights are constants, so no tape is built).
+
+    ``encode_point_cloud`` memoises the last such encode, keyed by a sha256
+    over the six "point.*" weights and the samples' clouds, in order: a
+    repeat call on the same weights and samples encodes nothing and returns
+    a fresh copy of the same bits."""
     enc = PointEncoderParams(**{name: ad.constant(params[f"point.{name}"])
                                 for name in POINT_PARAM_NAMES})
     return encode_point_cloud([s.cloud for s in samples], enc).values

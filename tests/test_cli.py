@@ -13,6 +13,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jm3d import autodiff as ad
-from jm3d import cli, data
+from jm3d import cli, data, encoders
 from jm3d.data import load_manifest, read_feature_file
 from jm3d.errors import ConfigError, LabelError
 from layouts import edited_manifest, split_view_files
@@ -146,17 +147,23 @@ def test_infinite_temperature_is_validation_error(dataset_dir, workdir, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
-@pytest.mark.parametrize("flag, value, names", [
+@pytest.mark.parametrize("flag, value, names, quiet", [
     # gradients near 1e300 overflow AdamW's second moment, which would
-    # otherwise freeze the model silently
-    ("--lambda1", "1e300", r"adamw_step: step 1: the update of 'point\.w1' is not finite"),
-    ("--tau", "1e-300", r"adamw_step: step 1: the update of 'point\.w1' is not finite"),
-    ("--lr", "1e300", "loss is not finite"),
+    # otherwise freeze the model silently; AdamW's own check names the
+    # failure, so its update warns of nothing
+    ("--lambda1", "1e300", r"adamw_step: step 1: the update of 'point\.w1' is not finite", True),
+    ("--tau", "1e-300", r"adamw_step: step 1: the update of 'point\.w1' is not finite", True),
+    # step 1 leaves weights near 1e300, which step 2's weight decay
+    # overflows; that step's forward still warns
+    ("--lr", "1e300", r"adamw_step: step 2: the update of 'point\.w1' is not finite", False),
 ])
-def test_overflowing_training_exits_3_writing_no_checkpoint(dataset_dir, workdir, flag, value, names):
+def test_overflowing_training_exits_3_writing_no_checkpoint(dataset_dir, workdir, flag, value, names, quiet):
     out = workdir / f"overflow{flag}"
-    code, _, err = run_captured(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"),
-                                 "--epochs", "1", "--batch", "4", "--out", str(out), flag, value])
+    with warnings.catch_warnings():
+        if quiet:
+            warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_captured(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"),
+                                     "--epochs", "1", "--batch", "4", "--out", str(out), flag, value])
     assert code == 3
     assert re.search(f"^numeric failure: {names}$", err, re.MULTILINE), err
     assert not (out / "checkpoint.bin").exists()
@@ -417,6 +424,57 @@ def test_export_features_round_trip(run_dir, dataset_dir, workdir, capsys):
     # payload is float32, so unit norms survive only to single precision
     norms = np.linalg.norm(feats, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-6)
+
+
+def test_serve_mix_repeated_in_process_gives_a_fresh_process_bytes(run_dir, dataset_dir, workdir,
+                                                                   monkeypatch):
+    # after the first command every encode of the mix repeats the last
+    # one, so the in-process passes return memoised features; a fresh
+    # process encodes its first command anew
+    ds = load_manifest(dataset_dir / "manifest.jsonl")
+    listing = workdir / "mix_parents.txt"
+    listing.write_text("\n".join(ds.tree.parents) + "\n")
+    out = workdir / "mix_feats"
+    common = serve_args(run_dir, dataset_dir / "manifest.jsonl")
+    mix = [["eval-zeroshot", *common, "--set", "data"],
+           ["eval-zeroshot", *common, "--set", f"custom:{listing}"],
+           *(["retrieve", *common, "--query", ds.samples[i].sample_id, "--view", str(i % 3)]
+             for i in (0, 5, 11)),
+           ["export-features", *common, "--out", str(out)]]
+
+    def served() -> list:
+        replies = []
+        for argv in mix:
+            code, stdout, err = run_captured(argv)
+            assert code == 0, err
+            replies.append(stdout)
+        return replies + [(out / name).read_bytes() for name in ("features.bin", "ids.txt")]
+
+    monkeypatch.setattr(encoders, "_last_point_encode", None)
+    pools = []
+    real_pool = ad.mlp_max_pool
+    monkeypatch.setattr(ad, "mlp_max_pool", lambda *args: pools.append(1) or real_pool(*args))
+    first, second = served(), served()
+    assert len(pools) == 1
+    script = ("import contextlib, io, json, pathlib, sys\n"
+              "from jm3d import cli\n"
+              "mix, out = json.loads(sys.argv[1]), pathlib.Path(sys.argv[2])\n"
+              "replies = []\n"
+              "for argv in mix:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()) as reply:\n"
+              "        if cli.run(argv) != 0:\n"
+              "            sys.exit(f'{argv[0]} failed')\n"
+              "    replies.append(reply.getvalue())\n"
+              "files = [(out / name).read_bytes().hex() for name in ('features.bin', 'ids.txt')]\n"
+              "json.dump(replies + files, sys.stdout)\n")
+    (out / "features.bin").unlink()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(mix), str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    fresh[-2:] = [bytes.fromhex(h) for h in fresh[-2:]]
+    assert first == second == fresh
 
 
 def test_output_files_are_replaced_whole(run_dir, dataset_dir, workdir, monkeypatch):

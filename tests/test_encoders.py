@@ -389,3 +389,126 @@ def test_point_params_round_trip_identical():
     a = encoders.encode_point_cloud(cloud, params_a).values
     b = encoders.encode_point_cloud(cloud, params_b).values
     assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# memo of the last constant point encode
+
+
+def constant_encoder(values):
+    return encoders.PointEncoderParams(**{name: ad.constant(values[f"point.{name}"])
+                                          for name in encoders.POINT_PARAM_NAMES})
+
+
+@pytest.fixture
+def encoder_ops(monkeypatch):
+    """An empty memo, and the name of each encoder op as it is called."""
+    monkeypatch.setattr(encoders, "_last_point_encode", None)
+    calls = []
+    for op in ("mlp_max_pool", "matmul", "add", "l2_normalize"):
+        real = getattr(ad, op)
+        monkeypatch.setattr(ad, op, lambda *args, op=op, real=real: calls.append(op) or real(*args))
+    return calls
+
+
+def memo_values(seed=0):
+    values = encoders.init_point_encoder(8, 6, np.random.default_rng(seed))
+    values["point.b1"] += 0.1  # nonzero biases, so each of the six weights counts
+    values["point.b2"] -= 0.2
+    values["point.bp"] += 0.3
+    return values
+
+
+def test_a_repeated_constant_encode_is_bitwise_the_first_and_runs_no_encoder_op(encoder_ops):
+    values = memo_values()
+    clouds = [random_cloud(s, n) for s, n in ((4, 40), (5, 7), (6, 23))]
+    first = encoders.encode_point_cloud(clouds, constant_encoder(values))
+    assert encoder_ops.count("mlp_max_pool") == 1
+    encoder_ops.clear()
+    # equal contents in new objects: the key is the bytes, not the identity
+    again = [PointCloud(c.points.copy()) for c in clouds]
+    second = encoders.encode_point_cloud(again, constant_encoder({k: v.copy() for k, v in values.items()}))
+    assert encoder_ops == []
+    assert second.tape is None and second.values is not first.values
+    assert second.values.tobytes() == first.values.tobytes()
+
+
+def one_ulp_up(arr, index):
+    arr = arr.copy()
+    arr[index] = np.nextafter(arr[index], np.inf)
+    return arr
+
+
+@pytest.mark.parametrize("change", [*(f"weight {name}" for name in encoders.POINT_PARAM_NAMES),
+                                    "cloud coordinate", "cloud order", "cloud dropped"])
+def test_a_constant_encode_of_other_inputs_misses_and_gives_their_bits(encoder_ops, monkeypatch, change):
+    values = memo_values(1)
+    clouds = [random_cloud(s, n) for s, n in ((7, 30), (8, 12), (9, 21))]
+    encoders.encode_point_cloud(clouds, constant_encoder(values))
+    if change.startswith("weight"):
+        key = f"point.{change.split()[1]}"
+        values = {**values, key: one_ulp_up(values[key], (0, values[key].shape[1] - 1))}
+    elif change == "cloud coordinate":
+        clouds = [clouds[0], PointCloud(one_ulp_up(clouds[1].points, (5, 2))), clouds[2]]
+    elif change == "cloud order":
+        clouds = [clouds[1], clouds[0], clouds[2]]
+    else:
+        clouds = clouds[:2]
+    encoder_ops.clear()
+    changed = encoders.encode_point_cloud(clouds, constant_encoder(values)).values
+    assert encoder_ops.count("mlp_max_pool") == 1
+    monkeypatch.setattr(encoders, "_last_point_encode", None)
+    assert changed.tobytes() == encoders.encode_point_cloud(clouds, constant_encoder(values)).values.tobytes()
+
+
+def test_a_taped_encode_neither_reads_nor_fills_the_memo(encoder_ops):
+    values = memo_values(2)
+    clouds = [random_cloud(s) for s in (10, 11)]
+    encoders.encode_point_cloud(clouds, encoders.point_encoder_from_values(ad.Tape(), values))
+    assert encoders._last_point_encode is None
+    encoders.encode_point_cloud(clouds, constant_encoder(values))
+    stored = encoders._last_point_encode
+    encoder_ops.clear()
+    tape = ad.Tape()
+    taped = encoders.encode_point_cloud(clouds, encoders.point_encoder_from_values(tape, values))
+    assert encoder_ops.count("mlp_max_pool") == 1 and taped.tape is tape
+    assert encoders._last_point_encode is stored
+
+
+def test_writing_into_a_returned_encode_does_not_change_the_next_one(encoder_ops):
+    values = memo_values(3)
+    clouds = [random_cloud(s) for s in (12, 13)]
+    params = constant_encoder(values)
+    first = encoders.encode_point_cloud(clouds, params).values
+    expected = first.tobytes()
+    first[:] = 0.0
+    second = encoders.encode_point_cloud(clouds, params).values
+    assert second.tobytes() == expected
+    second[:] = 1.0
+    assert encoders.encode_point_cloud(clouds, params).values.tobytes() == expected
+    assert encoder_ops.count("mlp_max_pool") == 1
+
+
+def test_a_non_finite_encode_is_not_stored(encoder_ops):
+    values = memo_values(4)
+    values["point.wp"][0, 0] = np.nan
+    params = constant_encoder(values)
+    clouds = [random_cloud(s) for s in (14, 15)]
+    for _ in range(2):
+        assert np.isnan(encoders.encode_point_cloud(clouds, params).values).any()
+    assert encoder_ops.count("mlp_max_pool") == 2
+    assert encoders._last_point_encode is None
+
+
+def test_an_encode_that_only_warned_of_an_overflow_still_traps_it_under_raise(encoder_ops):
+    # layer 1 overflows to inf and tanh takes it to 1, so the encode is
+    # finite and stored; the error settings are part of the key
+    values = memo_values(5)
+    values["point.w1"] = np.abs(values["point.w1"]) + 1.0
+    params = constant_encoder(values)
+    clouds = [random_cloud(16), PointCloud(np.full((8, 3), 1e308))]
+    with np.errstate(over="ignore"):
+        assert np.isfinite(encoders.encode_point_cloud(clouds, params).values).all()
+    assert encoders._last_point_encode is not None
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        encoders.encode_point_cloud(clouds, params)
