@@ -205,6 +205,15 @@ class ViewSet(Sequence):
         for payload, _ in [(src, 0)] if isinstance(src, _Payload) else src:
             payload.load()
 
+    def _bound(self, read) -> "ViewSet":
+        """This set over new, unread payloads that read through `read`: one
+        for each payload this set takes, shared as this set shares them."""
+        src = self._source
+        if isinstance(src, _Payload):
+            return ViewSet(self._angles, self._kinds, _Payload(read, src.name, src.where, src.rows))
+        fresh = {p: _Payload(read, p.name, p.where, p.rows) for p in dict.fromkeys(p for p, _ in src)}
+        return ViewSet(self._angles, self._kinds, tuple((fresh[p], row) for p, row in src))
+
     def __repr__(self) -> str:
         return f"ViewSet(angles={self._angles!r}, kinds={self._kinds!r})"
 
@@ -530,8 +539,8 @@ def payload_clouds(points) -> list[PointCloud]:
         by_size.setdefault(pts.shape[0], []).append(i)
     clouds = [None] * len(points)
     for members in by_size.values():
-        for i, cloud in zip(members, payload_clouds(np.stack([points[i] for i in members]))):
-            clouds[i] = cloud
+        for i, normed in zip(members, normalize_points(np.stack([points[i] for i in members]))):
+            clouds[i] = PointCloud(normed)
     return clouds
 
 
@@ -580,7 +589,8 @@ def read_raster_file(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # manifest
 #
-# UTF-8 text, one JSON object per nonblank line.  Line 1 is the header
+# UTF-8 text, one JSON object per nonblank line; a line ends at "\n" (or a
+# CRLF or CR, read as "\n").  The first nonblank line is the header
 # {"version": "jm3d-1", "dim": D}; each further line is one sample:
 #   id, parent    nonempty strings
 #   sub           null or a nonempty string
@@ -630,16 +640,17 @@ def _name_problem(name) -> str | None:
     return None
 
 
-def _walk_views(views, bad, record: dict | None = None, read=None, where=None) -> tuple | None:
+def _walk_views(views, bad, record: dict | None = None, where=None) -> tuple | None:
     """(angles, kinds, source) of the views list of `record`, its source as
-    a `ViewSet` takes it, or None once its violations are passed to `bad`.
-    A view that names no file takes row i of the record's view_file; with
-    no record the list is the header's grid, whose views name no file."""
+    a `ViewSet` takes it over unread payloads that read nothing until
+    bound, or None once its violations are passed to `bad`.  A view that
+    names no file takes row i of the record's view_file; with no record
+    the list is the header's grid, whose views name no file."""
     if not isinstance(views, list) or not views:
         bad("views must be a nonempty list")
         return None
     # the view file's payload, read only if a view takes a row of it
-    shared = _Payload(read, record["view_file"], where, len(views)) if "view_file" in (record or ()) else None
+    shared = _Payload(None, record["view_file"], where, len(views)) if "view_file" in (record or ()) else None
     angles, kinds, sources = [], [], []
     for i, vw in enumerate(views):
         if not isinstance(vw, dict):
@@ -669,7 +680,7 @@ def _walk_views(views, bad, record: dict | None = None, read=None, where=None) -
             bad(f"view {i} {field} {problem}")
             continue
         else:
-            sources.append((_Payload(read, name, where, None if feat is None else 1), 0))
+            sources.append((_Payload(None, name, where, None if feat is None else 1), 0))
         angles.append(int(angle))
         kinds.append(kind)
     if len(angles) < len(views):
@@ -677,13 +688,14 @@ def _walk_views(views, bad, record: dict | None = None, read=None, where=None) -
     return tuple(angles), tuple(kinds), shared if all(p is shared for p, _ in sources) else tuple(sources)
 
 
-def _sample_from_obj(obj: dict, where: str, problems: list[str], read, grid: tuple | None) -> tuple | None:
+def _sample_from_obj(obj: dict, where: str, problems: list[str], grid: tuple | None) -> tuple | None:
     """(id, parent, sub, cloud_file, views) of a valid record, its views a
-    `ViewSet` whose payloads read through `read`; the views that take rows
-    of the view file share one payload.  None once the record's violations
-    are appended to `problems`.  `grid` is the header's walked grid, () if
-    it has violations, or None if the header has none: a record without
-    views takes it over the rows of its view file, which it must name."""
+    `ViewSet` over unread payloads (see `ViewSet._bound`); the views that
+    take rows of the view file share one payload.  None once the record's
+    violations are appended to `problems`.  `grid` is the header's walked
+    grid, () if it has violations, or None if the header has none: a
+    record without views takes it over the rows of its view file, which it
+    must name."""
     known = len(problems)
 
     def bad(msg):
@@ -705,12 +717,74 @@ def _sample_from_obj(obj: dict, where: str, problems: list[str], read, grid: tup
             bad(f"{key} {problem}")
     sample_where = f"sample {obj['id']!r}"
     if takes_grid:
-        walked = grid and (*grid[:2], _Payload(read, obj["view_file"], sample_where, len(grid[0])))
+        walked = grid and (*grid[:2], _Payload(None, obj["view_file"], sample_where, len(grid[0])))
     else:
-        walked = _walk_views(obj["views"], bad, obj, read, sample_where)
+        walked = _walk_views(obj["views"], bad, obj, sample_where)
     if len(problems) > known or not walked:
         return None
     return obj["id"], obj["parent"], obj["sub"], obj["cloud_file"], ViewSet(*walked)
+
+
+def _parse_manifest(text: str) -> tuple[int | None, tuple[tuple, ...], list[str]]:
+    """(dim, records, problems) of a manifest's text, which holds a
+    nonblank line: the header's dim, or None if it has a violation, each
+    valid record as `_sample_from_obj` returns it, and every violation of
+    the lines, each named by its physical line.  A pure function of the
+    text; a header that is not a JSON object raises ``ManifestError`` at
+    once."""
+    # "\n" alone ends a line: a JSON string may hold U+2028, U+2029 or NEL,
+    # which str.splitlines would also split on
+    lines = [(f"line {n}", ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
+    (head, header_line), records = lines[0], lines[1:]
+    problems: list[str] = []
+    try:
+        header = json.loads(header_line)
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply, no msg
+        raise ManifestError([f"{head}: header is not valid JSON ({getattr(e, 'msg', 'nested too deeply')})"]) from None
+    if not isinstance(header, dict):
+        raise ManifestError([f"{head}: header is not a JSON object"])
+    version = header.get("version")
+    dim = header.get("dim")
+    if version != MANIFEST_VERSION:
+        problems.append(f"{head}: version {version!r} is not {MANIFEST_VERSION!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        problems.append(f"{head}: dim must be a positive integer, got {dim!r}")
+        dim = None
+    grid = None  # see _sample_from_obj
+    if "views" in header:
+        grid = _walk_views(header["views"], lambda msg: problems.append(f"{head}: {msg}")) or ()
+
+    parsed: list[tuple] = []
+    seen_ids: set[str] = set()
+    owners: dict[str, str] = {}  # leaf name -> its parent, as in CategoryTree.from_pairs
+    for where, line in records:
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as e:
+            problems.append(f"{where}: not valid JSON ({getattr(e, 'msg', 'nested too deeply')})")
+            continue
+        if not isinstance(obj, dict):
+            problems.append(f"{where}: record is not an object")
+            continue
+        # id uniqueness holds independently of any other field problems
+        sid = obj.get("id")
+        if isinstance(sid, str) and sid:
+            if sid in seen_ids:
+                problems.append(f"{where}: duplicate sample id {sid!r}")
+                continue
+            seen_ids.add(sid)
+        sample = _sample_from_obj(obj, where, problems, grid)
+        if sample is not None:
+            parsed.append(sample)
+            problems += [f"{where}: {msg}" for msg in _leaf_conflicts(owners, sample[1], sample[2])]
+    return dim, tuple(parsed), problems
+
+
+# The last load that raised nothing, replaced as one tuple: (manifest text,
+# its dim and parsed records, whose payloads are never read, then each
+# cloud's float64 bytes as read and its normalized rows, of which every
+# load returns a copy).  It holds no object a load returned.
+_last_load: tuple[str, int, tuple, tuple[bytes, ...], tuple[np.ndarray, ...]] | None = None
 
 
 def load_manifest(path, read_views: bool = True) -> LoadedDataset:
@@ -718,18 +792,35 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
     Validation runs to the end and reports every violation at once; payload
     clouds are re-normalized in float64 after their f32 round-trip, those
-    of one size as one stack.  The header's view grid is walked once, its
-    violations as ``line 1: view i ...``, and each record's own views list
-    in full (see `_sample_from_obj`).  Each sample's views are a `ViewSet`,
-    and each payload file is read once: the views that take a view file's
-    rows share one V x D array, held in float32 as the file stores it.
-    With ``read_views=False`` the manifest and every cloud are still read
-    and checked, but a view payload is read and checked when a view that
-    takes it is first indexed or iterated; a bad file then raises
-    ``ManifestError`` naming the sample, as the full load would.  A leaf
-    name declared under a second parent (see `CategoryTree.from_pairs`) is
-    a violation of the line that does so.
+    of one size as one stack.  A violation names the physical line it is
+    on, blank lines counted.  The header's view grid is walked once, its
+    violations as ``line 1: view i ...`` for a header on line 1, and each
+    record's own views list in full (see `_sample_from_obj`).  Each
+    sample's views are a `ViewSet`, and each payload file is read once:
+    the views that take a view file's rows share one V x D array, held in
+    float32 as the file stores it.  With ``read_views=False`` the manifest
+    and every cloud are still read and checked, but a view payload is read
+    and checked when a view that takes it is first indexed or iterated; a
+    bad file then raises ``ManifestError`` naming the sample, as the full
+    load would.  A leaf name declared under a second parent (see
+    `CategoryTree.from_pairs`) is a violation of the line that does so.
+
+    The last load that raised nothing is reused where the bytes are the
+    same, never by path, time or working directory:
+
+    - keyed by the manifest's text, its record parse (the JSON, record,
+      leaf-conflict and grid checks, a pure function of the text): each
+      sample's views are then built anew from the stored, unread records,
+      reading through this call's paths;
+    - keyed by the float64 bytes of each cloud as ``read_cloud_file``
+      returned it, in order, their normalization: each cloud then holds a
+      fresh copy of its stored rows.
+
+    Every cloud file is still read and checked on every load, and with
+    ``read_views=True`` every view file too, so a file changed since the
+    last load raises as it would on a first one.
     """
+    global _last_load
     path = Path(path)
     if not path.is_file():
         raise ManifestError([f"manifest {path} does not exist"])
@@ -759,60 +850,22 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
             raise ManifestError([f"{where}: {e}"]) from None
         return feats.astype(np.float32)
 
-    problems: list[str] = []
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ManifestError([f"manifest {path} is not UTF-8 text (byte {e.start}: {e.reason})"]) from None
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+    if not text or text.isspace():
         raise ManifestError([f"manifest {path} is empty"])
-
-    try:
-        header = json.loads(lines[0])
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply, no msg
-        raise ManifestError([f"line 1: header is not valid JSON ({getattr(e, 'msg', 'nested too deeply')})"]) from None
-    if not isinstance(header, dict):
-        raise ManifestError(["line 1: header is not a JSON object"])
-    version = header.get("version")
-    dim = header.get("dim")
-    if version != MANIFEST_VERSION:
-        problems.append(f"line 1: version {version!r} is not {MANIFEST_VERSION!r}")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        problems.append(f"line 1: dim must be a positive integer, got {dim!r}")
-        dim = None
-    grid = None  # see _sample_from_obj
-    if "views" in header:
-        grid = _walk_views(header["views"], lambda msg: problems.append(f"line 1: {msg}")) or ()
-
-    parsed: list[tuple] = []
-    seen_ids: set[str] = set()
-    owners: dict[str, str] = {}  # leaf name -> its parent, as in CategoryTree.from_pairs
-    for lineno, line in enumerate(lines[1:], start=2):
-        where = f"line {lineno}"
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as e:
-            problems.append(f"{where}: not valid JSON ({getattr(e, 'msg', 'nested too deeply')})")
-            continue
-        if not isinstance(obj, dict):
-            problems.append(f"{where}: record is not an object")
-            continue
-        # id uniqueness holds independently of any other field problems
-        sid = obj.get("id")
-        if isinstance(sid, str) and sid:
-            if sid in seen_ids:
-                problems.append(f"{where}: duplicate sample id {sid!r}")
-                continue
-            seen_ids.add(sid)
-        sample = _sample_from_obj(obj, where, problems, read_payload, grid)
-        if sample is not None:
-            parsed.append(sample)
-            problems += [f"{where}: {msg}" for msg in _leaf_conflicts(owners, sample[1], sample[2])]
+    last = _last_load
+    if last is not None and last[0] == text:
+        dim, parsed, problems = last[1], last[2], []
+    else:
+        dim, parsed, problems = _parse_manifest(text)
 
     # payloads are read after every line is checked, so line violations come first
     good, points = [], []
-    for sid, parent, sub, cloud_file, views in parsed:
+    for sid, parent, sub, cloud_file, unread in parsed:
+        views = unread._bound(read_payload)
         try:
             pts = read_cloud_file(payload_path(cloud_file))
             if pts.shape[0] < 1:
@@ -832,9 +885,15 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
 
     if problems:
         raise ManifestError(problems)
-    return LoadedDataset.of(dim, [TripletSample(sid, cloud, views, parent, sub, cloud_file)
-                                  for (sid, views, parent, sub, cloud_file), cloud
-                                  in zip(good, payload_clouds(points))])
+    key = tuple(pts.tobytes() for pts in points)
+    if last is not None and last[3] == key:
+        normed = last[4]
+    else:
+        normed = tuple(cloud.points for cloud in payload_clouds(points))
+    dataset = LoadedDataset.of(dim, [TripletSample(sid, PointCloud(rows.copy()), views, parent, sub, cloud_file)
+                                     for (sid, views, parent, sub, cloud_file), rows in zip(good, normed)])
+    _last_load = (text, dim, parsed, key, normed)
+    return dataset
 
 
 def write_manifest(path, dim: int, records: list[dict], *, grid: list[dict] | None = None) -> None:

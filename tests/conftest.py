@@ -2,7 +2,16 @@
 
 import pytest
 
+from jm3d import data
 from jm3d.synth import SynthConfig, synth_generate
+
+
+@pytest.fixture(autouse=True)
+def no_load_to_reuse(monkeypatch):
+    """Each test starts with no earlier manifest load to reuse (see
+    `data.load_manifest`), so a load in one test cannot answer for the
+    first load of the next."""
+    monkeypatch.setattr(data, "_last_load", None)
 
 
 @pytest.fixture(scope="session")

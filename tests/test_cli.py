@@ -428,9 +428,10 @@ def test_export_features_round_trip(run_dir, dataset_dir, workdir, capsys):
 
 def test_serve_mix_repeated_in_process_gives_a_fresh_process_bytes(run_dir, dataset_dir, workdir,
                                                                    monkeypatch):
-    # after the first command every encode of the mix repeats the last
-    # one, so the in-process passes return memoised features; a fresh
-    # process encodes its first command anew
+    # after the first command every load and every encode of the mix
+    # repeats the last one, so the in-process passes reuse its record
+    # parse, cloud normalization and features; a fresh process makes them
+    # anew on its first command
     ds = load_manifest(dataset_dir / "manifest.jsonl")
     listing = workdir / "mix_parents.txt"
     listing.write_text("\n".join(ds.tree.parents) + "\n")
@@ -451,11 +452,14 @@ def test_serve_mix_repeated_in_process_gives_a_fresh_process_bytes(run_dir, data
         return replies + [(out / name).read_bytes() for name in ("features.bin", "ids.txt")]
 
     monkeypatch.setattr(encoders, "_last_point_encode", None)
-    pools = []
-    real_pool = ad.mlp_max_pool
-    monkeypatch.setattr(ad, "mlp_max_pool", lambda *args: pools.append(1) or real_pool(*args))
+    monkeypatch.setattr(data, "_last_load", None)
+    pools, parses, normalizations = [], [], []
+    for owner, name, calls in ((ad, "mlp_max_pool", pools), (data, "_parse_manifest", parses),
+                               (data, "payload_clouds", normalizations)):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _calls=calls: _calls.append(1) or _real(*args))
     first, second = served(), served()
-    assert len(pools) == 1
+    assert (len(pools), len(parses), len(normalizations)) == (1, 1, 1)
     script = ("import contextlib, io, json, pathlib, sys\n"
               "from jm3d import cli\n"
               "mix, out = json.loads(sys.argv[1]), pathlib.Path(sys.argv[2])\n"

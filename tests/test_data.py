@@ -3,6 +3,7 @@ enumeration, payload round-trips, and manifest validation."""
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -645,6 +646,7 @@ def test_load_manifest_matches_the_pathlib_readers_bit_for_bit(tmp_path, monkeyp
     loaded = data.load_manifest(path)
     for name, ref in READERS.items():
         monkeypatch.setattr(data, name, ref)
+    monkeypatch.setattr(data, "_last_load", None)
     reference = data.load_manifest(path)
     assert dataset_signature(loaded) == dataset_signature(reference)
     assert loaded.samples[-1].views[0].raster.shape == (200, 200, 3)
@@ -717,9 +719,10 @@ def count_reads(monkeypatch) -> Counter:
     return calls
 
 
-def test_lazy_load_matches_the_full_load_bit_for_bit(tmp_path):
+def test_lazy_load_matches_the_full_load_bit_for_bit(tmp_path, monkeypatch):
     path = mixed_dataset(tmp_path)
     lazy = data.load_manifest(path, read_views=False)
+    monkeypatch.setattr(data, "_last_load", None)
     full = data.load_manifest(path)
     assert lazy.manifest == full.manifest
     assert lazy.tree == full.tree
@@ -1112,7 +1115,7 @@ def test_angle_bucket_matches_the_reference():
             assert data.angle_bucket(angle) == expected
 
 
-def test_view_checks_accept_exactly_what_the_reference_accepts(tmp_path):
+def test_view_checks_accept_exactly_what_the_reference_accepts(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     data.write_cloud_file(tmp_path / "c.bin", rng.normal(size=(8, 3)))
     data.write_feature_file(tmp_path / "f.bin", rng.normal(size=(1, 4)))
@@ -1130,6 +1133,7 @@ def test_view_checks_accept_exactly_what_the_reference_accepts(tmp_path):
         vw = json.loads(path.read_text().splitlines()[1])["views"][1]  # as the loader sees it
         problem = ref_view_problem(1, vw)
         for read_views in (False, True):
+            monkeypatch.setattr(data, "_last_load", None)
             if problem is not None:
                 with pytest.raises(ManifestError) as err:
                     data.load_manifest(path, read_views=read_views)
@@ -1220,6 +1224,275 @@ def test_load_manifest_rejects_text_that_is_not_utf8(tmp_path):
     assert err.value.violations[0].startswith(f"manifest {path} is not UTF-8 text (byte ")
 
 
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("sid", ["a\u2028b", "a\u2029b", "a\x85b"])
+def test_a_string_may_hold_a_character_that_splitlines_would_split_on(tmp_path, sid, crlf):
+    # json.dumps(ensure_ascii=False) writes these raw; only "\n" ends a line
+    path = write_dataset(tmp_path, n=2)
+    with edited_manifest(path) as (_, records):
+        records[1]["id"] = sid
+    text = "".join(json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+                   for line in path.read_text().splitlines())
+    path.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode("utf-8"))
+    assert [s.sample_id for s in data.load_manifest(path).samples] == ["s0", sid]
+
+
+@pytest.mark.parametrize("blanks", [0, 2])
+def test_a_violation_names_its_physical_line_blank_lines_counted(tmp_path, blanks):
+    path = write_dataset(tmp_path)
+    header, *records = path.read_text().splitlines()
+    bad_header = json.dumps({"version": "other-9", "dim": 4})
+    # the header after `blanks` blank lines, then a record, two blank lines
+    # and a record with a bad angle, on line blanks + 5
+    lines = [""] * blanks + [bad_header, records[0], "", "  ", records[1].replace('"angle": 12', '"angle": 13')]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path)
+    assert err.value.violations == [f"line {blanks + 1}: version 'other-9' is not 'jm3d-1'",
+                                    f"line {blanks + 5}: view 1 angle 13 is not a multiple of 12 in [0, 348]"]
+
+
+# ---------------------------------------------------------------------------
+# reuse of the last load: its record parse by manifest text, its cloud
+# normalization by cloud bytes
+
+
+SMALL = SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=2, points=24, dim=8, latent=4, n_angles=4)
+
+
+def view_file_layout(root):
+    synth_generate(SMALL, root, seed=5)
+    return root / "manifest.jsonl"
+
+
+def per_view_layout(root):
+    path = view_file_layout(root)
+    split_view_files(root)
+    return path
+
+
+def ragged_layout(root):
+    """`view_file_layout` with every other cloud of 9 points, not 24."""
+    path = view_file_layout(root)
+    rng = np.random.default_rng(8)
+    for rec in [json.loads(line) for line in path.read_text().splitlines()[1::2]]:
+        data.write_cloud_file(root / rec["cloud_file"], rng.normal(size=(9, 3)))
+    return path
+
+
+LAYOUTS = {"view file": view_file_layout, "per-view files": per_view_layout,
+           "raster and two cloud sizes": mixed_dataset, "interleaved cloud sizes": ragged_layout}
+
+
+def cold_load(path, monkeypatch, read_views=True):
+    monkeypatch.setattr(data, "_last_load", None)
+    return data.load_manifest(path, read_views=read_views)
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """A list that grows by one for each call of owner.name."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_a_reused_load_is_bitwise_a_cold_one(tmp_path, monkeypatch, layout, read_views):
+    path = LAYOUTS[layout](tmp_path)
+    first = data.load_manifest(path, read_views=read_views)
+    reused = data.load_manifest(path, read_views=read_views)
+    cold = cold_load(path, monkeypatch, read_views)
+    for ds in (first, reused):
+        assert (ds.manifest, ds.tree) == (cold.manifest, cold.tree)
+        assert dataset_signature(ds) == dataset_signature(cold)
+    assert len({s.cloud.count for s in cold.samples}) == (2 if "cloud sizes" in layout else 1)
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+def test_a_reused_load_parses_no_record_and_normalizes_no_cloud_but_reads_every_file(
+        tmp_path, monkeypatch, read_views):
+    path = mixed_dataset(tmp_path)
+    reads = count_reads(monkeypatch)
+    parses = count_calls(monkeypatch, json, "loads")
+    normalizations = count_calls(monkeypatch, data, "payload_clouds")
+    data.load_manifest(path, read_views=read_views)
+    first_reads = reads.copy()
+    assert (len(parses), len(normalizations)) == (10, 1)
+    reads.clear()
+    data.load_manifest(path, read_views=read_views)
+    assert (len(parses), len(normalizations)) == (10, 1)
+    assert reads == first_reads and len(reads) == 9 + 10 * read_views
+
+
+def changed_cloud_byte(path):
+    cloud = path.parent / json.loads(path.read_text().splitlines()[1])["cloud_file"]
+    blob = bytearray(cloud.read_bytes())
+    blob[4] ^= 1  # the lowest mantissa bit of the first coordinate
+    cloud.write_bytes(bytes(blob))
+
+
+def changed_manifest_character(path):
+    path.write_text(path.read_text().replace('"id": "cat00_sub00_000"', '"id": "cat00_sub00_00x"'))
+
+
+def moved_cloud_boundary(path):
+    # clouds 1 and 2 of `ragged_layout`, 24 and 9 points, become 9 and 24:
+    # the clouds' bytes, concatenated, stay the same
+    names = [json.loads(line)["cloud_file"] for line in path.read_text().splitlines()[2:4]]
+    points = np.concatenate([data.read_cloud_file(path.parent / name) for name in names])
+    assert len(points) == 24 + 9
+    for name, part in zip(names, (points[:9], points[9:])):
+        data.write_cloud_file(path.parent / name, part)
+
+
+def swapped_clouds(path):
+    a, b = (path.parent / json.loads(line)["cloud_file"] for line in path.read_text().splitlines()[1:3])
+    blob_a, blob_b = a.read_bytes(), b.read_bytes()
+    a.write_bytes(blob_b)
+    b.write_bytes(blob_a)
+
+
+@pytest.mark.parametrize("layout, change, parsed, normalized", [
+    (mixed_dataset, changed_cloud_byte, 0, 1),
+    (mixed_dataset, swapped_clouds, 0, 1),
+    (mixed_dataset, changed_manifest_character, 10, 0),
+    (ragged_layout, moved_cloud_boundary, 0, 1),
+])
+def test_changed_clouds_or_text_miss_and_give_a_cold_loads_bits(tmp_path, monkeypatch, layout, change,
+                                                                        parsed, normalized):
+    path = layout(tmp_path)
+    before = dataset_signature(data.load_manifest(path))
+    change(path)
+    parses = count_calls(monkeypatch, json, "loads")
+    normalizations = count_calls(monkeypatch, data, "payload_clouds")
+    loaded = dataset_signature(data.load_manifest(path))
+    assert (len(parses), len(normalizations)) == (parsed, normalized)
+    assert loaded == dataset_signature(cold_load(path, monkeypatch)) != before
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("from_cwd", [False, True])
+def test_the_same_text_elsewhere_reads_its_own_payloads(tmp_path, monkeypatch, from_cwd, read_views):
+    # the two manifests are the same text; their payloads are not
+    for name, seed in (("a", 5), ("b", 6)):
+        synth_generate(SMALL, tmp_path / name, seed=seed)
+    paths = [tmp_path / name / "manifest.jsonl" for name in "ab"]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    loaded = []
+    for path in paths:
+        if from_cwd:  # the same relative path from another directory
+            monkeypatch.chdir(path.parent)
+            path = Path(path.name)
+        loaded.append(dataset_signature(data.load_manifest(path, read_views=read_views)))
+    assert loaded[0] != loaded[1]
+    assert loaded == [dataset_signature(cold_load(path, monkeypatch, read_views)) for path in paths]
+
+
+def truncated_cloud(root, rec):
+    (root / rec["cloud_file"]).write_bytes(b"\x05\x00\x00\x00")
+
+
+def non_finite_cloud(root, rec):
+    cloud = root / rec["cloud_file"]
+    blob = bytearray(cloud.read_bytes())
+    struct.pack_into("<f", blob, 4 + 12 * 3 + 4, math.inf)
+    cloud.write_bytes(bytes(blob))
+
+
+def truncated_view_file(root, rec):
+    (root / rec["view_file"]).write_bytes(b"\x01\x00")
+
+
+@pytest.mark.parametrize("read_views", [True, False])
+@pytest.mark.parametrize("corrupt", [truncated_cloud, non_finite_cloud, truncated_view_file])
+def test_a_file_corrupted_between_loads_raises_as_a_cold_load_does(tmp_path, monkeypatch, corrupt,
+                                                                  read_views):
+    path = mixed_dataset(tmp_path)
+    data.load_manifest(path, read_views=read_views)
+    for rec in [json.loads(line) for line in path.read_text().splitlines()][2:5]:
+        corrupt(tmp_path, rec)
+    if corrupt is truncated_view_file and not read_views:  # the views' first use raises instead
+        def first_use(ds):
+            with pytest.raises(ManifestError) as err:
+                [list(s.views) for s in ds.samples]
+            return err.value.violations
+
+        assert first_use(data.load_manifest(path, read_views=False)) == \
+            first_use(cold_load(path, monkeypatch, read_views=False))
+        return
+    with pytest.raises(ManifestError) as warm:
+        data.load_manifest(path, read_views=read_views)
+    with pytest.raises(ManifestError) as cold:
+        cold_load(path, monkeypatch, read_views)
+    assert warm.value.violations == cold.value.violations
+    assert len(warm.value.violations) == 3
+
+
+def test_a_raising_load_does_not_replace_the_entry(tmp_path, monkeypatch):
+    path = mixed_dataset(tmp_path / "good")
+    data.load_manifest(path)
+    entry = data._last_load
+    bad = write_dataset(tmp_path, break_angle=True)
+    only_header = tmp_path / "header.jsonl"
+    data.write_manifest(only_header, 4, [])
+    with pytest.raises(ManifestError):
+        data.load_manifest(bad)
+    with pytest.raises(LabelError, match="no categories declared"):
+        data.load_manifest(only_header)
+    assert data._last_load is entry
+    normalizations = count_calls(monkeypatch, data, "payload_clouds")
+    data.load_manifest(path)
+    assert not normalizations
+
+
+def test_writing_into_a_returned_cloud_or_view_does_not_change_the_next_load(tmp_path, monkeypatch):
+    path = mixed_dataset(tmp_path)
+    cold = dataset_signature(cold_load(path, monkeypatch))
+    for _ in range(3):  # a first load, then two that reuse it
+        ds = data.load_manifest(path)
+        assert dataset_signature(ds) == cold
+        for s in ds.samples:
+            s.cloud.points[:] = 7.0
+            if isinstance(s.views._source, data._Payload):
+                view_file_payload(s.views)[:] = 7.0
+            for vw in s.views:
+                (vw.raster if vw.feature is None else vw.feature)[...] = 7
+
+
+def reachable(root) -> list:
+    """Every object reachable from root, not through a type."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        todo += gc.get_referents(obj)
+    return found
+
+
+def test_the_entry_holds_no_view_payload(tmp_path):
+    path = mixed_dataset(tmp_path)
+    for _ in range(2):
+        ds = data.load_manifest(path)
+        returned = list({id(p): p for s in ds.samples for p, _ in payload_rows(s.views)}.values())
+        assert all(p.data is not None for p in returned)
+        held = reachable(data._last_load)
+        payloads = [obj for obj in held if isinstance(obj, data._Payload)]
+        assert len(payloads) == len(returned) == 8 + 2
+        assert all(p.data is None and p.read is None for p in payloads)
+        assert not {id(p) for p in payloads} & {id(p) for p in returned}
+        # the only arrays are the normalized clouds' float64 rows, each of
+        # which may view its stack of clouds of one size
+        normed = data._last_load[-1]
+        arrays = {id(obj) for obj in held if isinstance(obj, np.ndarray)}
+        assert arrays == {id(a) for a in normed} and len(normed) == 9
+        assert {a.dtype for a in normed} | {a.base.dtype for a in normed if a.base is not None} == {np.dtype(np.float64)}
+        assert not arrays & {id(s.cloud.points) for s in ds.samples}
+
+
 # ---------------------------------------------------------------------------
 # view files: one feature file per sample, one row per view
 
@@ -1282,7 +1555,7 @@ def test_missing_view_file_names_the_sample_and_the_path(tmp_path, read_views):
 
 
 @pytest.mark.parametrize("read_views", [True, False])
-def test_views_with_a_payload_of_their_own_keep_reading_it(tmp_path, read_views):
+def test_views_with_a_payload_of_their_own_keep_reading_it(tmp_path, monkeypatch, read_views):
     path, stored = view_file_dataset(tmp_path, views=4, rows=4)
     own = data.write_feature_file(tmp_path / "own.bin", np.arange(4.0))
     img = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
@@ -1292,12 +1565,16 @@ def test_views_with_a_payload_of_their_own_keep_reading_it(tmp_path, read_views)
     rec["views"][1]["feature_file"] = "own.bin"
     rec["views"][2]["image_file"] = "r.bin"
     path.write_text(header + "\n" + json.dumps(rec) + "\n")
-    views = data.load_manifest(path, read_views=read_views).samples[0].views
-    assert [v.payload_file for v in views] == ["views.bin", "own.bin", "r.bin", "views.bin"]
-    assert views[0].feature.tobytes() == stored[0].tobytes()
-    assert views[1].feature.tobytes() == own[0].tobytes()
-    assert views[2].feature is None and views[2].raster.tobytes() == img.tobytes()
-    assert views[3].feature.tobytes() == stored[3].tobytes()  # row 3: rows 1 and 2 go unread
+    calls = count_reads(monkeypatch)
+    for _ in range(2):  # a first load, then one that reuses it
+        calls.clear()
+        views = data.load_manifest(path, read_views=read_views).samples[0].views
+        assert [v.payload_file for v in views] == ["views.bin", "own.bin", "r.bin", "views.bin"]
+        assert views[0].feature.tobytes() == stored[0].tobytes()
+        assert views[1].feature.tobytes() == own[0].tobytes()
+        assert views[2].feature is None and views[2].raster.tobytes() == img.tobytes()
+        assert views[3].feature.tobytes() == stored[3].tobytes()  # row 3: rows 1 and 2 go unread
+        assert sorted(calls.values()) == [1] * 4  # views 0 and 3 share one read of views.bin
 
 
 def test_view_file_is_read_once_and_its_rows_shared(tmp_path, monkeypatch):
@@ -1307,6 +1584,7 @@ def test_view_file_is_read_once_and_its_rows_shared(tmp_path, monkeypatch):
     full = data.load_manifest(path).samples[0].views
     assert calls == Counter([cloud, views_file])
     calls.clear()
+    monkeypatch.setattr(data, "_last_load", None)
     lazy = data.load_manifest(path, read_views=False).samples[0].views
     assert calls == Counter([cloud])
     lazy[1].feature  # the first use of any view reads the file, once
@@ -1487,11 +1765,12 @@ def test_a_records_own_views_override_the_grid(tmp_path, read_views):
     assert loaded[0].samples[2].views.angles == (48,)
 
 
-def test_synth_generate_returns_what_load_manifest_reads(tmp_path):
+def test_synth_generate_returns_what_load_manifest_reads(tmp_path, monkeypatch):
     config = SynthConfig(parents=2, subs_per_parent=1, samples_per_sub=2, points=8, dim=4,
                          latent=4, n_angles=3)
     returned = synth_generate(config, tmp_path, seed=2)
     for read_views in (True, False):
+        monkeypatch.setattr(data, "_last_load", None)
         loaded = data.load_manifest(tmp_path / "manifest.jsonl", read_views=read_views)
         assert (loaded.manifest, loaded.tree) == (returned.manifest, returned.tree)
         assert dataset_signature(loaded) == dataset_signature(returned)
