@@ -33,7 +33,7 @@ with tempfile.TemporaryDirectory(prefix="jm3d-demo-eval-") as tmp:
     label_feats = build_label_features(classes, spec)
     kept, gold = gold_indices(held, dataset.tree, classes)
     feats = point_features(kept, ckpt.params)
-    preds = [zero_shot_topk(feats[i:i + 1], label_feats, 3) for i in range(len(kept))]
+    preds = zero_shot_topk(feats, label_feats, 3)
     print(f"\nzero-shot over {len(classes)} class prompts:")
     print(f"  top-1 {accuracy_topk(preds, gold, 1):.3f}")
     print(f"  top-3 {accuracy_topk(preds, gold, 3):.3f}")

@@ -100,7 +100,7 @@ def zero_shot_records(ckpt: Checkpoint, samples, tree, classes, set_name: str,
     kept, gold = gold_indices(samples, tree, classes)
     feats = point_features(kept, ckpt.params)
     k = min(topk, len(classes))
-    ranked = [zero_shot_topk(f, label_feats, k) for f in feats]
+    ranked = zero_shot_topk(feats, label_feats, k)
     records = [metric_record(set_name, 1, accuracy_topk(ranked, gold, 1),
                              len(kept), cfg.seed, checkpoint_label)]
     if k > 1:
@@ -188,7 +188,7 @@ def model_gradient_check(seed: int = 0, n_samples: int = 4, dim: int = 16,
 # config files and headers
 
 
-def _coerce_config_value(key: str, raw: str):
+def _coerce_config_value(key: str, raw: str, where: str):
     kind = CONFIG_FIELD_TYPES[key]
     if kind == "bool":
         low = raw.strip().lower()
@@ -196,34 +196,39 @@ def _coerce_config_value(key: str, raw: str):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
+        raise ConfigError(f"{where}: config key {key!r}: expected a boolean, got {raw!r}")
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
             return float(raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(f"{where}: config key {key!r}: cannot parse {raw!r} as {kind}") from None
     return raw
 
 
 def _read_utf8(path: Path, what: str, error: type[Jm3dError]) -> str:
     """A text file's contents; not found raises InputError, and bytes that
-    are not UTF-8 raise ``error``, both naming the file."""
+    are not UTF-8, or that start with a byte-order mark, raise ``error``,
+    both naming the file.  A BOM would otherwise join the first line."""
     if not path.is_file():
         raise InputError(f"{what} not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
+    if text.startswith("\ufeff"):
+        raise error(f"{what} {path} starts with a byte-order mark (U+FEFF); save it without one")
+    return text
 
 
 def parse_config_file(path) -> dict:
-    """Flat key = value lines mirroring TrainConfig fields; # comments."""
+    """Flat key = value lines mirroring TrainConfig fields; # comments.
+    A line ends at "\n" alone, so an error names its physical line."""
     path = Path(path)
     out = {}
     text = _read_utf8(path, "config file", ConfigError)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -233,7 +238,7 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in CONFIG_FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce_config_value(key, raw.strip())
+        out[key] = _coerce_config_value(key, raw.strip(), f"{path}:{lineno}")
     return out
 
 
@@ -313,7 +318,7 @@ def _eval_classes(ns, dataset):
     if spec.startswith("custom:"):
         path = Path(spec[len("custom:"):])
         text = _read_utf8(path, "custom set file", InputError)
-        classes = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        classes = [ln.strip() for ln in text.split("\n") if ln.strip()]
         return path.stem, classes
     raise ConfigError(f"unknown evaluation set {spec!r}; "
                       "use data, all, medium, hard, or custom:FILE")

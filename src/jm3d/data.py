@@ -781,10 +781,10 @@ def _parse_manifest(text: str) -> tuple[int | None, tuple[tuple, ...], list[str]
 
 
 # The last load that raised nothing, replaced as one tuple: (manifest text,
-# its dim and parsed records, whose payloads are never read, then each
-# cloud's float64 bytes as read and its normalized rows, of which every
-# load returns a copy).  It holds no object a load returned.
-_last_load: tuple[str, int, tuple, tuple[bytes, ...], tuple[np.ndarray, ...]] | None = None
+# its dim and parsed records, whose payloads are never read, then the
+# clouds' (sizes, float64 bytes as read) and their normalized rows, both
+# end to end; every load returns a copy).  It holds no object a load returned.
+_last_load: tuple[str, int, tuple, tuple[tuple[int, ...], bytes], np.ndarray] | None = None
 
 
 def load_manifest(path, read_views: bool = True) -> LoadedDataset:
@@ -812,13 +812,16 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
       leaf-conflict and grid checks, a pure function of the text): each
       sample's views are then built anew from the stored, unread records,
       reading through this call's paths;
-    - keyed by the float64 bytes of each cloud as ``read_cloud_file``
-      returned it, in order, their normalization: each cloud then holds a
-      fresh copy of its stored rows.
+    - keyed by the clouds' sizes and float64 bytes as ``read_cloud_file``
+      returned them, end to end (bytes, not values: -0.0 and 0.0 normalize
+      apart), their normalization: each array as read takes its stored
+      rows, a copy in memory this load owns.
 
-    Every cloud file is still read and checked on every load, and with
-    ``read_views=True`` every view file too, so a file changed since the
-    last load raises as it would on a first one.
+    Every cloud file is still read, in order, and with ``read_views=True``
+    the view files of each sample whose cloud passed, so a file changed
+    since the last load raises as on a first one.  The clouds are checked
+    in one finiteness pass; only when it fails are they checked one by one,
+    so each problem keeps its text and place.
     """
     global _last_load
     path = Path(path)
@@ -863,15 +866,28 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
         dim, parsed, problems = _parse_manifest(text)
 
     # payloads are read after every line is checked, so line violations come first
-    good, points = [], []
-    for sid, parent, sub, cloud_file, unread in parsed:
+    clouds, scan = [], False
+    for record in parsed:
+        try:
+            clouds.append(read_cloud_file(payload_path(record[3])))
+        except (OSError, InputError, ShapeError) as e:
+            clouds.append(e)
+            scan = True
+    if not scan:  # the key: the clouds' sizes, then their float64 bytes end to end
+        sizes = tuple(len(pts) for pts in clouds)
+        key = (sizes, b"".join(clouds))
+        scan = 0 in sizes or not np.isfinite(np.frombuffer(key[1])).all()
+    good = []
+    for (sid, parent, sub, cloud_file, unread), pts in zip(parsed, clouds):
         views = unread._bound(read_payload)
         try:
-            pts = read_cloud_file(payload_path(cloud_file))
-            if pts.shape[0] < 1:
-                raise InputError("empty cloud")
-            if not np.isfinite(pts).all():
-                raise InputError("non-finite cloud coordinates")
+            if scan:
+                if isinstance(pts, Exception):
+                    raise pts
+                if pts.shape[0] < 1:
+                    raise InputError("empty cloud")
+                if not np.isfinite(pts).all():
+                    raise InputError("non-finite cloud coordinates")
             if read_views:
                 views._load()
         except (OSError, InputError, ShapeError) as e:
@@ -881,17 +897,22 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
             problems += e.violations
             continue
         good.append((sid, views, parent, sub, cloud_file))
-        points.append(pts)
 
-    if problems:
+    if problems:  # a failed block check always leaves one
         raise ManifestError(problems)
-    key = tuple(pts.tobytes() for pts in points)
-    if last is not None and last[3] == key:
-        normed = last[4]
+    hit = last is not None and last[3] == key
+    if hit:  # keep the stored key and fill the arrays as read: a new block per load
+        # kept about 1.3 MiB more resident in a process serving many commands
+        key, normed = last[3], last[4]
+        for pts, end in zip(clouds, accumulate(sizes)):
+            pts[...] = normed[end - len(pts):end]
+        clouds = [PointCloud(pts) for pts in clouds]
     else:
-        normed = tuple(cloud.points for cloud in payload_clouds(points))
-    dataset = LoadedDataset.of(dim, [TripletSample(sid, PointCloud(rows.copy()), views, parent, sub, cloud_file)
-                                     for (sid, views, parent, sub, cloud_file), rows in zip(good, normed)])
+        clouds = payload_clouds(clouds)
+    dataset = LoadedDataset.of(dim, [TripletSample(sid, cloud, views, parent, sub, cloud_file)
+                                     for (sid, views, parent, sub, cloud_file), cloud in zip(good, clouds)])
+    if not hit:  # .of has raised for a dataset without samples, which has no rows to join
+        normed = np.concatenate([cloud.points for cloud in clouds])
     _last_load = (text, dim, parsed, key, normed)
     return dataset
 

@@ -101,32 +101,39 @@ def build_label_features(classes, spec: FrozenEncoderSpec,
     return np.stack([encode_text_frozen(template.instantiate(c), spec) for c in classes])
 
 
-def zero_shot_topk(feature: np.ndarray, label_feats: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k most similar label rows, best first.
+def zero_shot_topk(features: np.ndarray, label_feats: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k most similar label rows, best first: k for a
+    D-vector query, B x k for a B x D block, ranked in one sort.
 
-    Ties go to the lower class index (stable sort on negated scores).
+    Ties go to the lower class index (stable sort on negated scores).  The
+    scores are one batched matmul of ``label_feats @ f`` products, bit for
+    bit those of each row alone; one B x K GEMM rounds otherwise and could
+    flip a near-tie.
     """
-    f = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if label_feats.ndim != 2 or label_feats.shape[1] != f.shape[0]:
-        raise ShapeError(f"label features {label_feats.shape} do not match query dim {f.shape[0]}")
+    f = np.asarray(features, dtype=np.float64)
+    block = f.reshape(1, -1) if f.ndim == 1 else f
+    if block.ndim != 2 or label_feats.ndim != 2 or label_feats.shape[1] != block.shape[1]:
+        raise ShapeError(f"label features {label_feats.shape} do not match queries {f.shape}")
     if not 1 <= k <= label_feats.shape[0]:
         raise ContractError(f"k must be in [1, {label_feats.shape[0]}], got {k}")
-    sims = label_feats @ f
-    return np.argsort(-sims, kind="stable")[:k]
+    sims = (label_feats @ block[:, :, None])[..., 0]
+    ranked = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return ranked[0] if f.ndim == 1 else ranked
 
 
 def accuracy_topk(predictions, gold, k: int) -> float:
-    """Fraction of samples whose gold index appears in the first k ranks."""
-    predictions = list(predictions)
-    gold = list(gold)
-    if len(predictions) != len(gold):
-        raise ShapeError(f"{len(predictions)} predictions vs {len(gold)} gold labels")
-    if not predictions:
+    """Fraction of samples whose gold index appears in the first k ranks,
+    counted in one comparison over a block of one ranking per sample."""
+    ranked = np.asarray(predictions)
+    gold = np.asarray(gold)
+    if len(ranked) != len(gold):
+        raise ShapeError(f"{len(ranked)} predictions vs {len(gold)} gold labels")
+    if not len(ranked):
         raise ContractError("need at least one sample")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    hits = sum(1 for ranked, g in zip(predictions, gold) if g in list(ranked)[:k])
-    return hits / len(predictions)
+    hits = (ranked[:, :k] == gold[:, None]).any(axis=1)
+    return int(hits.sum()) / len(ranked)
 
 
 def retrieve_by_image(img_feat: np.ndarray, cloud_feats: np.ndarray, ids, k: int) -> list:

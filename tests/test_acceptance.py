@@ -4,7 +4,8 @@ so the verdicts read off a plain ``pytest`` run.
 
 The expensive checks (6, 7, 8) share one session-scoped benchmark: five
 seeds of full training plus five with fusion disabled, all on the same
-generated dataset.
+generated dataset.  They are marked ``slow``: ``pytest -m "not slow"``
+skips them and that benchmark.
 """
 
 import math
@@ -51,8 +52,7 @@ def held_out_top1(ckpt, held, tree, classes):
     label_feats = build_label_features(classes, spec)
     kept, gold = cli.gold_indices(held, tree, classes)
     feats = point_features(kept, ckpt.params)
-    preds = [zero_shot_topk(feats[i:i + 1], label_feats, 1) for i in range(len(kept))]
-    return accuracy_topk(preds, gold, 1)
+    return accuracy_topk(zero_shot_topk(feats, label_feats, 1), gold, 1)
 
 
 @pytest.fixture(scope="session")
@@ -259,6 +259,7 @@ def test_9_point_encoder_permutation_invariance(capsys):
 # 6. end-to-end training on the synthetic benchmark
 
 
+@pytest.mark.slow
 def test_6_end_to_end_training(bench_runs, capsys):
     budget = 300.0
     elapsed = bench_runs["full_elapsed"]
@@ -281,6 +282,7 @@ def test_6_end_to_end_training(bench_runs, capsys):
 # 7. ablation harness: all switches run, and fusion does not hurt
 
 
+@pytest.mark.slow
 def test_7_ablation_harness(bench_dataset, bench_runs, capsys):
     out_dir, _ = bench_dataset
     code = cli.run(["ablate", "--data", str(out_dir / "manifest.jsonl"),
@@ -306,6 +308,7 @@ def test_7_ablation_harness(bench_dataset, bench_runs, capsys):
 # 8. bitwise determinism of training and reports
 
 
+@pytest.mark.slow
 def test_8_determinism(bench_dataset, bench_runs, tmp_path, capsys):
     _, ds = bench_dataset
     classes = bench_runs["classes"]

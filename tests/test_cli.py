@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, config resolution, and the pipeline
 round trip from data generation through feature export."""
 
+import argparse
 import contextlib
 import errno
 import io
@@ -641,6 +642,44 @@ def test_non_utf8_config_and_class_files_exit_2_naming_them(run_dir, dataset_dir
     code, _, err = run_captured(["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl"),
                                  "--set", f"custom:{bad}"])
     assert code == 2 and err.startswith(f"error: custom set file {bad} is not UTF-8 text")
+
+
+def test_config_and_class_files_with_a_byte_order_mark_exit_2_naming_them(run_dir, dataset_dir, tmp_path):
+    manifest = dataset_dir / "manifest.jsonl"
+    config, listing = tmp_path / "bom.cfg", tmp_path / "bom.txt"
+    config.write_text("\ufeffepochs = 1\n", encoding="utf-8")
+    listing.write_text("\ufeffcat00\ncat01\n", encoding="utf-8")
+    code, _, err = run_captured(["pretrain", "--data", str(manifest), "--config", str(config)])
+    assert (code, err) == (2, f"error: config file {config} starts with a byte-order mark (U+FEFF); "
+                              "save it without one\n")
+    # the mark would join the first class name, which then names no sample
+    code, _, err = run_captured(["eval-zeroshot", *serve_args(run_dir, manifest), "--set", f"custom:{listing}"])
+    assert (code, err) == (2, f"error: custom set file {listing} starts with a byte-order mark (U+FEFF); "
+                              "save it without one\n")
+
+
+def test_config_lines_end_at_newline_alone_and_errors_name_physical_lines(dataset_dir, tmp_path):
+    config = tmp_path / "seps.cfg"
+    config.write_text("# a comment\u2028that goes on\nepochs = 1\n\nbatch_size = 8\u2029base_lr = 1\n",
+                      encoding="utf-8")
+    code, _, err = run_captured(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"), "--config", str(config)])
+    assert (code, err) == (2, f"error: {config}:4: config key 'batch_size': cannot parse "
+                              f"{'8' + chr(0x2029) + 'base_lr = 1'!r} as int\n")
+    config.write_text("epochs = 1\u2028\ncis_on = maybe\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{config}:2: config key 'cis_on': expected a boolean"):
+        cli.parse_config_file(config)
+
+
+def test_a_class_name_holding_a_line_separator_stays_one_class(run_dir, dataset_dir, tmp_path):
+    listing = tmp_path / "classes.txt"
+    listing.write_text("cat00\u2028sub\ncat01\x85nel\n\ncat02\n", encoding="utf-8")
+    ns = argparse.Namespace(set=f"custom:{listing}")
+    assert cli._eval_classes(ns, None) == ("classes", ["cat00\u2028sub", "cat01\x85nel", "cat02"])
+    listing.write_text("cat00\u2028sub\ncat01\n", encoding="utf-8")
+    code, out, _ = run_captured(["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl"),
+                                 "--set", f"custom:{listing}", "--topk", "1"])
+    set_name, k, _, n = out.splitlines()[-1].split()
+    assert (code, set_name, k, n) == (0, "classes", "1", "6")  # only cat01 names samples: 6 of the 12
 
 
 def test_payload_name_with_nul_exits_2_naming_line_and_field(run_dir, dataset_dir, tmp_path):

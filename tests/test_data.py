@@ -1429,6 +1429,98 @@ def test_a_file_corrupted_between_loads_raises_as_a_cold_load_does(tmp_path, mon
     assert len(warm.value.violations) == 3
 
 
+def corrupt_samples(root, path):
+    """Make five of the eight samples of `ragged_layout` bad, in place: a
+    truncated cloud, an empty cloud, a non-finite cloud whose view file is
+    bad too, a bad view file alone, and a non-finite cloud last.  Returns
+    the problems, in sample order, each with whether only a full load
+    raises it, and the bad view file no load may read."""
+    recs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert len(recs) == 8
+
+    def where(i):
+        return f"sample {recs[i]['id']!r}: "
+
+    truncated_cloud(root, recs[1])
+    data.write_cloud_file(root / recs[2]["cloud_file"], np.empty((0, 3)))
+    for i in (3, 7):
+        non_finite_cloud(root, recs[i])
+    for i in (3, 5):
+        truncated_view_file(root, recs[i])
+    problems = [(where(1) + f"cloud file {root / recs[1]['cloud_file']} declares 5 points but holds 0 payload bytes",
+                 False),
+                (where(2) + "empty cloud", False),
+                (where(3) + "non-finite cloud coordinates", False),
+                (where(5) + f"feature file {root / recs[5]['view_file']} is truncated", True),
+                (where(7) + "non-finite cloud coordinates", False)]
+    return problems, str(root / recs[3]["view_file"])
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("read_views", [True, False])
+def test_bad_samples_raise_every_problem_in_sample_order_warm_or_cold(tmp_path, monkeypatch, read_views, warm):
+    path = ragged_layout(tmp_path)
+    if warm:  # the same text loaded, and its parse stored, before the files went bad
+        data.load_manifest(path, read_views=read_views)
+    else:
+        monkeypatch.setattr(data, "_last_load", None)
+    problems, unread_view = corrupt_samples(tmp_path, path)
+    reads = count_reads(monkeypatch)
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=read_views)
+    assert err.value.violations == [msg for msg, full_only in problems if read_views or not full_only]
+    # every cloud, then the view files of the four samples whose cloud passed
+    assert Counter(name for name, _ in reads.elements()) == Counter(read_cloud_file=8,
+                                                                    read_feature_file=4 * read_views)
+    assert ("read_feature_file", unread_view) not in reads
+    with pytest.raises(ManifestError) as cold:
+        cold_load(path, monkeypatch, read_views)
+    assert cold.value.violations == err.value.violations
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+@pytest.mark.parametrize("last", [False, True])
+def test_a_non_finite_first_or_last_coordinate_alone_is_found(tmp_path, value, last):
+    path = ragged_layout(tmp_path)
+    recs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    rec = recs[-1 if last else 0]
+    cloud = tmp_path / rec["cloud_file"]
+    blob = bytearray(cloud.read_bytes())
+    struct.pack_into("<f", blob, len(blob) - 4 if last else 4, value)
+    cloud.write_bytes(bytes(blob))
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path, read_views=False)
+    assert err.value.violations == [f"sample {rec['id']!r}: non-finite cloud coordinates"]
+
+
+def test_writing_into_one_returned_cloud_changes_no_sibling_and_not_the_next_load(tmp_path, monkeypatch):
+    path = ragged_layout(tmp_path)
+    cold = [array_signature(s.cloud.points) for s in cold_load(path, monkeypatch).samples]
+    assert len({s[1] for s in cold}) == 2
+    for written in (0, 1, 2, 5):  # a first load, then loads that reuse it
+        ds = data.load_manifest(path)
+        assert [array_signature(s.cloud.points) for s in ds.samples] == cold
+        ds.samples[written].cloud.points[:] = 7.0
+        others = [array_signature(s.cloud.points) for i, s in enumerate(ds.samples) if i != written]
+        assert others == cold[:written] + cold[written + 1:]
+
+
+def test_a_cloud_that_differs_only_in_the_sign_of_a_zero_is_not_reused(tmp_path, monkeypatch):
+    path = view_file_layout(tmp_path)
+    cloud = tmp_path / json.loads(path.read_text().splitlines()[1])["cloud_file"]
+    pts = np.random.default_rng(3).normal(size=(24, 3))
+    pts[:, 2] = 0.0
+    data.write_cloud_file(cloud, pts)
+    before = dataset_signature(data.load_manifest(path))
+    pts[0, 2] = -0.0  # equal as a value, not as bytes; it normalizes to -0.0
+    data.write_cloud_file(cloud, pts)
+    normalizations = count_calls(monkeypatch, data, "payload_clouds")
+    loaded = data.load_manifest(path)
+    assert len(normalizations) == 1
+    assert np.signbit(loaded.samples[0].cloud.points[0, 2])
+    assert dataset_signature(loaded) == dataset_signature(cold_load(path, monkeypatch)) != before
+
+
 def test_a_raising_load_does_not_replace_the_entry(tmp_path, monkeypatch):
     path = mixed_dataset(tmp_path / "good")
     data.load_manifest(path)
@@ -1484,13 +1576,13 @@ def test_the_entry_holds_no_view_payload(tmp_path):
         assert len(payloads) == len(returned) == 8 + 2
         assert all(p.data is None and p.read is None for p in payloads)
         assert not {id(p) for p in payloads} & {id(p) for p in returned}
-        # the only arrays are the normalized clouds' float64 rows, each of
-        # which may view its stack of clouds of one size
+        # the only array is the normalized clouds' float64 rows, end to end,
+        # which no returned cloud views
         normed = data._last_load[-1]
         arrays = {id(obj) for obj in held if isinstance(obj, np.ndarray)}
-        assert arrays == {id(a) for a in normed} and len(normed) == 9
-        assert {a.dtype for a in normed} | {a.base.dtype for a in normed if a.base is not None} == {np.dtype(np.float64)}
-        assert not arrays & {id(s.cloud.points) for s in ds.samples}
+        assert arrays == {id(normed)} and normed.dtype == np.float64 and normed.base is None
+        assert normed.shape == (sum(s.cloud.count for s in ds.samples), 3)
+        assert not any(np.shares_memory(normed, s.cloud.points) for s in ds.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,67 @@ def test_ranking_invariant_under_query_rescaling(seed, scale):
     assert a.tolist() == b.tolist()
 
 
+def per_row_topk(features, label_feats, k):
+    """The ranking of each query alone, as a D-vector query was ranked
+    before blocks: its own matrix-vector product, stably sorted."""
+    return np.stack([np.argsort(-(label_feats @ f), kind="stable")[:k] for f in features])
+
+
+def tied_block(seed, B=40, K=7, D=5):
+    """A B x D block and K x D label rows, unit rows, with exact ties: label
+    rows 1 and 4 are equal, as are rows 2 and 6, and the queries repeat and
+    include copies of label rows."""
+    rng = np.random.default_rng(seed)
+    labels = np.stack([unit(rng.normal(size=D)) for _ in range(K)])
+    labels[4], labels[6] = labels[1], labels[2]
+    feats = np.stack([unit(rng.normal(size=D)) for _ in range(B)])
+    feats[B // 2:] = feats[:B - B // 2]
+    feats[:3] = labels[[1, 2, 4]]
+    return feats, labels
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_ranks_equal_each_row_ranked_alone_for_every_k(seed):
+    feats, labels = tied_block(seed)
+    for k in range(1, len(labels) + 1):
+        block = ev.zero_shot_topk(feats, labels, k)
+        assert block.shape == (len(feats), k)
+        assert block.tolist() == per_row_topk(feats, labels, k).tolist()
+        assert block.tolist() == [ev.zero_shot_topk(f, labels, k).tolist() for f in feats]
+        # a block of one query, kept a block
+        assert ev.zero_shot_topk(feats[:1], labels, k).tolist() == block[:1].tolist()
+    # the duplicate label rows tie exactly and go to the lower index
+    assert ev.zero_shot_topk(feats[:3], labels, 2).tolist() == [[1, 4], [2, 6], [1, 4]]
+
+
+def test_block_ranks_on_a_bench_sized_block():
+    # 240 x 32 queries against 17 labels, about the shapes eval-zeroshot
+    # ranks on the bench data.  Labels 0 and 16, and 2 and 9, are equal: one
+    # 240 x 17 matrix product can round them apart by position and so break
+    # some of their ties, which a row ranked alone does not
+    rng = np.random.default_rng(31)
+    feats = rng.normal(size=(240, 32))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    labels = rng.normal(size=(17, 32))
+    labels /= np.linalg.norm(labels, axis=1, keepdims=True)
+    labels[16], labels[9] = labels[0], labels[2]
+    for layout in (feats, np.asfortranarray(feats), feats.astype(np.float32)):
+        assert ev.zero_shot_topk(layout, labels, 5).tolist() == per_row_topk(
+            np.asarray(layout, dtype=np.float64), labels, 5).tolist()
+
+
+def test_a_vector_query_returns_k_indices_and_a_deeper_block_is_refused():
+    labels = np.eye(3)
+    ranks = ev.zero_shot_topk([0.0, 1.0, 0.5], labels, 2)
+    assert ranks.shape == (2,) and ranks.tolist() == [1, 2]
+    with pytest.raises(ShapeError):
+        ev.zero_shot_topk(np.ones((2, 2, 3)), labels, 1)
+    with pytest.raises(ShapeError):
+        ev.zero_shot_topk(np.ones((2, 4)), labels, 1)
+    with pytest.raises(ContractError):
+        ev.zero_shot_topk(np.ones((2, 3)), labels, 4)
+
+
 # ---------------------------------------------------------------------------
 # accuracy
 
@@ -168,6 +229,19 @@ def test_accuracy_monotone_in_k():
     accs = [ev.accuracy_topk(preds, gold, k) for k in range(1, 7)]
     assert all(x <= y for x, y in zip(accs, accs[1:]))
     assert accs[-1] == 1.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_accuracy_on_a_block_is_the_per_row_count(seed):
+    feats, labels = tied_block(seed, B=33)
+    gold = np.random.default_rng(seed).integers(len(labels), size=len(feats)).tolist()
+    block = ev.zero_shot_topk(feats, labels, len(labels))
+    rows = list(block)
+    for k in range(1, len(labels) + 2):
+        count = sum(1 for ranked, g in zip(rows, gold) if g in list(ranked)[:k]) / len(rows)
+        assert ev.accuracy_topk(block, gold, k) == count
+        assert ev.accuracy_topk(rows, gold, k) == count
+        assert type(ev.accuracy_topk(block, gold, k)) is float
 
 
 def test_accuracy_rejections():
