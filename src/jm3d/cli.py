@@ -496,6 +496,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _innermost_jm3d_function(exc: BaseException) -> str:
+    """Name of the last traceback frame inside this package."""
+    here, name, tb = Path(__file__).parent, "run", exc.__traceback__
+    while tb is not None:
+        if Path(tb.tb_frame.f_code.co_filename).parent == here:
+            name = tb.tb_frame.f_code.co_name
+        tb = tb.tb_next
+    return name
+
+
 def run(argv) -> int:
     try:
         ns = _parser().parse_args(list(argv))
@@ -510,6 +520,9 @@ def run(argv) -> int:
         return globals()["_cmd_" + ns.command.replace("-", "_")](ns)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:  # raised where a caller's np.errstate traps
+        print(f"numeric failure: {_innermost_jm3d_function(exc)}: {exc}", file=sys.stderr)
         return 3
     except (Jm3dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -857,6 +857,8 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ManifestError([f"manifest {path} is not UTF-8 text (byte {e.start}: {e.reason})"]) from None
+    if text.startswith("\ufeff"):  # json.loads would reject the header for it
+        raise ManifestError([f"manifest {path} starts with a byte-order mark (U+FEFF); save it without one"])
     if not text or text.isspace():
         raise ManifestError([f"manifest {path} is empty"])
     last = _last_load

@@ -222,17 +222,15 @@ def point_encoder_from_values(tape: ad.Tape, values: dict[str, np.ndarray]) -> P
 
 # The last constant-path point encode: (key, private copy of its B x D
 # result), replaced as one tuple, so a reader sees a whole entry or None.
-_last_point_encode: tuple[bytes, np.ndarray] | None = None
+_last_point_encode: tuple[tuple[dict, tuple, bytes], np.ndarray] | None = None
 
 
-def _point_encode_key(pts: list[np.ndarray], weights: list[ad.Tensor]) -> bytes:
-    """sha256 over numpy's floating-point error settings, then each
-    weight's and each cloud's shape and float64 bytes, in order."""
-    digest = hashlib.sha256(repr(sorted(np.geterr().items())).encode())
-    for arr in [*(w.values for w in weights), *pts]:
-        digest.update(repr(arr.shape).encode())
-        digest.update(np.ascontiguousarray(arr))
-    return digest.digest()
+def _point_encode_key(pts: list[np.ndarray], weights: list[ad.Tensor]) -> tuple[dict, tuple, bytes]:
+    """numpy's floating-point error settings, each weight's and each
+    cloud's shape, and their C-contiguous float64 bytes joined in order:
+    two keys are equal exactly when the inputs are, bit for bit."""
+    arrays = [*(w.values for w in weights), *pts]
+    return np.geterr(), tuple(a.shape for a in arrays), b"".join(np.ascontiguousarray(a) for a in arrays)
 
 
 def encode_point_cloud(clouds, params: PointEncoderParams) -> ad.Tensor:
@@ -247,14 +245,15 @@ def encode_point_cloud(clouds, params: PointEncoderParams) -> ad.Tensor:
     was encoded in.
 
     When all six weights are constants, the last such encode is memoised
-    by content: its key is a sha256 over each weight's and each cloud's
-    shape and float64 bytes, in order, so the order and the set of clouds
-    are part of it, and over numpy's floating-point error settings, so a
+    by content: its key holds each weight's and each cloud's shape and
+    their float64 bytes, in order, so the order, the sizes and the set of
+    clouds are part of it, and numpy's floating-point error settings, so a
     call that would trap an overflow the stored encode only warned of runs
-    again.  A call with the same key returns a fresh copy of the stored
-    result and runs no encoder op.  That is bitwise the encode it skips,
-    since the constant encode is a pure function of those inputs whatever
-    the thread counts.  Only an all-finite result is stored, so a
+    again.  Keys are compared as bytes, so -0.0 and 0.0 differ and no
+    digest is computed.  A call with an equal key returns a fresh copy of
+    the stored result and runs no encoder op.  That is bitwise the encode
+    it skips, since the constant encode is a pure function of those inputs
+    whatever the thread counts.  Only an all-finite result is stored, so a
     non-finite or trapped encode always runs again.  A taped encode
     neither reads nor fills the memo.
     """

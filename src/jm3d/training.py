@@ -498,8 +498,8 @@ def point_features(samples, params: dict) -> np.ndarray:
     """N x D trained-encoder features for a list of samples (inference
     path: the weights are constants, so no tape is built).
 
-    ``encode_point_cloud`` memoises the last such encode, keyed by a sha256
-    over the six "point.*" weights and the samples' clouds, in order: a
+    ``encode_point_cloud`` memoises the last such encode, keyed by the
+    bytes of the six "point.*" weights and the samples' clouds, in order: a
     repeat call on the same weights and samples encodes nothing and returns
     a fresh copy of the same bits."""
     enc = PointEncoderParams(**{name: ad.constant(params[f"point.{name}"])

@@ -2,16 +2,18 @@
 
 import pytest
 
-from jm3d import data
+from jm3d import data, encoders
 from jm3d.synth import SynthConfig, synth_generate
 
 
 @pytest.fixture(autouse=True)
 def no_load_to_reuse(monkeypatch):
-    """Each test starts with no earlier manifest load to reuse (see
-    `data.load_manifest`), so a load in one test cannot answer for the
-    first load of the next."""
+    """Each test starts with no earlier manifest load or constant point
+    encode to reuse (see `data.load_manifest` and
+    `encoders.encode_point_cloud`), so a load or an encode in one test
+    cannot answer for the first of the next."""
     monkeypatch.setattr(data, "_last_load", None)
+    monkeypatch.setattr(encoders, "_last_point_encode", None)
 
 
 @pytest.fixture(scope="session")

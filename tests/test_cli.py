@@ -170,6 +170,16 @@ def test_overflowing_training_exits_3_writing_no_checkpoint(dataset_dir, workdir
     assert not (out / "checkpoint.bin").exists()
 
 
+def test_a_trapped_overflow_exits_3_naming_the_jm3d_function_that_raised(dataset_dir, workdir):
+    out = workdir / "trapped_overflow"
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        code, _, err = run_captured(["pretrain", "--data", str(dataset_dir / "manifest.jsonl"),
+                                     "--epochs", "1", "--batch", "4", "--out", str(out), "--lr", "1e300"])
+    assert code == 3
+    assert err == "numeric failure: _l2_normalize: overflow encountered in multiply\n"
+    assert not (out / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("command,extra", [("eval-zeroshot", ["--checkpoint", "missing.bin"]),
                                            ("retrieve", ["--checkpoint", "missing.bin", "--query", "s0"]),
                                            ("ablate", [])])
@@ -655,6 +665,15 @@ def test_config_and_class_files_with_a_byte_order_mark_exit_2_naming_them(run_di
     # the mark would join the first class name, which then names no sample
     code, _, err = run_captured(["eval-zeroshot", *serve_args(run_dir, manifest), "--set", f"custom:{listing}"])
     assert (code, err) == (2, f"error: custom set file {listing} starts with a byte-order mark (U+FEFF); "
+                              "save it without one\n")
+
+
+def test_a_manifest_with_a_byte_order_mark_exits_2_naming_it(run_dir, dataset_dir, tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\ufeff" + (dataset_dir / "manifest.jsonl").read_text(), encoding="utf-8")
+    code, _, err = run_captured(["eval-zeroshot", *serve_args(run_dir, manifest)])
+    assert (code, err) == (2, "error: manifest validation failed with 1 problem(s)\n"
+                              f"  - manifest {manifest} starts with a byte-order mark (U+FEFF); "
                               "save it without one\n")
 
 

@@ -1224,6 +1224,17 @@ def test_load_manifest_rejects_text_that_is_not_utf8(tmp_path):
     assert err.value.violations[0].startswith(f"manifest {path} is not UTF-8 text (byte ")
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_load_manifest_rejects_a_byte_order_mark_naming_the_file(tmp_path, warm):
+    path = write_dataset(tmp_path)
+    if warm:  # the same text without the mark is the last load
+        data.load_manifest(path)
+    path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+    with pytest.raises(ManifestError) as err:
+        data.load_manifest(path)
+    assert err.value.violations == [f"manifest {path} starts with a byte-order mark (U+FEFF); save it without one"]
+
+
 @pytest.mark.parametrize("crlf", [False, True])
 @pytest.mark.parametrize("sid", ["a\u2028b", "a\u2029b", "a\x85b"])
 def test_a_string_may_hold_a_character_that_splitlines_would_split_on(tmp_path, sid, crlf):

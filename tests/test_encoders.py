@@ -461,6 +461,57 @@ def test_a_constant_encode_of_other_inputs_misses_and_gives_their_bits(encoder_o
     assert changed.tobytes() == encoders.encode_point_cloud(clouds, constant_encoder(values)).values.tobytes()
 
 
+def test_clouds_of_equal_joined_bytes_but_other_sizes_miss(encoder_ops):
+    values = memo_values(6)
+    points = random_cloud(20, 6).points
+    params = constant_encoder(values)
+    first = encoders.encode_point_cloud([PointCloud(points[:4]), PointCloud(points[4:])], params)
+    encoder_ops.clear()
+    split = [PointCloud(points[:2]), PointCloud(points[2:])]
+    second = encoders.encode_point_cloud(split, params)
+    assert encoder_ops.count("mlp_max_pool") == 1
+    assert second.values.tobytes() != first.values.tobytes()
+
+
+def test_a_negative_zero_coordinate_misses(encoder_ops):
+    values = memo_values(7)
+    points = random_cloud(21, 10).points.copy()
+    points[3, 1] = 0.0
+    params = constant_encoder(values)
+    encoders.encode_point_cloud([PointCloud(points)], params)
+    negative = points.copy()
+    negative[3, 1] = -0.0
+    encoder_ops.clear()
+    encoders.encode_point_cloud([PointCloud(negative)], params)
+    assert encoder_ops.count("mlp_max_pool") == 1
+
+
+def test_a_strided_cloud_hits_its_contiguous_copy_with_the_same_bits(encoder_ops, monkeypatch):
+    values = memo_values(8)
+    wide = np.random.default_rng(22).normal(size=(15, 6))
+    strided = wide[:, ::2]
+    assert not strided.flags.c_contiguous
+    params = constant_encoder(values)
+    first = encoders.encode_point_cloud([PointCloud(np.ascontiguousarray(strided))], params).values
+    encoder_ops.clear()
+    hit = encoders.encode_point_cloud([PointCloud(strided)], params).values
+    assert encoder_ops == []
+    monkeypatch.setattr(encoders, "_last_point_encode", None)
+    fresh = encoders.encode_point_cloud([PointCloud(strided)], params).values
+    assert hit.tobytes() == first.tobytes() == fresh.tobytes()
+
+
+def test_a_hit_keeps_the_stored_entry(encoder_ops):
+    values = memo_values(9)
+    clouds = [random_cloud(s) for s in (23, 24)]
+    params = constant_encoder(values)
+    encoders.encode_point_cloud(clouds, params)
+    stored = encoders._last_point_encode
+    encoders.encode_point_cloud([PointCloud(c.points.copy()) for c in clouds], params)
+    assert encoder_ops.count("mlp_max_pool") == 1
+    assert encoders._last_point_encode is stored
+
+
 def test_a_taped_encode_neither_reads_nor_fills_the_memo(encoder_ops):
     values = memo_values(2)
     clouds = [random_cloud(s) for s in (10, 11)]
