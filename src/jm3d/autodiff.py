@@ -17,9 +17,6 @@ deterministically; replaying the same tape twice is bit-identical.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -322,80 +319,6 @@ def max_pool_rows(x: Tensor) -> Tensor:
     return _apply(out, (x,), backward)
 
 
-def _worker_count() -> int:
-    """Threads that numpy work may use beside BLAS's own: max(1, CPUs //
-    BLAS threads).
-
-    CPUs are those this process may run on.  BLAS threads is what OpenBLAS
-    reads: the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS that holds a positive integer, else the CPU count.
-    Unpinned, OpenBLAS already splits a 256 x 64 x 64 GEMM over the CPUs,
-    and Python threads on top of it gain nothing, so the count is then 1.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blas = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            blas = n
-            break
-    return max(1, cpus // blas)
-
-
-def _part_cuts(sizes: Sequence[int]) -> list[int]:
-    """The bounds of ``_run_parts``' parts: part k is ``range(cuts[k],
-    cuts[k + 1])``, cut at equal shares of ``sum(sizes)``, one part per
-    worker, min(len(sizes), ``_worker_count()``) of them."""
-    workers = min(len(sizes), _worker_count())
-    ends = np.cumsum(sizes)
-    cuts = [0]
-    for k in range(1, workers):
-        cut = int(np.searchsorted(ends, ends[-1] * k / workers)) + 1
-        # every part keeps at least one task
-        cuts.append(min(max(cut, cuts[-1] + 1), len(sizes) - workers + k))
-    cuts.append(len(sizes))
-    return cuts
-
-
-def _run_parts(body: Callable[[int, int], None], sizes: Sequence[int]) -> None:
-    """Run ``body(lo, hi)`` over ``range(len(sizes))`` in the contiguous
-    parts of ``_part_cuts(sizes)``, one per worker.
-
-    The calling thread runs the first part and a new thread each other
-    part, under a copy of the caller's context (numpy keeps ``np.errstate``
-    there).  Every thread is joined before this returns or raises, even
-    when the caller's own part failed; then the error of the
-    lowest-numbered failing part, which is that of its lowest-numbered
-    failing task, is raised.
-    """
-    cuts = _part_cuts(sizes)
-    workers = len(cuts) - 1
-    errors = [None] * workers
-
-    def part(k):
-        try:
-            body(cuts[k], cuts[k + 1])
-        except BaseException as exc:  # raised again on the calling thread
-            errors[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(part, k))
-            thread.start()
-            threads.append(thread)
-        part(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def _first_max_rows(z: np.ndarray) -> np.ndarray:
     """``z.argmax(axis=0)`` of an m x h array, m a multiple of 8, ties and
     NaN included, found by blocks: each column's 8-row block maxima, the
@@ -436,24 +359,10 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
     backward is one batch-wide pass over those (cloud, column) pairs: it
     recomputes no layer 1 and runs no product over the rest of a winner
     row's columns.  A row that wins several columns gets the sum of its
-    per-column terms.  On constants nothing is kept, and each column's max
-    is taken without locating its winner.
-
-    On constants the per-cloud loop is split over threads by
-    ``_run_parts``: contiguous parts cut at equal shares of the points, the
-    calling thread taking the first, with max(1, min(B, CPUs // BLAS
-    threads)) workers (``_worker_count``).  So a run with BLAS pinned to one
-    thread encodes on every CPU, and an unpinned one, whose OpenBLAS
-    already splits each GEMM, stays serial.  The bits cannot depend on the
-    split: each cloud's forward reads only shared read-only arrays and
-    writes only its own row of the pooled maxima and its part's buffers,
-    numpy releases the GIL in each of its ops, and the b2 add and the final
-    tanh run after the join.  Each part's two layer buffers, sized for its
-    largest cloud, are allocated by the calling thread before any worker
-    starts, and every op of a part writes into them with ``out=``: a worker
-    thread allocates no array, so glibc gives it no malloc arena of its
-    own.  The taped forward stays serial: at a training batch of 16 clouds
-    the threads cost more than they save.
+    per-column terms.  On constants nothing is kept, each column's max is
+    taken without locating its winner, and the per-cloud loop runs on the
+    calling thread, writing with ``out=`` into one pair of layer buffers
+    sized for the largest cloud, so it allocates no array per cloud.
     """
     params = (w1, b1, w2, b2)
     wv1, bv1, wv2, bv2 = (p.values for p in params)
@@ -467,31 +376,21 @@ def mlp_max_pool(clouds: Sequence[np.ndarray], w1: Tensor, b1: Tensor,
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ShapeError(f"cloud {i} must be N x 3 with N >= 1, got {pts.shape}")
     tape = _tape_of(params)
-    sizes = [pts.shape[0] for pts in clouds]
     # one block per bias, sized for the largest cloud: a block per size
     # would hold B x n x h floats on a ragged batch
-    n_max = max(sizes)
+    n_max = max(pts.shape[0] for pts in clouds)
     rows1 = np.repeat(bv1, n_max, 0)
     out = np.empty((len(clouds), h))
     if tape is None:
-        # each part's two layer buffers, sized for its largest cloud and
-        # allocated here, before any worker starts
-        cuts = _part_cuts(sizes)
-        bufs = {lo: (np.empty((max(sizes[lo:hi]), h)), np.empty((max(sizes[lo:hi]), h)))
-                for lo, hi in zip(cuts, cuts[1:])}
-
-        def encode(lo, hi):
-            a_buf, z_buf = bufs[lo]
-            for i in range(lo, hi):
-                n = sizes[i]
-                a, z = a_buf[:n], z_buf[:n]
-                np.matmul(clouds[i], wv1, out=a)
-                a += rows1[:n]
-                np.tanh(a, out=a)
-                np.matmul(a, wv2, out=z)  # the taped forward's GEMM layout
-                z.max(axis=0, out=out[i])
-
-        _run_parts(encode, sizes)
+        a_buf, z_buf = np.empty((n_max, h)), np.empty((n_max, h))
+        for i, pts in enumerate(clouds):
+            n = pts.shape[0]
+            a, z = a_buf[:n], z_buf[:n]
+            np.matmul(pts, wv1, out=a)
+            a += rows1[:n]
+            np.tanh(a, out=a)
+            np.matmul(a, wv2, out=z)  # the taped forward's GEMM layout
+            z.max(axis=0, out=out[i])
         out += bv2
         return constant(np.tanh(out, out=out))
     rows2 = np.repeat(bv2, n_max, 0)

@@ -332,6 +332,10 @@ def _cmd_eval_zeroshot(ns) -> int:
     set_name, classes = _eval_classes(ns, dataset)
     records = zero_shot_records(ckpt, dataset.samples, dataset.tree, classes,
                                 set_name, ns.topk, str(ns.checkpoint))
+    if ns.set.startswith("custom:"):  # a class no sample carries only competes in the ranking
+        used = {classes[g] for g in gold_indices(dataset.samples, dataset.tree, classes)[1]}
+        if unused := [repr(name) for name in dict.fromkeys(classes) if name not in used]:
+            print(f"note: no sample carries class {', '.join(unused)}", file=sys.stderr)
     print(format_table(records))
     _write_report(ns.out, "zeroshot.txt", format_records(records))
     return 0

@@ -171,62 +171,64 @@ def synth_generate(config: SynthConfig, out_dir, seed: int) -> LoadedDataset:
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     P, S, M, K, D = (config.parents, config.subs_per_parent, config.samples_per_sub,
                      config.latent, config.dim)
-    # drawn and allocated before anything is created, so a size too large
-    # for memory fails with the directory untouched
-    try:
-        z_parent = rng.normal(size=(P, K))
-        z_sub = z_parent[:, None, :] + config.sub_spread * rng.normal(size=(P, S, K))
-        w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
-        clouds = np.empty((P * S * M, config.points, 3))  # as stored; normalized as one stack
-    except ValueError:  # numpy's refusal of a size beyond its address space
-        raise MemoryError from None
+    # what a huge spread or noise makes non-finite, _check_stored reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # drawn and allocated before anything is created, so a size too large
+        # for memory fails with the directory untouched
+        try:
+            z_parent = rng.normal(size=(P, K))
+            z_sub = z_parent[:, None, :] + config.sub_spread * rng.normal(size=(P, S, K))
+            w_feat = rng.normal(size=(K + 4, D)) / math.sqrt(K + 4)
+            clouds = np.empty((P * S * M, config.points, 3))  # as stored; normalized as one stack
+        except ValueError:  # numpy's refusal of a size beyond its address space
+            raise MemoryError from None
 
-    out = Path(out_dir)
-    (out / "payload").mkdir(parents=True, exist_ok=True)
-    # a run that fails part way must not leave an earlier manifest naming
-    # payload files that this run has overwritten; a smaller run must not
-    # leave the earlier dataset's payload files behind
-    _remove_named_payloads(out)
-    (out / "manifest.jsonl").unlink(missing_ok=True)
-    prefix = os.path.join(out, "")  # payload paths as strings: no Path per file
+        out = Path(out_dir)
+        (out / "payload").mkdir(parents=True, exist_ok=True)
+        # a run that fails part way must not leave an earlier manifest naming
+        # payload files that this run has overwritten; a smaller run must not
+        # leave the earlier dataset's payload files behind
+        _remove_named_payloads(out)
+        (out / "manifest.jsonl").unlink(missing_ok=True)
+        prefix = os.path.join(out, "")  # payload paths as strings: no Path per file
 
-    view_keys = [(a * ANGLE_STEP_DEG, kind) for a in range(config.n_angles) for kind in config.kinds]
-    angles, kinds = (tuple(column) for column in zip(*view_keys))
-    # the header's view grid: its views name no file, so they take each view file's rows
-    view_objs = [{"angle": angle, "kind": kind} for angle, kind in view_keys]
-    # a sample's latent, then per view [cos, sin, depth flag, 1] from libm (np.cos may round otherwise)
-    base = np.empty((len(view_keys), K + 4))
-    base[:, K:] = [[math.cos(math.radians(angle)), math.sin(math.radians(angle)),
-                    1.0 if kind == "depth" else 0.0, 1.0] for angle, kind in view_keys]
-    records, view_sets = [], []
-    for p in range(P):
-        parent_name = f"cat{p:02d}"
-        for s in range(S):
-            sub_name = f"{parent_name}_sub{s:02d}"
-            exps, axes = _sub_shape(p, p * S + s)
-            for m in range(M):
-                sid = f"{sub_name}_{m:03d}"
-                base[:, :K] = z_sub[p, s] + config.sample_spread * rng.normal(size=K)
-                jit = rng.normal(size=5)
-                eta = rng.uniform(-np.pi / 2, np.pi / 2, size=config.points)
-                om = rng.uniform(-np.pi, np.pi, size=config.points)
-                jexps = (exps[0] * (1 + 0.03 * jit[0]), exps[1] * (1 + 0.03 * jit[1]))
-                jaxes = axes * (1 + 0.03 * jit[2:5])
-                pts = superquadric_surface(eta, om, jexps, jaxes)
-                pts = pts + config.cloud_noise * rng.normal(size=pts.shape)
-                cloud_file = f"payload/cloud_{sid}.bin"
-                cloud = clouds[len(records)] = write_cloud_file(prefix + cloud_file, normalize_points(pts))
-                _check_stored(cloud, f"the cloud of sample {sid!r}")
+        view_keys = [(a * ANGLE_STEP_DEG, kind) for a in range(config.n_angles) for kind in config.kinds]
+        angles, kinds = (tuple(column) for column in zip(*view_keys))
+        # the header's view grid: its views name no file, so they take each view file's rows
+        view_objs = [{"angle": angle, "kind": kind} for angle, kind in view_keys]
+        # a sample's latent, then per view [cos, sin, depth flag, 1] from libm (np.cos may round otherwise)
+        base = np.empty((len(view_keys), K + 4))
+        base[:, K:] = [[math.cos(math.radians(angle)), math.sin(math.radians(angle)),
+                        1.0 if kind == "depth" else 0.0, 1.0] for angle, kind in view_keys]
+        records, view_sets = [], []
+        for p in range(P):
+            parent_name = f"cat{p:02d}"
+            for s in range(S):
+                sub_name = f"{parent_name}_sub{s:02d}"
+                exps, axes = _sub_shape(p, p * S + s)
+                for m in range(M):
+                    sid = f"{sub_name}_{m:03d}"
+                    base[:, :K] = z_sub[p, s] + config.sample_spread * rng.normal(size=K)
+                    jit = rng.normal(size=5)
+                    eta = rng.uniform(-np.pi / 2, np.pi / 2, size=config.points)
+                    om = rng.uniform(-np.pi, np.pi, size=config.points)
+                    jexps = (exps[0] * (1 + 0.03 * jit[0]), exps[1] * (1 + 0.03 * jit[1]))
+                    jaxes = axes * (1 + 0.03 * jit[2:5])
+                    pts = superquadric_surface(eta, om, jexps, jaxes)
+                    pts = pts + config.cloud_noise * rng.normal(size=pts.shape)
+                    cloud_file = f"payload/cloud_{sid}.bin"
+                    cloud = clouds[len(records)] = write_cloud_file(prefix + cloud_file, normalize_points(pts))
+                    _check_stored(cloud, f"the cloud of sample {sid!r}")
 
-                # stacked 1 x (K + 4) rows round as lone vector-matrix products; a 2-D one may not
-                raw = np.matmul(base[:, None, :], w_feat)[:, 0]
-                raw += config.feature_noise * rng.normal(size=(len(view_keys), D))
-                view_file = f"payload/views_{sid}.bin"
-                feats = write_feature_file(prefix + view_file, raw).astype(np.float32)  # as stored
-                _check_stored(feats, f"the view features of sample {sid!r}")
-                view_sets.append(ViewSet(angles, kinds, _Payload(None, view_file, None, len(feats), data=feats)))
-                records.append({"id": sid, "parent": parent_name, "sub": sub_name,
-                                "cloud_file": cloud_file, "view_file": view_file})
+                    # stacked 1 x (K + 4) rows round as lone vector-matrix products; a 2-D one may not
+                    raw = np.matmul(base[:, None, :], w_feat)[:, 0]
+                    raw += config.feature_noise * rng.normal(size=(len(view_keys), D))
+                    view_file = f"payload/views_{sid}.bin"
+                    feats = write_feature_file(prefix + view_file, raw).astype(np.float32)  # as stored
+                    _check_stored(feats, f"the view features of sample {sid!r}")
+                    view_sets.append(ViewSet(angles, kinds, _Payload(None, view_file, None, len(feats), data=feats)))
+                    records.append({"id": sid, "parent": parent_name, "sub": sub_name,
+                                    "cloud_file": cloud_file, "view_file": view_file})
 
     samples = [TripletSample(rec["id"], cloud, views, rec["parent"], rec["sub"], rec["cloud_file"])
                for rec, cloud, views in zip(records, payload_clouds(clouds), view_sets)]

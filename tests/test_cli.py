@@ -701,6 +701,15 @@ def test_a_class_name_holding_a_line_separator_stays_one_class(run_dir, dataset_
     assert (code, set_name, k, n) == (0, "classes", "1", "6")  # only cat01 names samples: 6 of the 12
 
 
+def test_a_custom_class_that_no_sample_carries_is_named_on_stderr(run_dir, dataset_dir, tmp_path):
+    listing = tmp_path / "classes.txt"
+    listing.write_text("cat00\nnosuch\n", encoding="utf-8")
+    code, out, err = run_captured(["eval-zeroshot", *serve_args(run_dir, dataset_dir / "manifest.jsonl"),
+                                   "--set", f"custom:{listing}", "--topk", "1"])
+    assert (code, err) == (0, "note: no sample carries class 'nosuch'\n")
+    assert out.splitlines()[-1].split()[::3] == ["classes", "6"]  # cat00's 6 samples are scored
+
+
 def test_payload_name_with_nul_exits_2_naming_line_and_field(run_dir, dataset_dir, tmp_path):
     manifest, _ = copy_dataset(dataset_dir, tmp_path / "data")
     with edited_manifest(manifest) as (_, objs):

@@ -4,6 +4,7 @@ statistical separation the rest of the test suite relies on."""
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,14 +242,18 @@ def test_spread_must_be_finite_and_non_negative(name, tmp_path):
     synth.synth_generate(small_config(**{name: 0.0}), tmp_path / "d", seed=0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # float64 overflow on the way
 @pytest.mark.parametrize("name", SPREADS)
 def test_payload_beyond_float32_raises_before_the_manifest(name, tmp_path):
-    # cloud noise is normalized away unless it overflows float64 itself
+    # cloud noise is normalized away unless it overflows float64 itself; the
+    # overflow on the way warns nothing and, under a caller's traps, raises
+    # the same error
     huge = 1e308 if name == "cloud_noise" else 1e300
-    with pytest.raises(NumericError, match="would not be finite in float32"):
-        synth.synth_generate(small_config(**{name: huge}), tmp_path / "d", seed=0)
-    assert not (tmp_path / "d" / "manifest.jsonl").exists()
+    for traps in ({}, dict(over="raise", invalid="raise", divide="raise")):
+        with warnings.catch_warnings(), np.errstate(**traps):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="would not be finite in float32"):
+                synth.synth_generate(small_config(**{name: huge}), tmp_path / "d", seed=0)
+        assert not (tmp_path / "d" / "manifest.jsonl").exists()
     # nor may an earlier dataset's manifest survive, naming overwritten payloads
     synth.synth_generate(small_config(), tmp_path / "d", seed=0)
     with pytest.raises(NumericError):

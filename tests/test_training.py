@@ -610,8 +610,9 @@ def test_checkpoint_bytes_identical_at_1_and_2_blas_threads(tmp_path):
 
 
 def test_exported_features_identical_at_1_and_2_blas_threads(tmp_path):
-    # at one BLAS thread the encoder splits its clouds over Python threads,
-    # one per CPU; at two, on two CPUs, OpenBLAS splits each GEMM instead
+    # the encoder runs every cloud on the calling thread; OpenBLAS runs each
+    # GEMM on one thread, on two, or, with no BLAS variable set, on one per
+    # CPU
     data_dir = tmp_path / "data"
     synth_generate(SynthConfig(parents=2, subs_per_parent=2, samples_per_sub=8,
                                points=256, dim=16, n_angles=10), data_dir, seed=3)
@@ -620,17 +621,20 @@ def test_exported_features_identical_at_1_and_2_blas_threads(tmp_path):
                     "--epochs", "1", "--batch", "16", "--seed", "0"]) == 0
     src = str(Path(jm3d.__file__).resolve().parents[1])
     exported = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"threads{threads}"
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads or 'unset'}"
         proc = subprocess.run([sys.executable, "-m", "jm3d", "export-features",
                                "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
                                "--data", manifest, "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         exported.append((out / "features.bin").read_bytes())
-    assert exported[0] == exported[1]
+    assert exported[0] == exported[1] == exported[2]
 
 
 def with_metadata(raw: bytes, meta) -> bytes:
