@@ -6,6 +6,7 @@ forward function, never by a second copy of the backward rule.
 
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -311,14 +312,31 @@ def test_constant_mlp_max_pool_matches_the_op_chain_on_240_clouds(hidden, shape)
     assert constant_pool_peak(clouds, hidden, 15) < blocks + 96 * 1024
 
 
-def test_constant_mlp_max_pool_traps_overflow_in_its_last_cloud():
+@pytest.mark.parametrize("workers, cloud_count", [(2, 3), (3, 30), (7, 240)])
+def test_mlp_max_pool_traps_overflow_in_a_worker_thread(workers, cloud_count):
+    # numpy keeps np.errstate in a context variable, which a plain thread
+    # starts without: the encode runs on its caller's thread, so a caller on
+    # a worker thread traps the overflow of its last cloud under its own
+    # errstate while other threads encode, and the encode starts no thread
     rng = np.random.default_rng(16)
-    clouds = [rng.normal(size=(64, 3)) for _ in range(239)]
+    clouds = [rng.normal(size=(64, 3)) for _ in range(cloud_count - 1)]
     clouds.append(np.full((64, 3), 1e308))
     values = mlp_pool_values(17, 64)
     consts = [ad.constant(values[k]) for k in ("w1", "b1", "w2", "b2")]
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        ad.mlp_max_pool(clouds, *consts)
+    threads, trapped = threading.active_count(), []
+
+    def encode():
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ad.mlp_max_pool(clouds, *consts)
+        trapped.append(threading.current_thread())
+
+    callers = [threading.Thread(target=encode) for _ in range(workers)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join()
+    assert set(trapped) == set(callers)
+    assert threading.active_count() == threads
 
 
 def test_mlp_max_pool_saturated_columns_match_op_chain():
