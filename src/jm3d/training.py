@@ -1,6 +1,7 @@
 """Optimization loop: AdamW with decoupled weight decay, cosine learning
 rate, seeded batching with per-epoch view resampling, ablation switches,
-and a versioned binary checkpoint.
+and a versioned binary checkpoint of what evaluation reads: the config,
+the feature width and the point encoder.
 
 Determinism contract: a (config, seed, dataset) triple fixes every random
 draw.  The single generator is consumed in a documented order: point
@@ -24,7 +25,7 @@ from . import alignment as al
 from . import autodiff as ad
 # sample_within_window is not called here, but bench/workloads.py traces it
 # under this module's name
-from .data import (CategoryTree, LoadedDataset, TripletSample, ViewSet,  # noqa: F401
+from .data import (LoadedDataset, TripletSample, ViewSet,  # noqa: F401
                    WindowSampler, replace_file, resolve_label, sample_within_window,
                    window_sampler)
 from .encoders import (POINT_PARAM_NAMES, FrozenEncoderSpec, PointEncoderParams,
@@ -121,8 +122,8 @@ class OptimizerState:
 
     m: np.ndarray
     v: np.ndarray
+    layout: tuple[tuple[str, int], ...]
     step: int = 0
-    layout: tuple[tuple[str, int], ...] = ()
 
     @classmethod
     def fresh(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
@@ -132,27 +133,21 @@ class OptimizerState:
                    layout=tuple(zip(params, itertools.accumulate(sizes))))
 
 
-def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: OptimizerState, lr: float, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8,
+def adamw_step(p: np.ndarray, g: np.ndarray, state: OptimizerState, lr: float,
+               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.01) -> None:
-    """One decoupled-weight-decay update, in place on params and state, as
-    one pass over the flat vector.
+    """One decoupled-weight-decay update, in place on ``p`` and ``state``,
+    as one pass over the flat vector.
 
-    ``params`` holds that vector (any shape, its size that of ``state``'s
-    moments) under one name, and ``grads`` its gradient under the same
-    name.  An update that leaves a second moment or a parameter
-    non-finite raises ``NumericError`` naming the step and the array of
-    ``state.layout`` that holds the first bad value.  That check reports
-    the failure, so the update itself runs with numpy's overflow and
-    invalid warnings off.
+    ``p`` is that vector (any shape, its size that of ``state``'s moments)
+    and ``g`` its gradient.  An update that leaves a second moment or a
+    parameter non-finite raises ``NumericError`` naming the step and the
+    array of ``state.layout`` that holds the first bad value.  That check
+    reports the failure, so the update itself runs with numpy's overflow
+    and invalid warnings off.
     """
-    if len(params) != 1:
-        raise ContractError(f"adamw_step updates one flat vector, got {len(params)} arrays")
-    ((name, p),) = params.items()
-    g = grads[name]
     if g.shape != p.shape or p.size != state.m.size:
-        raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {p.shape}, "
+        raise ShapeError(f"gradient has shape {g.shape}, parameter is {p.shape}, "
                          f"optimizer state holds {state.m.size} values")
     state.step += 1
     t = state.step
@@ -172,7 +167,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         finite = np.isfinite(updated)
         if not finite.all():
             first = int(finite.argmin())
-            bad = next((n for n, end in state.layout if first < end), name)
+            bad = next(n for n, end in state.layout if first < end)
             raise NumericError(f"adamw_step: step {t}: the update of {bad!r} is not finite")
 
 
@@ -255,7 +250,7 @@ def batch_loss(params: dict[str, np.ndarray], clouds, view_rows, text_rows,
 # checkpoint
 
 CHECKPOINT_MAGIC = b"JM3DCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # TrainConfig field -> its annotation ("int", "float", "bool" or "str")
@@ -265,16 +260,17 @@ _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 @dataclass
 class Checkpoint:
-    """A trained model for evaluation: config echo, label tree, trained
-    parameters, step counter, loss history.  Optimizer moments are not
-    kept, so a checkpoint cannot resume training."""
+    """A trained model for evaluation: config echo, feature width, trained
+    parameters and the per-epoch loss history.  A file holds the config,
+    the width and the "point.*" arrays only: ``train()`` also returns the
+    "head.*" arrays and the losses, which a loaded checkpoint lacks
+    (``losses.jsonl`` keeps the history).  Optimizer moments are not kept
+    either, so a checkpoint cannot resume training."""
 
     config: dict
-    tree_pairs: list
     dim: int
-    step: int
-    losses: list
     params: dict
+    losses: list = dataclasses.field(default_factory=list)
 
     def train_config(self) -> TrainConfig:
         """The stored config; a key ``TrainConfig`` lacks or a value of
@@ -288,22 +284,14 @@ class Checkpoint:
                 raise TypeError(f"config key {key!r} holds {value!r}, not a {kind}")
         return TrainConfig(**self.config)
 
-    def tree(self) -> CategoryTree:
-        return CategoryTree.from_pairs(self.tree_pairs)
-
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    meta = {
-        "config": ckpt.config,
-        "tree": [[p, s] for p, s in ckpt.tree_pairs],
-        "dim": int(ckpt.dim),
-        "step": int(ckpt.step),
-        "losses": [float(x) for x in ckpt.losses],
-    }
-    blob = json.dumps(meta, sort_keys=True).encode()
+    """Write the config, the width and the "point.*" arrays, in order."""
+    blob = json.dumps({"config": ckpt.config, "dim": int(ckpt.dim)}, sort_keys=True).encode()
+    point = {name: arr for name, arr in ckpt.params.items() if name.startswith("point.")}
     parts = [CHECKPOINT_MAGIC, struct.pack("<2I", CHECKPOINT_VERSION, len(blob)), blob,
-             struct.pack("<I", len(ckpt.params))]
-    for name, arr in ckpt.params.items():
+             struct.pack("<I", len(point))]
+    for name, arr in point.items():
         arr = np.asarray(arr, dtype=np.float64)
         nb = name.encode()
         parts += [struct.pack("<I", len(nb)), nb, struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
@@ -316,12 +304,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint.
 
-    Malformed metadata, an array name that appears twice, bytes after the
-    last array, a config key `TrainConfig` does not know, or a parameter
-    set whose names or shapes differ from `point_encoder_shapes` and
-    `alignment_head_shapes` for the stored config, dim and tree raise
+    Another version, malformed metadata, an array name that appears twice,
+    bytes after the last array, a config key `TrainConfig` does not know,
+    or a parameter set whose names or shapes differ from
+    `point_encoder_shapes` for the stored config and dim raise
     `InputError`; a non-finite parameter raises `NumericError`.  No
-    reference weights are built, so declared widths cost no memory.
+    reference weights are built, so declared widths cost no memory.  The
+    loaded checkpoint has no loss history.
     """
     path = Path(path)
     if not path.is_file():
@@ -367,24 +356,14 @@ def load_checkpoint(path) -> Checkpoint:
     if off != len(raw):
         raise InputError(f"{path}: {len(raw) - off} bytes after the last array")
     try:
-        for key, least in (("dim", 1), ("step", 0)):
-            if type(meta[key]) is not int or meta[key] < least:  # JSON true is an int
-                raise ValueError(f"{key} must be an integer >= {least}, got {meta[key]!r}")
-        ckpt = Checkpoint(
-            config=meta["config"],
-            tree_pairs=[(p, s) for p, s in meta["tree"]],
-            dim=meta["dim"],
-            step=meta["step"],
-            losses=[float(x) for x in meta["losses"]],
-            params=params,
-        )
-        config, tree = ckpt.train_config(), ckpt.tree()
+        if type(meta["dim"]) is not int or meta["dim"] < 1:  # JSON true is an int
+            raise ValueError(f"dim must be an integer >= 1, got {meta['dim']!r}")
+        ckpt = Checkpoint(config=meta["config"], dim=meta["dim"], params=params)
+        config = ckpt.train_config()
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed checkpoint metadata ({type(exc).__name__}: {exc})") from None
     expected = {f"point.{name}": shape
                 for name, shape in point_encoder_shapes(config.point_hidden, ckpt.dim).items()}
-    expected.update({f"head.{name}": shape for name, shape in al.alignment_head_shapes(
-        ckpt.dim, tree.n_parents, config.head_hidden).items()})
     found = {name: arr.shape for name, arr in params.items()}
     if found != expected:
         odd = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
@@ -468,22 +447,16 @@ def train(dataset: LoadedDataset, config: TrainConfig, out_dir=None) -> Checkpoi
             grads = tape.backward(loss)
             lr = cosine_lr(opt.step, total_steps, config.base_lr)
             flat_grad = np.concatenate([grads[name] for name in params], axis=None)
-            adamw_step({"params": flat}, {"params": flat_grad}, opt, lr, config.beta1,
-                       config.beta2, config.adam_eps, config.weight_decay)
+            adamw_step(flat, flat_grad, opt, lr, config.beta1, config.beta2,
+                       config.adam_eps, config.weight_decay)
             step_losses.append(loss.item())
             step_parts.append(parts)
         epoch_losses.append(float(np.mean(step_losses)))
         epoch_parts.append({name: float(np.mean([p[name] for p in step_parts]))
                             for name in step_parts[0]})
 
-    ckpt = Checkpoint(
-        config=dataclasses.asdict(config),
-        tree_pairs=dataset.tree.to_pairs(),
-        dim=dim,
-        step=opt.step,
-        losses=epoch_losses,
-        params=params,
-    )
+    ckpt = Checkpoint(config=dataclasses.asdict(config), dim=dim, params=params,
+                      losses=epoch_losses)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -45,6 +45,16 @@ def tiny_dataset(tiny_dir):
     return load_manifest(tiny_dir / "manifest.jsonl")
 
 
+def params_digest(params) -> str:
+    """sha256 over the arrays' names and little-endian float64 bytes, in
+    name order."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def quick_config(**over):
     base = dict(batch_size=8, epochs=2, v_views=2, omega_deg=60.0,
                 point_hidden=16, head_hidden=8, seed=0)
@@ -79,7 +89,7 @@ def test_adamw_zero_grad_zero_decay_is_identity():
     params = {"w": np.array([[1.5, -2.0]])}
     state = tr.OptimizerState.fresh(params)
     before = params["w"].copy()
-    tr.adamw_step(params, {"w": np.zeros((1, 2))}, state, lr=0.1, weight_decay=0.0)
+    tr.adamw_step(params["w"], np.zeros((1, 2)), state, lr=0.1, weight_decay=0.0)
     assert params["w"].tobytes() == before.tobytes()
     assert state.step == 1
 
@@ -89,7 +99,7 @@ def test_adamw_pure_decay_shrinks_geometrically():
     state = tr.OptimizerState.fresh(params)
     lr, wd = 0.01, 0.5
     for _ in range(5):
-        tr.adamw_step(params, {"w": np.zeros(1)}, state, lr=lr, weight_decay=wd)
+        tr.adamw_step(params["w"], np.zeros(1), state, lr=lr, weight_decay=wd)
     assert abs(params["w"][0] - 2.0 * (1 - lr * wd) ** 5) < 1e-12
 
 
@@ -98,11 +108,11 @@ def test_adamw_constant_gradient_update_approaches_lr():
     # moves by about lr against the gradient sign
     params = {"w": np.array([0.0])}
     state = tr.OptimizerState.fresh(params)
-    g = {"w": np.array([3.7])}
+    g = np.array([3.7])
     lr = 0.01
     for _ in range(300):
         prev = params["w"][0]
-        tr.adamw_step(params, g, state, lr=lr, weight_decay=0.0)
+        tr.adamw_step(params["w"], g, state, lr=lr, weight_decay=0.0)
     delta = prev - params["w"][0]
     assert abs(delta - lr) < 0.02 * lr
     assert params["w"][0] < 0
@@ -112,7 +122,7 @@ def test_adamw_rejects_shape_mismatch():
     params = {"w": np.ones((2, 2))}
     state = tr.OptimizerState.fresh(params)
     with pytest.raises(ShapeError):
-        tr.adamw_step(params, {"w": np.ones(3)}, state, lr=0.1)
+        tr.adamw_step(params["w"], np.ones(3), state, lr=0.1)
 
 
 def test_adamw_bias_correction_first_step():
@@ -121,7 +131,7 @@ def test_adamw_bias_correction_first_step():
     for g0 in (0.001, 1.0, 250.0):
         params = {"w": np.array([1.0])}
         state = tr.OptimizerState.fresh(params)
-        tr.adamw_step(params, {"w": np.array([g0])}, state, lr=0.1,
+        tr.adamw_step(params["w"], np.array([g0]), state, lr=0.1,
                       eps=1e-8, weight_decay=0.0)
         assert abs((1.0 - params["w"][0]) - 0.1 * g0 / (g0 + 1e-8)) < 1e-12
 
@@ -210,11 +220,7 @@ def test_init_params_draws_are_pinned(hidden, head_hidden, dim, n_parents, seed,
     params = tr.init_params(config, dim, n_parents, np.random.default_rng(seed))
     assert list(params) == ([f"point.{n}" for n in POINT_PARAM_NAMES]
                             + [f"head.{n}" for n in al.HEAD_PARAM_NAMES])
-    h = hashlib.sha256()
-    for name in sorted(params):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
-    assert h.hexdigest() == digest
+    assert params_digest(params) == digest
 
 
 def test_loss_decreases_over_two_epochs(tiny_dataset):
@@ -314,31 +320,32 @@ def pin_dataset(tmp_path_factory):
     return synth_generate(cfg, tmp_path_factory.mktemp("pin"), seed=5)
 
 
-# sha256 prefixes of the checkpoint that train() writes, by batch size (4
-# divides the 20 samples, 6 leaves a ragged tail of 2) and switch turned off
+# sha256 prefixes over every array train() returns, point and head, by
+# batch size (4 divides the 20 samples, 6 leaves a ragged tail of 2) and
+# switch turned off; the file format is not hashed, so the pins follow the
+# trained bits alone
 CHECKPOINT_PINS = {
-    (4, None): "7ef36092464dca70",
-    (4, "cis_on"): "ed02b8ef5936cb6b",
-    (4, "htt_on"): "a0bbae4dd7630c0b",
-    (4, "jma_on"): "2b86ec4ab7a9bc34",
-    (4, "embeddings_on"): "0c4b297fb19dc6c7",
-    (4, "within_view_on"): "c416d4a6820ad602",
-    (6, None): "de7654520998c5d8",
-    (6, "cis_on"): "a209cbf61e282e93",
-    (6, "htt_on"): "1c28ab0a9abe6550",
-    (6, "jma_on"): "f964744b44f02f10",
-    (6, "embeddings_on"): "7ff1ad6f62e2c4ac",
-    (6, "within_view_on"): "1fec02ac1393b950",
+    (4, None): "a2e0347cb755204f",
+    (4, "cis_on"): "7b10fffb39314ce4",
+    (4, "htt_on"): "22c985e3f3b52897",
+    (4, "jma_on"): "99709c3f357d87a5",
+    (4, "embeddings_on"): "7b4895417d4e5f68",
+    (4, "within_view_on"): "34762ab5630bc5eb",
+    (6, None): "c4cfa83a20d19298",
+    (6, "cis_on"): "315827c57f4116d9",
+    (6, "htt_on"): "340b9b653adab13b",
+    (6, "jma_on"): "34b8188ddfefd2a3",
+    (6, "embeddings_on"): "2da828436ccc7298",
+    (6, "within_view_on"): "8257c1c1b7b84819",
 }
 
 
 @pytest.mark.parametrize("batch, off", sorted(CHECKPOINT_PINS, key=str))
-def test_checkpoint_bytes_are_pinned(pin_dataset, tmp_path, batch, off):
+def test_checkpoint_bytes_are_pinned(pin_dataset, batch, off):
     # any bit a training step computes differently changes these bytes
     flags = {off: False} if off else {}
-    tr.train(pin_dataset, quick_config(batch_size=batch, **flags), out_dir=tmp_path)
-    digest = hashlib.sha256((tmp_path / "checkpoint.bin").read_bytes()).hexdigest()
-    assert digest[:16] == CHECKPOINT_PINS[batch, off]
+    params = tr.train(pin_dataset, quick_config(batch_size=batch, **flags)).params
+    assert params_digest(params)[:16] == CHECKPOINT_PINS[batch, off]
 
 
 def test_seed_changes_trajectory(tiny_dataset):
@@ -514,11 +521,11 @@ def test_checkpoint_roundtrip_and_byte_stability(tiny_dataset, tmp_path):
     path = tmp_path / "checkpoint.bin"
     loaded = tr.load_checkpoint(path)
     assert loaded.config == ckpt.config
-    assert loaded.tree_pairs == ckpt.tree_pairs
     assert loaded.dim == ckpt.dim
-    assert loaded.step == ckpt.step
-    assert loaded.losses == ckpt.losses
-    for name in ckpt.params:
+    assert loaded.losses == []  # losses.jsonl keeps the history
+    point = [f"point.{n}" for n in POINT_PARAM_NAMES]
+    assert list(loaded.params) == point
+    for name in point:
         assert loaded.params[name].tobytes() == ckpt.params[name].tobytes()
     again = tmp_path / "again.bin"
     tr.save_checkpoint(loaded, again)
@@ -530,8 +537,7 @@ def test_checkpoint_config_rebuilds(tiny_dataset, tmp_path):
     ckpt = tr.train(tiny_dataset, cfg, out_dir=tmp_path)
     loaded = tr.load_checkpoint(tmp_path / "checkpoint.bin")
     assert loaded.train_config() == cfg
-    tree = loaded.tree()
-    assert tree.to_pairs() == tiny_dataset.tree.to_pairs()
+    assert loaded.dim == tiny_dataset.dim
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -605,7 +611,9 @@ def test_checkpoint_bytes_identical_at_1_and_2_blas_threads(tmp_path):
                                    "--epochs", "2", "--batch", batch, "--seed", "0"],
                                   env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
-            digests.append((out / "checkpoint.bin").read_bytes())
+            # the checkpoint holds the point encoder only, so the losses,
+            # which also depend on the alignment heads, are compared too
+            digests.append([(out / name).read_bytes() for name in ("checkpoint.bin", "losses.jsonl")])
         assert digests[0] == digests[1], batch
 
 
@@ -680,14 +688,13 @@ def test_malformed_checkpoint_exits_2_and_non_finite_exits_3(tiny_dir, tiny_data
         (with_metadata(raw, [meta]), 2, "malformed checkpoint metadata"),
         (with_metadata(raw, {**meta, "config": {**meta["config"], "bogus": 1}}), 2, "bogus"),
         (with_params(**{"point.w1": None}), 2, "'point.w1'"),
-        (with_params(**{"head.cb2": np.zeros((1, 7))}), 2, "'head.cb2'"),
+        (with_params(**{"point.b1": np.zeros((1, 7))}), 2, "'point.b1'"),
+        (with_params(**{"point.extra": np.zeros(1)}), 2, "'point.extra'"),
         (with_params(**{"point.w2": nan_w2}), 3, "non-finite values in parameters ['point.w2']"),
         (with_metadata(raw, {**meta, "dim": meta["dim"] + 0.7}), 2, "dim must be an integer >= 1, got"),
         (with_metadata(raw, {**meta, "dim": str(meta["dim"])}), 2,
          f"dim must be an integer >= 1, got '{meta['dim']}'"),
         (with_metadata(raw, {**meta, "dim": True}), 2, "dim must be an integer >= 1, got True"),
-        (with_metadata(raw, {**meta, "step": meta["step"] + 0.9}), 2, "step must be an integer >= 0, got"),
-        (with_metadata(raw, {**meta, "step": -1}), 2, "step must be an integer >= 0, got -1"),
         (with_metadata(raw, {**meta, "config": {**meta["config"], "tau_init": math.nan}}), 2,
          "tau_init must not be NaN"),
         (raw + bytes(8), 2, "8 bytes after the last array"),
@@ -714,7 +721,7 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tiny_dataset, tmp_path, 
 
     monkeypatch.setattr(os, "write", write_half_then_fail)
     with pytest.raises(OSError):
-        tr.save_checkpoint(dataclasses.replace(ckpt, step=ckpt.step + 1), path)
+        tr.save_checkpoint(dataclasses.replace(ckpt, config={**ckpt.config, "seed": 1}), path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == listing
@@ -757,7 +764,9 @@ def test_checkpoint_declaring_huge_widths_exits_2_without_allocating(tiny_datase
 def test_checkpoint_version_gate(tiny_dir, tiny_dataset, tmp_path, capsys):
     tr.train(tiny_dataset, quick_config(epochs=1), out_dir=tmp_path)
     raw = bytearray((tmp_path / "checkpoint.bin").read_bytes())
-    for version in (1, 99):  # 1 is the retired format that held optimizer moments
+    # 1 is the retired format that held optimizer moments, 2 the one that
+    # held the label tree, step count, losses and alignment heads
+    for version in (1, 2, 99):
         raw[8:12] = version.to_bytes(4, "little")
         wrong = tmp_path / "wrong.bin"
         wrong.write_bytes(bytes(raw))
