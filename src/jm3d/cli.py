@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .data import (LoadedDataset, PointCloud, load_manifest, replace_file,
-                   resolve_label, stratified_split, write_feature_file)
+from .data import (LoadedDataset, PointCloud, load_manifest, numbered_lines, read_text,
+                   replace_file, resolve_label, stratified_split, write_feature_file)
 # encode_point_cloud is not called here, but bench/workloads.py traces it
 # under this module's name
 from .encoders import (FrozenEncoderSpec, ViewEmbeddingTables, embed_view,  # noqa: F401
@@ -41,6 +41,14 @@ GRADCHECK_TOLERANCE = 1e-4
 # the TrainConfig switches that change the loss itself; `gradcheck` checks
 # the full config and each of these switched off
 GRADCHECK_SWITCHES = ("jma_on", "htt_on", "normalize_before_nce", "symmetric_nce")
+
+# the train flags, each setting its TrainConfig field to the value given,
+# and the switches, each turning its field off
+TRAIN_FLAGS = {"epochs": "epochs", "batch": "batch_size", "lr": "base_lr", "views": "v_views",
+               "omega": "omega_deg", "lambda1": "lambda1", "lambda2": "lambda2",
+               "lambda3": "lambda3", "hidden": "point_hidden", "tau": "tau_init", "seed": "seed"}
+SWITCH_FLAGS = {"no-jma": "jma_on", "no-htt": "htt_on", "no-cis": "cis_on",
+                "no-embed": "embeddings_on", "no-within": "within_view_on"}
 
 ABLATION_AXES = {
     "cis": "cis_on",
@@ -207,30 +215,14 @@ def _coerce_config_value(key: str, raw: str, where: str):
     return raw
 
 
-def _read_utf8(path: Path, what: str, error: type[Jm3dError]) -> str:
-    """A text file's contents; not found raises InputError, and bytes that
-    are not UTF-8, or that start with a byte-order mark, raise ``error``,
-    both naming the file.  A BOM would otherwise join the first line."""
-    if not path.is_file():
-        raise InputError(f"{what} not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
-    if text.startswith("\ufeff"):
-        raise error(f"{what} {path} starts with a byte-order mark (U+FEFF); save it without one")
-    return text
-
-
 def parse_config_file(path) -> dict:
     """Flat key = value lines mirroring TrainConfig fields; # comments.
-    A line ends at "\n" alone, so an error names its physical line."""
+    Read as a text input (see `data.read_text`); an error names its physical line."""
     path = Path(path)
     out = {}
-    text = _read_utf8(path, "config file", ConfigError)
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in numbered_lines(read_text(path, "config file", ConfigError)):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
@@ -264,22 +256,10 @@ def _write_report(out_dir, name: str, text: str) -> None:
 
 
 def _resolve_train_config(ns) -> TrainConfig:
-    merged = dict(parse_config_file(ns.config)) if getattr(ns, "config", None) else {}
-    flag_map = {
-        "epochs": "epochs", "batch": "batch_size", "lr": "base_lr",
-        "views": "v_views", "omega": "omega_deg", "lambda1": "lambda1",
-        "lambda2": "lambda2", "lambda3": "lambda3", "seed": "seed",
-        "hidden": "point_hidden", "tau": "tau_init",
-    }
-    for flag, field in flag_map.items():
-        value = getattr(ns, flag, None)
-        if value is not None:
-            merged[field] = value
-    for flag, field in (("no_jma", "jma_on"), ("no_htt", "htt_on"),
-                        ("no_cis", "cis_on"), ("no_embed", "embeddings_on"),
-                        ("no_within", "within_view_on")):
-        if getattr(ns, flag, False):
-            merged[field] = False
+    """The config file's settings, if any, then every train flag given."""
+    merged = parse_config_file(ns.config) if ns.config else {}
+    merged.update((key, value) for key, value in vars(ns).items()
+                  if key in CONFIG_FIELD_TYPES and value is not None)
     return TrainConfig(**merged)
 
 
@@ -317,9 +297,8 @@ def _eval_classes(ns, dataset):
         return es.name, list(es.classes)
     if spec.startswith("custom:"):
         path = Path(spec[len("custom:"):])
-        text = _read_utf8(path, "custom set file", InputError)
-        classes = [ln.strip() for ln in text.split("\n") if ln.strip()]
-        return path.stem, classes
+        text = read_text(path, "custom set file", InputError)
+        return path.stem, [line.strip() for _, line in numbered_lines(text)]
     raise ConfigError(f"unknown evaluation set {spec!r}; "
                       "use data, all, medium, hard, or custom:FILE")
 
@@ -440,22 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None, help="key = value file of TrainConfig fields")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--batch", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--views", type=int, default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--lambda1", type=float, default=None)
-        p.add_argument("--lambda2", type=float, default=None)
-        p.add_argument("--lambda3", type=float, default=None)
-        p.add_argument("--hidden", type=int, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--no-jma", dest="no_jma", action="store_true")
-        p.add_argument("--no-htt", dest="no_htt", action="store_true")
-        p.add_argument("--no-cis", dest="no_cis", action="store_true")
-        p.add_argument("--no-embed", dest="no_embed", action="store_true")
-        p.add_argument("--no-within", dest="no_within", action="store_true")
+        for flag, field in TRAIN_FLAGS.items():  # a flag left out is None
+            p.add_argument(f"--{flag}", dest=field, metavar=flag.upper(),
+                           type={"int": int, "float": float}[CONFIG_FIELD_TYPES[field]])
+        for flag, field in SWITCH_FLAGS.items():
+            p.add_argument(f"--{flag}", dest=field, action="store_false", default=None)
 
     t = sub.add_parser("pretrain", help="train the point encoder and heads")
     add_train_flags(t)

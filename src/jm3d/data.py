@@ -324,10 +324,6 @@ class CategoryTree:
     def n_leaves(self) -> int:
         return len(self.leaf_names)
 
-    def to_pairs(self) -> list[tuple[str, str]]:
-        """Canonical (parent, sub) list; from_pairs(to_pairs()) rebuilds identically."""
-        return [(p, sub) for p in self.parents for sub in self.children[p]]
-
 
 def resolve_label(sample: TripletSample, tree: CategoryTree) -> tuple[int, int]:
     """(parent index, leaf index); unknown or absent subs use the parent's fallback leaf."""
@@ -587,11 +583,40 @@ def read_raster_file(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# text inputs
+
+
+def read_text(path, what: str, error) -> str:
+    """The text of a text input (the manifest, a config file, a class list):
+    UTF-8 without a byte-order mark, read with universal newlines, so a CRLF
+    or CR ends a line as "\n" does.  A path that is missing or not a regular
+    file, bytes that are not UTF-8, or a byte-order mark, which would join
+    the first line, raise ``error(message)`` naming `what` and the path."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} {path} is missing or not a regular file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{what} {path} is not UTF-8 text (byte {e.start}: {e.reason})") from None
+    if text.startswith("\ufeff"):
+        raise error(f"{what} {path} starts with a byte-order mark (U+FEFF); save it without one")
+    return text
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(physical line number, line) for each nonblank line of a text input,
+    blank lines counted.  "\n" alone ends a line: a value may hold U+2028,
+    U+2029 or NEL, which str.splitlines would also split on."""
+    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+
+
+# ---------------------------------------------------------------------------
 # manifest
 #
-# UTF-8 text, one JSON object per nonblank line; a line ends at "\n" (or a
-# CRLF or CR, read as "\n").  The first nonblank line is the header
-# {"version": "jm3d-1", "dim": D}; each further line is one sample:
+# A text input (see `read_text`) holding one JSON object per nonblank
+# line.  The first is the header {"version": "jm3d-1", "dim": D}; each
+# further line is one sample:
 #   id, parent    nonempty strings
 #   sub           null or a nonempty string
 #   cloud_file    the cloud's payload name
@@ -732,9 +757,7 @@ def _parse_manifest(text: str) -> tuple[int | None, tuple[tuple, ...], list[str]
     the lines, each named by its physical line.  A pure function of the
     text; a header that is not a JSON object raises ``ManifestError`` at
     once."""
-    # "\n" alone ends a line: a JSON string may hold U+2028, U+2029 or NEL,
-    # which str.splitlines would also split on
-    lines = [(f"line {n}", ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
+    lines = [(f"line {n}", ln) for n, ln in numbered_lines(text)]
     (head, header_line), records = lines[0], lines[1:]
     problems: list[str] = []
     try:
@@ -825,8 +848,9 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
     """
     global _last_load
     path = Path(path)
-    if not path.is_file():
-        raise ManifestError([f"manifest {path} does not exist"])
+    text = read_text(path, "manifest", lambda msg: ManifestError([msg]))
+    if not text or text.isspace():
+        raise ManifestError([f"manifest {path} is empty"])
     base = path.parent
     prefix = "" if str(base) == "." else os.path.join(base, "")
 
@@ -853,14 +877,6 @@ def load_manifest(path, read_views: bool = True) -> LoadedDataset:
             raise ManifestError([f"{where}: {e}"]) from None
         return feats.astype(np.float32)
 
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ManifestError([f"manifest {path} is not UTF-8 text (byte {e.start}: {e.reason})"]) from None
-    if text.startswith("\ufeff"):  # json.loads would reject the header for it
-        raise ManifestError([f"manifest {path} starts with a byte-order mark (U+FEFF); save it without one"])
-    if not text or text.isspace():
-        raise ManifestError([f"manifest {path} is empty"])
     last = _last_load
     if last is not None and last[0] == text:
         dim, parsed, problems = last[1], last[2], []

@@ -26,6 +26,7 @@ from jm3d import autodiff as ad
 from jm3d import cli, data, encoders
 from jm3d.data import load_manifest, read_feature_file
 from jm3d.errors import ConfigError, LabelError
+from jm3d.training import CONFIG_FIELD_TYPES
 from layouts import edited_manifest, split_view_files
 
 HEADER_RE = re.compile(r"^jm3d \d+\.\d+\.\d+ config=[0-9a-f]{12} seed=\d+$")
@@ -243,6 +244,27 @@ def test_switch_flags_turn_features_off():
     assert cfg.htt_on is False
     assert cfg.cis_on is False
     assert cfg.jma_on is True
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+@pytest.mark.parametrize("flag, field", [*cli.TRAIN_FLAGS.items(), *cli.SWITCH_FLAGS.items()])
+def test_each_train_flag_sets_its_field_over_the_config_file(tmp_path, command, flag, field):
+    if flag in cli.SWITCH_FLAGS:
+        given, filed, wanted = [f"--{flag}"], True, False
+    else:
+        kind = {"int": int, "float": float}[CONFIG_FIELD_TYPES[field]]
+        given, filed, wanted = [f"--{flag}", "5"], kind(3), kind(5)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"{field} = {filed}\n")
+
+    def resolved(*argv):
+        ns = cli.build_parser().parse_args([command, "--data", "unused", *argv])
+        return getattr(cli._resolve_train_config(ns), field)
+
+    assert resolved("--config", str(config)) == filed
+    assert resolved(*given) == wanted
+    assert resolved("--config", str(config), *given) == wanted
+    assert resolved(*given, "--config", str(config)) == wanted
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +730,79 @@ def test_a_custom_class_that_no_sample_carries_is_named_on_stderr(run_dir, datas
                                    "--set", f"custom:{listing}", "--topk", "1"])
     assert (code, err) == (0, "note: no sample carries class 'nosuch'\n")
     assert out.splitlines()[-1].split()[::3] == ["classes", "6"]  # cat00's 6 samples are scored
+
+
+# Each text input, and a place inside a value on its last line.  A mutation
+# turns the text and that place into the file's bytes, or names a path
+# that is no file; what it must do is given per input, as exit 0, exit 2
+# naming physical line n (an int), or exit 2 naming the file and why.
+TEXT_INPUTS = ("manifest", "config file", "custom set file")
+MISSING, NOT_UTF8, BOM = "is missing or not a regular file", "is not UTF-8 text (byte ", "starts with a byte-order mark"
+NO_CLASS = "empty class list"  # exit 2, naming no file
+
+
+def _insert(chars):
+    return lambda text, at: (text[:at] + chars + text[at:]).encode()
+
+
+def _blank_lines_then_truncated(text, at):
+    start = text.rindex("\n", 0, at) + 1  # the last line moves down three lines
+    return (text[:start] + "\n \n\t\n" + text[start:at]).encode()
+
+
+TEXT_MUTATIONS = {
+    "truncated mid-line": (lambda text, at: text[:at].encode(), (13, 3, 0)),
+    "NUL": (_insert("\0"), (13, 3, 0)),
+    "BOM": (lambda text, at: ("\ufeff" + text).encode(), (BOM, BOM, BOM)),
+    "CRLF": (lambda text, at: text.replace("\n", "\r\n").encode(), (0, 0, 0)),
+    "CR": (lambda text, at: text.replace("\n", "\r").encode(), (0, 0, 0)),
+    "U+2028": (_insert("\u2028"), (0, 3, 0)),
+    "U+2029": (_insert("\u2029"), (0, 3, 0)),
+    "NEL": (_insert("\x85"), (0, 3, 0)),
+    "blank lines before a bad line": (_blank_lines_then_truncated, (16, 6, 0)),
+    "Latin-1 byte": (lambda text, at: text[:at].encode() + b"\xe9" + text[at:].encode(),
+                     (NOT_UTF8, NOT_UTF8, NOT_UTF8)),
+    "cut multibyte at end": (lambda text, at: text.encode() + "\xe9".encode()[:1],
+                             (NOT_UTF8, NOT_UTF8, NOT_UTF8)),
+    "empty": (lambda text, at: b"", ("is empty", 0, NO_CLASS)),
+    "whitespace only": (lambda text, at: b" \n\t\n", ("is empty", 0, NO_CLASS)),
+    "missing path": (None, (MISSING, MISSING, MISSING)),
+    "directory path": (None, (MISSING, MISSING, MISSING)),
+}
+
+
+@pytest.mark.parametrize("what", TEXT_INPUTS)
+@pytest.mark.parametrize("mutation", TEXT_MUTATIONS)
+def test_a_mutated_text_input_exits_0_or_2_naming_its_line_or_file(run_dir, dataset_dir, tmp_path,
+                                                                 what, mutation):
+    manifest = dataset_dir / "manifest.jsonl"
+    text, marker, argv = {
+        "manifest": (manifest.read_text(), '"id": "c', lambda path: ["eval-zeroshot", *serve_args(run_dir, path)]),
+        "config file": ("epochs = 1\nbatch_size = 4\ncis_on = false\n", "fa",
+                        lambda path: ["pretrain", "--data", str(manifest), "--config", str(path),
+                                      "--epochs", "1", "--batch", "4"]),
+        "custom set file": ("cat00\ncat01\n", "ca", lambda path: ["eval-zeroshot", *serve_args(run_dir, manifest),
+                                                                  "--set", f"custom:{path}", "--topk", "1"]),
+    }[what]
+    mutate, outcomes = TEXT_MUTATIONS[mutation]
+    path = tmp_path / "input"
+    if mutation == "directory path":
+        path.mkdir()
+    elif mutate is not None:
+        path.write_bytes(mutate(text, text.rindex(marker) + len(marker)))
+    if what == "manifest":  # payload names join the manifest's directory
+        (tmp_path / "payload").symlink_to(dataset_dir / "payload")
+    code, _, err = run_captured(argv(path))
+    expected = outcomes[TEXT_INPUTS.index(what)]
+    if expected == 0:
+        assert code == 0, err
+    elif isinstance(expected, int):
+        assert code == 2
+        assert (f"  - line {expected}: " if what == "manifest" else f"{path}:{expected}: ") in err
+    elif expected == NO_CLASS:
+        assert code == 2 and NO_CLASS in err
+    else:
+        assert code == 2 and f"{what} {path} {expected}" in err
 
 
 def test_payload_name_with_nul_exits_2_naming_line_and_field(run_dir, dataset_dir, tmp_path):

@@ -97,12 +97,6 @@ def test_tree_structure():
     assert len(tree.leaf_parent) == 5
 
 
-def test_tree_round_trip_stable():
-    tree = make_tree()
-    again = data.CategoryTree.from_pairs(tree.to_pairs())
-    assert again == tree
-
-
 def test_tree_rejects_ambiguous_sub():
     with pytest.raises(LabelError):
         data.CategoryTree.from_pairs([("chair", "classic"), ("table", "classic")])
